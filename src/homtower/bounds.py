@@ -99,7 +99,24 @@ class BoundViolation(AssertionError):
         super().__init__(f"bound violated on {context}: {record!r}")
 
 
-class BoundReport:
+class _RecordReport:
+    """What the two bound reports share: a tuple of BoundRecords."""
+
+    __slots__ = ()
+
+    @property
+    def all_pass(self):
+        return all(r.passed for r in self.records)
+
+    def csv_rows(self):
+        """Fixed columns, kind and prime first to disambiguate the series."""
+        yield ("kind", "prime", "degree", "actual", "bound", "margin", "pass")
+        for r in self.records:
+            yield (r.kind, "" if r.prime is None else r.prime, r.degree,
+                   r.actual, r.bound, r.margin, r.passed)
+
+
+class BoundReport(_RecordReport):
     __slots__ = ("name", "dim", "cycle_size", "primes", "records")
 
     def __init__(self, name, dim, cycle_size, primes, records):
@@ -108,10 +125,6 @@ class BoundReport:
         self.cycle_size = cycle_size
         self.primes = tuple(primes)
         self.records = tuple(records)
-
-    @property
-    def all_pass(self):
-        return all(r.passed for r in self.records)
 
     def to_json_dict(self):
         return {
@@ -122,13 +135,6 @@ class BoundReport:
             "records": [r.to_json_dict() for r in self.records],
             "all_pass": self.all_pass,
         }
-
-    def csv_rows(self):
-        """Fixed columns, kind and prime first to disambiguate the series."""
-        yield ("kind", "prime", "degree", "actual", "bound", "margin", "pass")
-        for r in self.records:
-            yield (r.kind, "" if r.prime is None else r.prime, r.degree,
-                   r.actual, r.bound, r.margin, r.passed)
 
 
 def check_bounds(complex, primes=(2, 3, 5), name=None):
@@ -164,7 +170,7 @@ def check_bounds(complex, primes=(2, 3, 5), name=None):
     return BoundReport(label, n, k, primes, records)
 
 
-class Index2Report:
+class Index2Report(_RecordReport):
     __slots__ = ("name", "aspherical_model", "caveat", "records", "cover_counts")
 
     def __init__(self, name, aspherical_model, caveat, records, cover_counts):
@@ -173,10 +179,6 @@ class Index2Report:
         self.caveat = caveat
         self.records = tuple(records)
         self.cover_counts = tuple(cover_counts)
-
-    @property
-    def all_pass(self):
-        return all(r.passed for r in self.records)
 
     def record(self, kind, degree, prime=None):
         for r in self.records:

@@ -256,9 +256,7 @@ def cmd_bounds(args):
         lines.append(
             f"{r.kind:<14} {tag}n={r.degree}: {r.actual:.6g} <= {r.bound:.6g}"
             f"  margin {r.margin:.6g}  {'PASS' if r.passed else 'FAIL'}")
-    rows = [("kind", "prime", "degree", "actual", "bound", "margin", "pass")]
-    rows += [(r.kind, "" if r.prime is None else r.prime, r.degree,
-              r.actual, r.bound, r.margin, r.passed) for r in report.records]
+    rows = list(report.csv_rows())
     _emit(args, payload, lines, rows)
     return EXIT_OK if report.all_pass else EXIT_FAILED_CHECK
 

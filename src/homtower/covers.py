@@ -10,7 +10,8 @@ on tree edges) satisfying every relator.  Lifted simplices are anchored at
 their vertex-0 corner: the copy (s, sheet) has faces (face_i s, sheet) for
 i >= 1, while face 0, whose anchor is vertex 1, lives on the sheet reached
 through the [v0, v1] edge of s.  The relator condition is exactly what makes
-the lifted face maps close up into a complex, and every constructed cover is
+the lifted face maps close up into a complex.  An action is validated against
+the relators when a cover is built from it, and every constructed cover is
 recertified by validation and Euler characteristic multiplicativity.
 """
 
@@ -251,14 +252,6 @@ def _invert_perm(perm):
     return tuple(out)
 
 
-def _evaluate_word(action, presentation, word, start):
-    s = start
-    for g, e in word:
-        perm = action.edge_perms[presentation.generator_edges[g]]
-        s = perm[s] if e == 1 else _invert_perm(perm)[s]
-    return s
-
-
 def validate_action(presentation, action):
     """Check tree edges act trivially and every relator acts trivially.
 
@@ -278,8 +271,13 @@ def validate_action(presentation, action):
                             f"{action.edge_perms[e]}")
             return ValidationReport(problems)
     for idx, word in enumerate(presentation.relators):
-        evaluated = tuple(_evaluate_word(action, presentation, word, s)
-                          for s in range(action.degree))
+        # evaluated[s] is the sheet that the word's path from sheet s ends on
+        evaluated = identity
+        for g, e in word:
+            perm = action.edge_perms[presentation.generator_edges[g]]
+            if e != 1:
+                perm = _invert_perm(perm)
+            evaluated = tuple(perm[s] for s in evaluated)
         if evaluated != identity:
             pretty = " ".join(
                 f"g{g}" if e == 1 else f"g{g}^-1" for g, e in word) or "(empty)"
@@ -365,8 +363,7 @@ def build_cover(complex, action, presentation=None):
     if cover.euler_characteristic() != d * complex.euler_characteristic():
         raise AssertionError("cover Euler characteristic is not multiplicative")
     base_index = [tuple(i // d for i in range(c * d)) for c in complex.counts]
-    sheet = [tuple(i % d for i in range(c * d)) for c in complex.counts]
-    return cover, CoverProjection(d, base_index, sheet)
+    return cover, CoverProjection(d, base_index)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +377,7 @@ class AbelianQuotient:
     for m^i and m^{i+1} are literally componentwise.
     """
 
-    __slots__ = ("modulus", "coords", "moduli", "size", "_strides", "_edge_images")
+    __slots__ = ("modulus", "coords", "moduli", "size", "_strides", "_shifts")
 
     def __init__(self, presentation, snf, modulus):
         gens = presentation.generator_count
@@ -405,7 +402,7 @@ class AbelianQuotient:
             else:
                 images.append(tuple(snf.U.entry(i, g) % q
                                     for i, q in zip(self.coords, self.moduli)))
-        self._edge_images = tuple(images)
+        self._shifts = tuple(images)
 
     def encode(self, values):
         return sum(v * s for v, s in zip(values, self._strides))
@@ -416,17 +413,15 @@ class AbelianQuotient:
             out.append((index // s) % q)
         return tuple(out)
 
-    def edge_image(self, e):
-        return self._edge_images[e]
-
-    def translation_permutation(self, e):
-        shift = self._edge_images[e]
-        perm = []
-        for s in range(self.size):
-            vals = self.decode(s)
-            perm.append(self.encode(
-                tuple((v + t) % q for v, t, q in zip(vals, shift, self.moduli))))
-        return tuple(perm)
+    def action(self):
+        """The translation action on the quotient's elements: edge e moves
+        every sheet by its image in the quotient (size 1 gives the degree-1
+        identity action)."""
+        sheets = [self.decode(s) for s in range(self.size)]
+        perms = [[self.encode(tuple((v + t) % q for v, t, q in zip(vals, shift, self.moduli)))
+                  for vals in sheets]
+                 for shift in self._shifts]
+        return PermutationAction(self.size, perms)
 
     def reduction_to(self, coarser):
         """Sheet map to the quotient for a modulus dividing this one."""
@@ -459,10 +454,7 @@ def abelianization_action(complex, modulus, presentation=None):
     quotient = AbelianQuotient(presentation, snf, modulus)
     if quotient.size == 1:
         warnings.warn("abelianization quotient is trivial; cover equals base")
-        return PermutationAction(1, [(0,)] * presentation.edge_count)
-    perms = [quotient.translation_permutation(e)
-             for e in range(presentation.edge_count)]
-    return PermutationAction(quotient.size, perms)
+    return quotient.action()
 
 
 class TowerLevel:
@@ -498,12 +490,10 @@ class Tower:
         return tuple(level.degree for level in self.levels)
 
 
-def _verify_certificate(presentation, finer, coarser, sheet_map):
-    """The reduction must intertwine the two translation actions edgewise."""
-    for e in range(presentation.edge_count):
-        hi = finer.translation_permutation(e)
-        lo = coarser.translation_permutation(e)
-        for s in range(finer.size):
+def _verify_certificate(finer, coarser, sheet_map):
+    """The reduction must intertwine the two levels' actions edgewise."""
+    for e, (hi, lo) in enumerate(zip(finer.action.edge_perms, coarser.action.edge_perms)):
+        for s in range(finer.degree):
             if sheet_map[hi[s]] != lo[sheet_map[s]]:
                 raise AssertionError(
                     f"nesting certificate broken at edge {e}, sheet {s}")
@@ -513,10 +503,12 @@ def mod_power_tower(complex, modulus, levels, name=None):
     """Tower whose level i covers come from H_1 tensor Z/m^i.
 
     Levels with a stagnating quotient order truncate the tower with a
-    warning.  The residual flag is set only when the presentation provably
-    gives an abelian group and every torsion coefficient of H_1 has all its
-    prime factors dividing m; in that case the kernels of
-    pi_1 -> H_1 tensor Z/m^i really do intersect trivially.
+    warning.  Level actions are not validated here: build_cover validates an
+    action against the relators when it builds the level's cover.  The
+    residual flag is set only when the presentation provably gives an
+    abelian group and every torsion coefficient of H_1 has all its prime
+    factors dividing m; in that case the kernels of pi_1 -> H_1 tensor Z/m^i
+    really do intersect trivially.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -536,18 +528,11 @@ def mod_power_tower(complex, modulus, levels, name=None):
             warning_list.append("level 1 quotient is trivial; tower is empty")
             break
         quotients.append(q)
-    tower_levels = []
-    for q in quotients:
-        perms = [q.translation_permutation(e) for e in range(presentation.edge_count)]
-        action = PermutationAction(q.size, perms)
-        report = validate_action(presentation, action)
-        if not report.ok:
-            raise AssertionError(f"abelianization action invalid: {report.problems[0]}")
-        tower_levels.append(TowerLevel(q.modulus, action, q))
+    tower_levels = [TowerLevel(q.modulus, q.action(), q) for q in quotients]
     certificates = []
     for finer, coarser in zip(tower_levels[1:], tower_levels[:-1]):
         sheet_map = finer.quotient.reduction_to(coarser.quotient)
-        _verify_certificate(presentation, finer.quotient, coarser.quotient, sheet_map)
+        _verify_certificate(finer, coarser, sheet_map)
         certificates.append(sheet_map)
     abelian = proves_abelian(presentation)
     torsion = snf.nontrivial_divisors()

@@ -139,8 +139,11 @@ def validate_complex(complex):
     """Check face-index ranges and the chain condition d o d = 0.
 
     Returns a ValidationReport; never raises on bad data.  The first chain
-    violation is reported with the simplex coordinates that witness it.
+    violation is reported with the simplex coordinates that witness it.  The
+    report is kept in the complex's cache, so a complex is checked once.
     """
+    if "validation" in complex._cache:
+        return complex._cache["validation"]
     problems = []
     for k in range(1, complex.dim + 1):
         limit = complex.counts[k - 1]
@@ -150,17 +153,17 @@ def validate_complex(complex):
                     problems.append(
                         f"faces[{k}][{j}][{i}] = {f} out of range "
                         f"(complex has {limit} simplices of dimension {k - 1})")
-    if problems:
-        return ValidationReport(problems)
-    for k in range(2, complex.dim + 1):
-        product = boundary_matrix(complex, k - 1) @ boundary_matrix(complex, k)
-        if not product.is_zero():
-            (r, c), v = min(product.items())
-            problems.append(
-                f"chain condition fails: d_{k - 1} d_{k} has entry {v} at "
-                f"({k - 2}-simplex {r}, {k}-simplex {c})")
-            break
-    return ValidationReport(problems)
+    if not problems:
+        for k in range(2, complex.dim + 1):
+            product = boundary_matrix(complex, k - 1) @ boundary_matrix(complex, k)
+            if not product.is_zero():
+                (r, c), v = min(product.items())
+                problems.append(
+                    f"chain condition fails: d_{k - 1} d_{k} has entry {v} at "
+                    f"({k - 2}-simplex {r}, {k}-simplex {c})")
+                break
+    report = complex._cache["validation"] = ValidationReport(problems)
+    return report
 
 
 def boundary_matrix(complex, k):
@@ -379,15 +382,13 @@ def orient(complex):
 
 class CoverProjection:
     """Projection data of a covering: per dimension, the base simplex under
-    each cover simplex; `sheet` is filled in when sheets are globally
-    meaningful (permutation covers), else None."""
+    each cover simplex."""
 
-    __slots__ = ("degree", "base_index", "sheet")
+    __slots__ = ("degree", "base_index")
 
-    def __init__(self, degree, base_index, sheet=None):
+    def __init__(self, degree, base_index):
         self.degree = degree
         self.base_index = tuple(tuple(xs) for xs in base_index)
-        self.sheet = None if sheet is None else tuple(tuple(xs) for xs in sheet)
 
     def base_of(self, k, idx):
         return self.base_index[k][idx]
@@ -521,8 +522,7 @@ def orientation_double_cover(complex):
         raise AssertionError("orientation double cover came out disconnected")
     if orient(cover) is None:
         raise AssertionError("orientation double cover came out non-orientable")
-    # sheets of lower simplices are gluing artefacts, so none are reported
-    return cover, CoverProjection(2, base_index, sheet=None)
+    return cover, CoverProjection(2, base_index)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +569,6 @@ class _PresentedGroup:
             rel_entries[i - r, j] = v
         self.relations = IntegerMatrix(z, d_in.cols, rel_entries)
         snf_rel = smith_normal_form(self.relations, keep_transforms=True)
-        self._u = snf_rel.U
         self._u_inv = snf_rel.U_inv
         # modulus per coordinate: invariant factor, or 0 for free coordinates
         moduli = list(snf_rel.divisors) + [0] * (z - snf_rel.rank)
@@ -599,25 +598,14 @@ class _PresentedGroup:
                              {(i - self._rank_out, 0): v for (i, _), v in w.items()
                               if i >= self._rank_out})
 
-    def canonical_form(self, presentation_column):
-        """Values of the kept generator coordinates, torsion ones reduced."""
-        w = self._u @ presentation_column
-        out = []
-        for i in self.kept:
-            v = w.entry(i, 0)
-            q = self.moduli[i]
-            out.append(v % q if q else v)
-        return out
-
 
 class CapDualityRecord:
-    __slots__ = ("degree", "source", "target", "matrix", "isomorphism")
+    __slots__ = ("degree", "source", "target", "isomorphism")
 
-    def __init__(self, degree, source, target, matrix, isomorphism):
+    def __init__(self, degree, source, target, isomorphism):
         self.degree = degree
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.isomorphism = isomorphism
 
 
@@ -664,7 +652,6 @@ def cap_duality_check(complex, cycle):
             _boundary_or_zero(complex, k),
             _boundary_or_zero(complex, k + 1))
         image_cols = []
-        matrix_rows = []
         for gen in source.generator_cochains():
             cap = {}
             for t, s in enumerate(cycle.signs):
@@ -677,9 +664,7 @@ def cap_duality_check(complex, cycle):
             bnd = _boundary_or_zero(complex, k)
             if not (bnd @ cap_col).is_zero():
                 raise AssertionError("cap image of a cocycle is not a cycle")
-            coords = target.coords(cap_col)
-            image_cols.append(coords)
-            matrix_rows.append(target.canonical_form(coords))
+            image_cols.append(target.coords(cap_col))
         image_entries = {}
         for j, col in enumerate(image_cols):
             for (i, _), v in col.items():
@@ -687,9 +672,7 @@ def cap_duality_check(complex, cycle):
         images = IntegerMatrix(target.relations.rows, len(image_cols), image_entries)
         surjective = cokernel_structure(target.relations.hstack(images)).is_trivial()
         iso = surjective and source.group == target.group
-        # columns of the induced map, one per source generator
-        matrix = [list(row) for row in matrix_rows]
-        records.append(CapDualityRecord(k, source.group, target.group, matrix, iso))
+        records.append(CapDualityRecord(k, source.group, target.group, iso))
     return CapDualityReport(records)
 
 
@@ -795,10 +778,6 @@ def is_aspherical_builtin(complex):
         complex.name or "").startswith("surface_")
 
 
-def is_amenable_builtin(complex):
-    return complex.name in AMENABLE_BUILTINS
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -866,9 +845,3 @@ def load_complex(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return complex_from_json(obj)
-
-
-def dump_complex(complex, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_json(complex), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")

@@ -163,7 +163,7 @@ def _compute_level(base, level, primes, presentation):
         "degree": level.degree,
         "counts": list(cover.counts),
         "betti_q": [profile.betti(k) for k in range(dim + 1)],
-        "fp_dims": {p: [profile.fp_dim(k, p) for k in range(dim + 1)] for p in primes},
+        "fp_dims": {str(p): [profile.fp_dim(k, p) for k in range(dim + 1)] for p in primes},
         "torsion_orders": [str(profile.torsion_order(k)) for k in range(dim + 1)],
     }
 
@@ -200,8 +200,7 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
         stats = LevelStats(
             idx, level.modulus, data["degree"],
             data["betti_q"],
-            {p: data["fp_dims"][str(p)] if str(p) in data["fp_dims"]
-             else data["fp_dims"][p] for p in primes},
+            {p: data["fp_dims"][str(p)] for p in primes},
             [int(t) for t in data["torsion_orders"]],
             data["counts"])
         for k in range(tower.base.dim + 1):
@@ -241,11 +240,8 @@ def gap_consistency_check(report, threshold, level=None):
     explicit amenable registry get verdict `not-applicable`; the series are
     reported either way.
     """
-    series_map = {}
-    for k in range(report.dim + 1):
-        for p in report.primes:
-            series_map[f"betti_p[p={p},k={k}]"] = [float(x) for x in report.fp_series(k, p)]
-        series_map[f"log_torsion[k={k}]"] = report.log_torsion_series(k)
+    series_map = {key: series for key, series in report._series_map().items()
+                  if not key.startswith("betti_q")}
     if level is None:
         level = len(report.levels)
     if not 1 <= level <= len(report.levels):

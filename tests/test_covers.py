@@ -2,6 +2,7 @@ import pytest
 
 from homtower.covers import (
     PermutationAction,
+    _verify_certificate,
     abelianization_action,
     action_from_json,
     action_to_json,
@@ -118,6 +119,31 @@ def test_validate_action_noncommuting_fails_with_relator():
     assert "relator" in report.problems[0]
 
 
+def _walk_relator(presentation, action, word):
+    """Per-sheet reference: follow the word's edge path from every sheet."""
+    out = []
+    for start in range(action.degree):
+        s = start
+        for g, e in word:
+            perm = action.edge_perms[presentation.generator_edges[g]]
+            s = perm[s] if e == 1 else perm.index(s)
+        out.append(s)
+    return tuple(out)
+
+
+def test_validate_action_relator_permutation_matches_sheet_walk():
+    p = edge_path_presentation(builtin("torus2"))
+    action = PermutationAction(3, [(1, 2, 0), (0, 2, 1), (2, 0, 1)])
+    word = p.relators[0]
+    assert any(e == -1 for _, e in word)
+    walked = _walk_relator(p, action, word)
+    assert walked != (0, 1, 2)
+    report = validate_action(p, action)
+    assert not report.ok
+    assert report.problems[0].startswith("relator 0 ")
+    assert report.problems[0].endswith(f"evaluates to {walked}")
+
+
 def test_validate_action_tree_edges_must_be_identity():
     p = edge_path_presentation(builtin("rp2"))
     tree_edge = min(p.tree_edges)
@@ -201,6 +227,13 @@ def test_surface2_mod2_cover_has_rank_34():
     profile = homology_profile(cover, (2,))
     assert profile.betti(1) == 34
     assert profile.group(1) == Z(34)
+
+
+def test_cover_validation_report_is_cached():
+    cover, _ = build_cover(builtin("torus2"), abelianization_action(builtin("torus2"), 2))
+    first = validate_complex(cover)
+    assert first.ok
+    assert validate_complex(cover) is first
 
 
 def test_cover_simplex_counts_multiply():
@@ -288,6 +321,17 @@ def test_tower_functoriality_exhaustive():
             for i in range(k + 1):
                 assert push(k - 1, hi_cover.faces[k][idx][i]) == \
                     lo_cover.faces[k][mapped][i], (k, idx, i)
+
+
+def test_nesting_certificate_rejects_swapped_sheets():
+    tower = mod_power_tower(builtin("torus2"), 2, 2)
+    coarser, finer = tower.levels
+    sheet_map = list(tower.certificates[0])
+    _verify_certificate(finer, coarser, sheet_map)
+    other = next(s for s in range(finer.degree) if sheet_map[s] != sheet_map[0])
+    sheet_map[0], sheet_map[other] = sheet_map[other], sheet_map[0]
+    with pytest.raises(AssertionError, match="nesting certificate broken"):
+        _verify_certificate(finer, coarser, sheet_map)
 
 
 def test_tower_rejects_bad_parameters():

@@ -147,6 +147,37 @@ def test_level_failure_carries_level_index():
         run_tower(tower, primes=(2,))
 
 
+def test_run_tower_validates_each_level_action_once(monkeypatch):
+    from homtower import covers
+    calls = []
+    original = covers.validate_action
+
+    def counting(presentation, action):
+        calls.append(action.degree)
+        return original(presentation, action)
+
+    monkeypatch.setattr(covers, "validate_action", counting)
+    tower = mod_power_tower(builtin("torus2"), 2, 3)
+    run_tower(tower, primes=(2,))
+    assert calls == [4, 16, 64]
+
+
+def test_corrupted_level_action_is_rejected():
+    from homtower.covers import PermutationAction, Tower, TowerLevel
+    tower = mod_power_tower(builtin("torus2"), 2, 2)
+    level = tower.levels[1]
+    perms = list(level.action.edge_perms)
+    # a transposition commutes with no nontrivial translation of the sheets
+    perms[0] = (1, 0) + tuple(range(2, level.degree))
+    bad = TowerLevel(level.modulus, PermutationAction(level.degree, perms), level.quotient)
+    corrupted = Tower(tower.base, tower.base_name, tower.modulus,
+                      [tower.levels[0], bad], tower.certificates, tower.residual,
+                      tower.warnings, tower.presentation)
+    with pytest.raises(RuntimeError,
+                       match=r"tower level 2 failed: invalid action: relator \d+ "):
+        run_tower(corrupted, primes=(2,))
+
+
 # ---------------------------------------------------------------------------
 # Caching and serialization
 
