@@ -5,6 +5,7 @@ from .intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
     IntegerMatrix,
+    KernelLattice,
     SmithDecomposition,
     cokernel_structure,
     homology_at,

@@ -17,6 +17,7 @@ recertified by validation and Euler characteristic multiplicativity.
 
 import math
 import warnings
+from collections import deque
 
 from .deltacomplex import CoverProjection, DeltaComplex, ValidationReport, validate_complex
 from .intlinalg import IntegerMatrix, smith_normal_form
@@ -69,9 +70,9 @@ def edge_path_presentation(complex):
     tree = set()
     seen = [False] * n_vertices
     seen[0] = True
-    queue = [0]
+    queue = deque([0])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for e, w in sorted(incident[u]):
             if not seen[w]:
                 seen[w] = True

@@ -14,10 +14,12 @@ signed incidences and Euclidean norm at most k+1.
 """
 
 import json
+from collections import deque
 
 from .intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
+    KernelLattice,
     cokernel_structure,
     rank_mod_p,
     smith_normal_form,
@@ -329,9 +331,9 @@ def _propagate_signs(complex, incidences):
             continue
         components += 1
         signs[seed] = 1
-        queue = [seed]
+        queue = deque([seed])
         while queue:
-            t = queue.pop(0)
+            t = queue.popleft()
             for f in complex.faces[n][t]:
                 (a, ia), (b, ib) = incidences[f]
                 if a == b:
@@ -544,61 +546,6 @@ def _back_face(complex, top, l):
     return cur
 
 
-class _PresentedGroup:
-    """ker(d_out)/im(d_in) with explicit integral coordinates.
-
-    Presents the group as Z^z / im(relations) where z = nullity(d_out) and
-    the relation matrix is d_in written in a kernel basis.  Generators come
-    from the Smith form of the relations; `coords` maps cycles to Z^z.
-    """
-
-    def __init__(self, d_out, d_in):
-        snf_out = smith_normal_form(d_out, keep_transforms=True)
-        r = snf_out.rank
-        z = d_out.cols - r
-        self._kernel = IntegerMatrix(
-            d_out.cols, z,
-            {(i, j - r): v for (i, j), v in snf_out.V.items() if j >= r})
-        self._v_inv = snf_out.V_inv
-        self._rank_out = r
-        lifted = snf_out.V_inv @ d_in
-        rel_entries = {}
-        for (i, j), v in lifted.items():
-            if i < r:
-                raise AssertionError("d_in does not land in ker(d_out)")
-            rel_entries[i - r, j] = v
-        self.relations = IntegerMatrix(z, d_in.cols, rel_entries)
-        snf_rel = smith_normal_form(self.relations, keep_transforms=True)
-        self._u_inv = snf_rel.U_inv
-        # modulus per coordinate: invariant factor, or 0 for free coordinates
-        moduli = list(snf_rel.divisors) + [0] * (z - snf_rel.rank)
-        self.moduli = tuple(moduli)
-        self.kept = tuple(i for i, q in enumerate(self.moduli) if q != 1)
-        self.group = FgAbelianGroup(
-            sum(1 for q in self.moduli if q == 0),
-            tuple(q for q in self.moduli if q > 1))
-
-    def generator_cochains(self):
-        """One representative cycle per kept generator coordinate."""
-        reps = self._kernel @ self._u_inv
-        out = []
-        for i in self.kept:
-            out.append(IntegerMatrix(reps.rows, 1,
-                                     {(r, 0): v for (r, c), v in reps.items() if c == i}))
-        return out
-
-    def coords(self, cycle_column):
-        """Coordinates of a cycle in Z^z (presentation coordinates)."""
-        w = self._v_inv @ cycle_column
-        for (i, _), v in w.items():
-            if i < self._rank_out and v:
-                raise ValueError("not a cycle: nonzero component outside the kernel")
-        z = self.relations.rows
-        return IntegerMatrix(z, 1,
-                             {(i - self._rank_out, 0): v for (i, _), v in w.items()
-                              if i >= self._rank_out})
-
-
 class CapDualityRecord:
     __slots__ = ("degree", "source", "target", "isomorphism")
 
@@ -629,11 +576,13 @@ def cap_duality_check(complex, cycle):
 
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
-    i.e. the cap product with the fundamental cycle.  Induced maps are
-    computed on explicit Smith-basis generators; the verdict is
-    "isomorphism" iff the groups agree as abstract groups and the map is
-    onto (a surjection between isomorphic finitely generated abelian groups
-    is automatically injective).
+    i.e. the cap product with the fundamental cycle.  The induced map is
+    evaluated on a basis of the cocycle lattice, which generates H^{n-k};
+    the caps land in kernel coordinates of d_k, where H_k is presented by
+    the relations coming from d_{k+1}.  The verdict is "isomorphism" iff the
+    groups agree as abstract groups and the map is onto (a surjection
+    between isomorphic finitely generated abelian groups is automatically
+    injective).
     """
     n = complex.dim
     if len(cycle.signs) != complex.counts[n]:
@@ -645,34 +594,21 @@ def cap_duality_check(complex, cycle):
     records = []
     for k in range(n + 1):
         m = n - k
-        source = _PresentedGroup(
-            _boundary_or_zero(complex, m + 1).transpose(),
-            _boundary_or_zero(complex, m).transpose())
-        target = _PresentedGroup(
-            _boundary_or_zero(complex, k),
-            _boundary_or_zero(complex, k + 1))
-        image_cols = []
-        for gen in source.generator_cochains():
-            cap = {}
-            for t, s in enumerate(cycle.signs):
-                f = _front_face(complex, t, m)
-                v = gen.entry(f, 0)
-                if v:
-                    b = _back_face(complex, t, k)
-                    cap[b, 0] = cap.get((b, 0), 0) + s * v
-            cap_col = IntegerMatrix(complex.counts[k], 1, cap)
-            bnd = _boundary_or_zero(complex, k)
-            if not (bnd @ cap_col).is_zero():
-                raise AssertionError("cap image of a cocycle is not a cycle")
-            image_cols.append(target.coords(cap_col))
-        image_entries = {}
-        for j, col in enumerate(image_cols):
-            for (i, _), v in col.items():
-                image_entries[i, j] = v
-        images = IntegerMatrix(target.relations.rows, len(image_cols), image_entries)
-        surjective = cokernel_structure(target.relations.hstack(images)).is_trivial()
-        iso = surjective and source.group == target.group
-        records.append(CapDualityRecord(k, source.group, target.group, iso))
+        source = KernelLattice(_boundary_or_zero(complex, m + 1).transpose())
+        source_group = cokernel_structure(
+            source.coords(_boundary_or_zero(complex, m).transpose()))
+        target = KernelLattice(_boundary_or_zero(complex, k))
+        relations = target.coords(_boundary_or_zero(complex, k + 1))
+        cap = {}
+        for t, s in enumerate(cycle.signs):
+            key = (_back_face(complex, t, k), _front_face(complex, t, m))
+            cap[key] = cap.get(key, 0) + s
+        cap_map = IntegerMatrix(complex.counts[k], complex.counts[m], cap)
+        images = target.coords(cap_map @ source.basis)
+        target_group = cokernel_structure(relations)
+        surjective = cokernel_structure(relations.hstack(images)).is_trivial()
+        iso = surjective and source_group == target_group
+        records.append(CapDualityRecord(k, source_group, target_group, iso))
     return CapDualityReport(records)
 
 

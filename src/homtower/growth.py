@@ -10,6 +10,8 @@ finite series and their deltas only; no limit is ever claimed.
 import hashlib
 import json
 import math
+import os
+import warnings
 from fractions import Fraction
 
 from .covers import action_to_json, build_cover
@@ -155,6 +157,27 @@ def _level_cache_key(base, action, primes):
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
+def _load_cached_level(path, primes):
+    """The data of a cached level, or None when there is no entry; an entry
+    that does not parse or lacks a key is ignored with a warning."""
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        warnings.warn(f"recomputing unreadable cache entry {path}: {exc}")
+        return None
+    if not (isinstance(data, dict)
+            and all(key in data for key in
+                    ("degree", "counts", "betti_q", "fp_dims", "torsion_orders"))
+            and isinstance(data["fp_dims"], dict)
+            and all(str(p) in data["fp_dims"] for p in primes)):
+        warnings.warn(f"recomputing incomplete cache entry {path}")
+        return None
+    return data
+
+
 def _compute_level(base, level, primes, presentation):
     cover, _ = build_cover(base, level.action, presentation)
     profile = homology_profile(cover, primes)
@@ -173,7 +196,9 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
     the growth report.
 
     With cache_dir set, per-level results are stored under a content hash of
-    (base complex, action, primes), so re-running a tower is instant.
+    (base complex, action, primes), so re-running a tower is instant.  Entries
+    are written through a temporary file, and one that does not parse or
+    lacks a key is recomputed with a warning.
     Construction failures carry the level index.
     """
     primes = tuple(primes)
@@ -182,21 +207,20 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
         data = None
         cache_path = None
         if cache_dir is not None:
-            import os
             os.makedirs(cache_dir, exist_ok=True)
             key = _level_cache_key(tower.base, level.action, primes)
             cache_path = os.path.join(cache_dir, f"level-{key}.json")
-            if os.path.exists(cache_path):
-                with open(cache_path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
+            data = _load_cached_level(cache_path, primes)
         if data is None:
             try:
                 data = _compute_level(tower.base, level, primes, tower.presentation)
             except Exception as exc:
                 raise RuntimeError(f"tower level {idx} failed: {exc}") from exc
             if cache_path is not None:
-                with open(cache_path, "w", encoding="utf-8") as fh:
+                tmp_path = f"{cache_path}.{os.getpid()}.tmp"
+                with open(tmp_path, "w", encoding="utf-8") as fh:
                     json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+                os.replace(tmp_path, cache_path)
         stats = LevelStats(
             idx, level.modulus, data["degree"],
             data["betti_q"],

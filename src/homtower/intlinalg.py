@@ -243,9 +243,25 @@ class SmithDecomposition:
         return tuple(d for d in self.divisors if d > 1)
 
 
+def _line_add(lines, dst, src, q):
+    """lines[dst] += q * lines[src] for sparse dict lines, dropping zeros."""
+    line = lines[dst]
+    for k, v in lines[src].items():
+        nv = line.get(k, 0) + q * v
+        if nv:
+            line[k] = nv
+        else:
+            del line[k]
+
+
 class _SmithWorker:
     """Mutable sparse matrix with mirrored row/column maps and, optionally,
-    dense transform matrices kept in sync with every elementary operation."""
+    the four transforms kept in sync with every elementary operation.
+
+    Each transform is a list of sparse dict lines, oriented so that every
+    operation is a line update: U and V_inv are stored by rows, U_inv and V
+    by columns.
+    """
 
     __slots__ = ("m", "n", "row", "col", "keep", "U", "V", "U_inv", "V_inv")
 
@@ -259,10 +275,8 @@ class _SmithWorker:
             self.col[j][i] = v
         self.keep = keep
         if keep:
-            self.U = _dense_identity(self.m)
-            self.U_inv = _dense_identity(self.m)
-            self.V = _dense_identity(self.n)
-            self.V_inv = _dense_identity(self.n)
+            self.U, self.U_inv, self.V, self.V_inv = (
+                [{i: 1} for i in range(size)] for size in (self.m, self.m, self.n, self.n))
 
     def _set(self, i, j, v):
         if v:
@@ -277,26 +291,16 @@ class _SmithWorker:
         for j, v in list(self.row[t].items()):
             self._set(i, j, self.row[i].get(j, 0) + q * v)
         if self.keep:
-            U, U_inv = self.U, self.U_inv
-            Ut = U[t]
-            Ui = U[i]
-            for j in range(self.m):
-                Ui[j] += q * Ut[j]
-            for r in range(self.m):
-                U_inv[r][t] -= q * U_inv[r][i]
+            _line_add(self.U, i, t, q)
+            _line_add(self.U_inv, t, i, -q)
 
     def col_add(self, j, t, q):
         # col_j += q * col_t
         for i, v in list(self.col[t].items()):
             self._set(i, j, self.row[i].get(j, 0) + q * v)
         if self.keep:
-            V, V_inv = self.V, self.V_inv
-            for r in range(self.n):
-                V[r][j] += q * V[r][t]
-            Vt = V_inv[t]
-            Vj = V_inv[j]
-            for c in range(self.n):
-                Vt[c] -= q * Vj[c]
+            _line_add(self.V, j, t, q)
+            _line_add(self.V_inv, t, j, -q)
 
     def row_swap(self, i, j):
         if i == j:
@@ -307,10 +311,8 @@ class _SmithWorker:
             self._set(i, jj, b)
             self._set(j, jj, a)
         if self.keep:
-            self.U[i], self.U[j] = self.U[j], self.U[i]
-            for r in range(self.m):
-                row = self.U_inv[r]
-                row[i], row[j] = row[j], row[i]
+            for lines in (self.U, self.U_inv):
+                lines[i], lines[j] = lines[j], lines[i]
 
     def col_swap(self, i, j):
         if i == j:
@@ -321,18 +323,15 @@ class _SmithWorker:
             self._set(ii, i, b)
             self._set(ii, j, a)
         if self.keep:
-            for r in range(self.n):
-                row = self.V[r]
-                row[i], row[j] = row[j], row[i]
-            self.V_inv[i], self.V_inv[j] = self.V_inv[j], self.V_inv[i]
+            for lines in (self.V, self.V_inv):
+                lines[i], lines[j] = lines[j], lines[i]
 
     def row_negate(self, i):
         for j in list(self.row[i]):
             self._set(i, j, -self.row[i][j])
         if self.keep:
-            self.U[i] = [-v for v in self.U[i]]
-            for r in range(self.m):
-                self.U_inv[r][i] = -self.U_inv[r][i]
+            for lines in (self.U, self.U_inv):
+                lines[i] = {k: -v for k, v in lines[i].items()}
 
     def find_pivot(self, t):
         """Nonzero entry of minimal |value| with row >= t, col >= t;
@@ -359,11 +358,11 @@ class _SmithWorker:
         return None
 
 
-def _dense_identity(n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
+def _lines_matrix(lines):
+    """The square matrix whose i-th row is the sparse line lines[i]."""
+    n = len(lines)
+    return IntegerMatrix(n, n, {(i, j): v for i, line in enumerate(lines)
+                                for j, v in line.items()})
 
 
 def smith_normal_form(matrix, keep_transforms=False):
@@ -372,6 +371,9 @@ def smith_normal_form(matrix, keep_transforms=False):
     Returns a SmithDecomposition whose divisors satisfy d_1 | d_2 | ... | d_r.
     With keep_transforms, unimodular U (rows x rows) and V (cols x cols) with
     U @ A @ V = diag(divisors) are returned together with their inverses.
+    The transforms are tracked as sparse lines (U and V_inv by rows, U_inv
+    and V by columns), so each elementary operation costs the size of the
+    lines it touches, and are turned into matrices once, at the end.
     """
     w = _SmithWorker(matrix, keep_transforms)
     divisors = []
@@ -425,11 +427,10 @@ def smith_normal_form(matrix, keep_transforms=False):
         divisors.append(w.row[t][t])
         t += 1
     if keep_transforms:
-        U = IntegerMatrix.from_rows(w.U) if w.m else IntegerMatrix(0, 0)
-        U_inv = IntegerMatrix.from_rows(w.U_inv) if w.m else IntegerMatrix(0, 0)
-        V = IntegerMatrix.from_rows(w.V) if w.n else IntegerMatrix(0, 0)
-        V_inv = IntegerMatrix.from_rows(w.V_inv) if w.n else IntegerMatrix(0, 0)
-        return SmithDecomposition(divisors, matrix.rows, matrix.cols, U, V, U_inv, V_inv)
+        return SmithDecomposition(
+            divisors, matrix.rows, matrix.cols,
+            U=_lines_matrix(w.U), V=_lines_matrix(w.V).transpose(),
+            U_inv=_lines_matrix(w.U_inv).transpose(), V_inv=_lines_matrix(w.V_inv))
     return SmithDecomposition(divisors, matrix.rows, matrix.cols)
 
 
@@ -533,19 +534,45 @@ def cokernel_structure(matrix):
     return FgAbelianGroup(free, snf.nontrivial_divisors())
 
 
+class KernelLattice:
+    """The integer kernel lattice of a matrix, with integral coordinates.
+
+    `basis` holds columns r.. of the Smith transform V (r = rank), so it
+    spans a direct summand of Z^cols.  `coords` writes kernel vectors in
+    that basis: V_inv @ vectors, whose first r rows must vanish.
+    """
+
+    __slots__ = ("basis", "_rank", "_v_inv")
+
+    def __init__(self, matrix):
+        snf = smith_normal_form(matrix, keep_transforms=True)
+        r = snf.rank
+        self._rank = r
+        self._v_inv = snf.V_inv
+        self.basis = IntegerMatrix(
+            matrix.cols, matrix.cols - r,
+            {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
+
+    def coords(self, vectors):
+        """Coordinates of the columns of `vectors` in `basis`; ValueError if
+        a column lies outside the kernel."""
+        w = self._v_inv @ vectors
+        r = self._rank
+        entries = {}
+        for (i, j), v in w.items():
+            if i < r:
+                raise ValueError(f"not a cycle: column {j} lies outside the kernel")
+            entries[i - r, j] = v
+        return IntegerMatrix(self.basis.cols, vectors.cols, entries)
+
+
 def kernel_basis(matrix):
     """Columns forming a basis of the integer kernel lattice.
 
     The basis spans a direct summand of Z^cols (it comes from columns of a
     unimodular matrix), so coordinates with respect to it are integral.
     """
-    snf = smith_normal_form(matrix, keep_transforms=True)
-    r = snf.rank
-    entries = {}
-    for (i, j), v in snf.V.items():
-        if j >= r:
-            entries[i, j - r] = v
-    return IntegerMatrix(matrix.cols, matrix.cols - r, entries)
+    return KernelLattice(matrix).basis
 
 
 def homology_at(d_out, d_in):

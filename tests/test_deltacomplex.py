@@ -258,6 +258,21 @@ def test_cap_duality_records_expected_groups():
     assert report.record(2).source == Z(1)   # H^0 -> H_2
 
 
+def test_cap_duality_detects_non_surjective_cap():
+    # sphere2 with vertices 0 and 3 identified (a sphere with two points
+    # glued, S^2 v S^1): H^1 = H_1 = Z, but capping kills the loop class
+    pinched = DeltaComplex((3, 6, 4), {
+        1: [(1, 0), (2, 0), (0, 0), (2, 1), (0, 1), (0, 2)],
+        2: [(5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0)],
+    })
+    assert validate_complex(pinched).ok
+    report = cap_duality_check(pinched, orient(pinched))
+    record = report.record(1)
+    assert record.source == record.target == Z(1)
+    assert record.isomorphism is False
+    assert not report.all_isomorphisms
+
+
 def test_unit_cocycle_caps_to_fundamental_cycle():
     # the all-ones vertex cochain capped with tau gives back tau on the nose
     for name in ("torus2", "sphere2"):

@@ -191,6 +191,26 @@ def test_cache_round_trip(tmp_path):
         json.dumps(second.to_json_dict(), sort_keys=True)
 
 
+@pytest.mark.parametrize("damage", ["truncate", "drop-key"])
+def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
+    tower = mod_power_tower(builtin("torus2"), 2, 2)
+    fresh = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    entry = sorted(tmp_path.glob("level-*.json"))[0]
+    text = entry.read_text(encoding="utf-8")
+    if damage == "truncate":
+        entry.write_text(text[:len(text) // 2], encoding="utf-8")
+    else:
+        data = json.loads(text)
+        del data["betti_q"]
+        entry.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.warns(UserWarning, match="recomputing"):
+        again = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    assert again.to_json_dict() == fresh.to_json_dict()
+    assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in tmp_path.glob("level-*.json"))
+
+
 def test_report_json_shape():
     report = torus_report(levels=2)
     blob = report.to_json_dict()

@@ -5,10 +5,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from homtower.covers import build_cover, mod_power_tower
+from homtower.deltacomplex import boundary_matrix, builtin
 from homtower.intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
     IntegerMatrix,
+    KernelLattice,
     cokernel_structure,
     homology_at,
     is_prime,
@@ -155,17 +158,27 @@ def test_smith_divisibility_chain_random():
         assert all(b % x == 0 for x, b in zip(d, d[1:]))
 
 
+def cover_boundaries():
+    """Boundary matrices of the degree-16 torus cover and of surface g=2."""
+    torus = builtin("torus2")
+    tower = mod_power_tower(torus, 4, 1)
+    cover, _ = build_cover(torus, tower.levels[0].action, tower.presentation)
+    assert cover.counts == (16, 48, 32)
+    return [boundary_matrix(c, k) for c in (cover, builtin("surface", genus=2))
+            for k in (1, 2)]
+
+
 def test_smith_transforms_reconstruct():
     rng = random.Random("snf-transforms")
-    for _ in range(80):
-        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        a = random_matrix(rng, rows, cols, 9)
+    small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(80)]
+    for a in small + cover_boundaries():
         snf = smith_normal_form(a, keep_transforms=True)
         assert (snf.U @ a) @ snf.V == snf.diagonal()
-        assert abs(leibniz_det(snf.U.to_rows())) == 1
-        assert abs(leibniz_det(snf.V.to_rows())) == 1
-        assert snf.U @ snf.U_inv == IntegerMatrix.identity(rows)
-        assert snf.V @ snf.V_inv == IntegerMatrix.identity(cols)
+        if a.rows <= 6 and a.cols <= 6:
+            assert abs(leibniz_det(snf.U.to_rows())) == 1
+            assert abs(leibniz_det(snf.V.to_rows())) == 1
+        assert snf.U @ snf.U_inv == IntegerMatrix.identity(a.rows)
+        assert snf.V @ snf.V_inv == IntegerMatrix.identity(a.cols)
 
 
 def test_smith_is_deterministic():
@@ -257,6 +270,17 @@ def test_kernel_basis_spans_kernel():
         # basis of a direct summand: all invariant factors are 1
         assert set(smith_normal_form(k).divisors) <= {1}
         assert smith_normal_form(k).rank == k.cols
+
+
+def test_kernel_lattice_coords():
+    rng = random.Random("kernel-lattice")
+    inputs = [random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 6) for _ in range(60)]
+    for a in inputs + cover_boundaries():
+        lattice = KernelLattice(a)
+        assert lattice.coords(lattice.basis) == IntegerMatrix.identity(lattice.basis.cols)
+    lattice = KernelLattice(IntegerMatrix.from_rows([[1, -1]]))
+    with pytest.raises(ValueError, match="not a cycle"):
+        lattice.coords(IntegerMatrix.from_rows([[1, 1], [1, 0]]))
 
 
 def test_homology_at_examples():
