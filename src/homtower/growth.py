@@ -148,8 +148,14 @@ class GrowthReport:
                 yield tuple(row)
 
 
+# Part of every cache key: change it whenever the entry layout or the way a
+# level is computed changes, so entries written by other versions are missed.
+_CACHE_SCHEMA = "homtower-level/2"
+
+
 def _level_cache_key(base, action, primes):
     payload = json.dumps({
+        "schema": _CACHE_SCHEMA,
         "complex": complex_to_json(base),
         "action": action_to_json(action),
         "primes": list(primes),
@@ -157,9 +163,43 @@ def _level_cache_key(base, action, primes):
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _load_cached_level(path, primes):
+def _is_count_list(values, n):
+    return (isinstance(values, list) and len(values) == n
+            and all(type(v) is int and v >= 0 for v in values))
+
+
+def _cache_entry_problem(data, base, degree, primes):
+    """Why a parsed entry cannot be the level of this degree over `base`, or
+    None when it has every key and passes the checks every computed level
+    passes."""
+    if not (isinstance(data, dict)
+            and all(key in data for key in
+                    ("degree", "counts", "betti_q", "fp_dims", "torsion_orders"))
+            and isinstance(data["fp_dims"], dict)
+            and all(str(p) in data["fp_dims"] for p in primes)):
+        return "a key is missing"
+    n = base.dim + 1
+    betti = data["betti_q"]
+    if data["degree"] != degree or data["counts"] != [degree * c for c in base.counts]:
+        return "the counts are not the degree times the base counts"
+    if not (_is_count_list(betti, n) and sum((-1) ** k * b for k, b in enumerate(betti))
+            == degree * base.euler_characteristic()):
+        return "the Betti numbers do not give the degree times the base Euler characteristic"
+    for p in primes:
+        dims = data["fp_dims"][str(p)]
+        if not (_is_count_list(dims, n) and all(d >= b for d, b in zip(dims, betti))):
+            return f"a mod-{p} dimension is below the Betti number"
+    orders = data["torsion_orders"]
+    if not (isinstance(orders, list) and len(orders) == n and all(
+            isinstance(t, str) and t.isdecimal() and int(t) > 0 for t in orders)):
+        return "the torsion orders are not positive integers"
+    return None
+
+
+def _load_cached_level(path, base, degree, primes):
     """The data of a cached level, or None when there is no entry; an entry
-    that does not parse or lacks a key is ignored with a warning."""
+    that does not parse or fails `_cache_entry_problem` is ignored with a
+    warning."""
     if not os.path.exists(path):
         return None
     try:
@@ -168,12 +208,9 @@ def _load_cached_level(path, primes):
     except ValueError as exc:
         warnings.warn(f"recomputing unreadable cache entry {path}: {exc}")
         return None
-    if not (isinstance(data, dict)
-            and all(key in data for key in
-                    ("degree", "counts", "betti_q", "fp_dims", "torsion_orders"))
-            and isinstance(data["fp_dims"], dict)
-            and all(str(p) in data["fp_dims"] for p in primes)):
-        warnings.warn(f"recomputing incomplete cache entry {path}")
+    problem = _cache_entry_problem(data, base, degree, primes)
+    if problem is not None:
+        warnings.warn(f"recomputing cache entry {path}: {problem}")
         return None
     return data
 
@@ -196,9 +233,11 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
     the growth report.
 
     With cache_dir set, per-level results are stored under a content hash of
-    (base complex, action, primes), so re-running a tower is instant.  Entries
-    are written through a temporary file, and one that does not parse or
-    lacks a key is recomputed with a warning.
+    (cache schema, base complex, action, primes), so re-running a tower is
+    instant.  Entries are written through a temporary file, and one that does
+    not parse, lacks a key or fails the consistency checks of a computed
+    level (counts, Euler characteristic, F_p dimensions at least the Betti
+    numbers, positive torsion orders) is recomputed with a warning.
     Construction failures carry the level index.
     """
     primes = tuple(primes)
@@ -210,7 +249,7 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
             os.makedirs(cache_dir, exist_ok=True)
             key = _level_cache_key(tower.base, level.action, primes)
             cache_path = os.path.join(cache_dir, f"level-{key}.json")
-            data = _load_cached_level(cache_path, primes)
+            data = _load_cached_level(cache_path, tower.base, level.degree, primes)
         if data is None:
             try:
                 data = _compute_level(tower.base, level, primes, tower.presentation)
@@ -227,12 +266,6 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
             {p: data["fp_dims"][str(p)] for p in primes},
             [int(t) for t in data["torsion_orders"]],
             data["counts"])
-        for k in range(tower.base.dim + 1):
-            for p in primes:
-                if stats.fp_dims[p][k] < stats.betti_q[k]:
-                    raise AssertionError(
-                        f"mod-{p} dimension below Betti number at level {idx}, "
-                        f"degree {k}; universal coefficients violated")
         levels.append(stats)
     return GrowthReport(tower.base_name or "custom", tower.base.dim, tower.modulus,
                         primes, tower.residual, tower.warnings, levels)

@@ -12,6 +12,7 @@ and keeps intermediate entries small on the incidence-like matrices that
 dominate our workload.
 """
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -483,7 +484,16 @@ def is_prime(p):
 
 
 def rank_mod_p(matrix, p):
-    """Rank of the matrix with entries reduced mod p, over the field F_p."""
+    """Rank of the matrix with entries reduced mod p, over the field F_p.
+
+    Sparse Gaussian elimination, kept independent of the Smith form because
+    it is the universal-coefficient cross-check.  Pivot rule: take a
+    shortest nonzero row, and in it the column with the fewest entries (ties
+    by lowest column).  Rows wait in a lazy min-heap of (length, row): every
+    nonzero row has an entry whose length is its current length, so an entry
+    whose length differs is stale and skipped; a row that elimination changes
+    and leaves nonzero is pushed again.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     row = [dict() for _ in range(matrix.rows)]
@@ -493,23 +503,18 @@ def rank_mod_p(matrix, p):
         if v:
             row[i][j] = v
             col[j][i] = v
-    live_rows = set(i for i in range(matrix.rows) if row[i])
+    heap = [(len(r), i) for i, r in enumerate(row) if r]
+    heapq.heapify(heap)
     rank = 0
-    while live_rows:
-        # Markowitz-flavoured pivot: smallest fill estimate, ties by (i, j).
-        best = None
-        for i in live_rows:
-            for j, v in row[i].items():
-                key = (len(col[j]) + len(row[i]), i, j)
-                if best is None or key < best:
-                    best = key
-        _, pi, pj = best
-        inv = pow(row[pi][pj], -1, p)
-        pivot_row = dict(row[pi])
+    while heap:
+        length, pi = heapq.heappop(heap)
+        if length != len(row[pi]):
+            continue
+        pivot_row, row[pi] = row[pi], {}
+        pj = min(pivot_row, key=lambda j: (len(col[j]), j))
+        inv = pow(pivot_row[pj], -1, p)
         for jj in pivot_row:
-            col[jj].pop(pi, None)
-        row[pi] = {}
-        live_rows.discard(pi)
+            del col[jj][pi]
         for i in list(col[pj]):
             factor = (col[pj][i] * inv) % p
             ri = row[i]
@@ -521,8 +526,8 @@ def rank_mod_p(matrix, p):
                 else:
                     ri.pop(jj, None)
                     col[jj].pop(i, None)
-            if not ri:
-                live_rows.discard(i)
+            if ri:
+                heapq.heappush(heap, (len(ri), i))
         rank += 1
     return rank
 

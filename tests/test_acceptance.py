@@ -138,6 +138,23 @@ def test_criterion_6_torus_tower_exactness(torus_tower_run):
     _report(6, "torus tower to degree 256", elapsed)
 
 
+def test_torus_tower_to_degree_1024(capsys):
+    """Every cover of the torus is a torus, so each level of
+    `tower --builtin torus2 -m 2 -L 5 -p 2 3 5` has Betti numbers and F_p
+    dimensions (1, 2, 1)."""
+    start = time.monotonic()
+    code = main(["tower", "--builtin", "torus2", "-m", "2", "-L", "5",
+                 "-p", "2", "3", "5", "--format", "json"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    levels = json.loads(capsys.readouterr().out)["report"]["levels"]
+    assert [level["degree"] for level in levels] == [4, 16, 64, 256, 1024]
+    for level in levels:
+        assert level["betti_q"] == [1, 2, 1]
+        assert level["betti_p"] == {p: [1, 2, 1] for p in ("2", "3", "5")}
+    _report(6, "torus tower to degree 1024, F_p dimensions", elapsed)
+
+
 def test_criterion_7_surface_tower_trend(surface_tower_run):
     tower, report, elapsed = surface_tower_run
     assert report.degrees == (16, 256)

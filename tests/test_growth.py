@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homtower import growth
 from homtower.bounds import rank_bound_value, torsion_bound_value
 from homtower.covers import mod_power_tower
 from homtower.deltacomplex import builtin
@@ -191,7 +192,41 @@ def test_cache_round_trip(tmp_path):
         json.dumps(second.to_json_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop-key"])
+def test_cache_key_carries_schema(tmp_path, monkeypatch):
+    tower = mod_power_tower(builtin("torus2"), 2, 1)
+    run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    monkeypatch.setattr(growth, "_CACHE_SCHEMA", "another-schema")
+    run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    assert len(list(tmp_path.glob("level-*.json"))) == 2
+
+
+def _tamper(data, damage):
+    if damage == "drop-key":
+        del data["betti_q"]
+    elif damage == "betti-999":
+        data["betti_q"][1] = 999
+    elif damage == "betti-and-fp-1":
+        # every F_p dimension is still at least the Betti number; only the
+        # Euler characteristic gives it away
+        data["betti_q"][1] = 1
+        data["fp_dims"]["2"][1] = 1
+    elif damage == "counts":
+        data["counts"][0] += 1
+    elif damage == "torsion":
+        data["torsion_orders"][0] = "0"
+
+
+DAMAGE_WARNINGS = {
+    "truncate": "unreadable",
+    "drop-key": "a key is missing",
+    "betti-999": "Euler characteristic",
+    "betti-and-fp-1": "Euler characteristic",
+    "counts": "counts",
+    "torsion": "torsion orders",
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE_WARNINGS))
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     tower = mod_power_tower(builtin("torus2"), 2, 2)
     fresh = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
@@ -201,9 +236,9 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
         entry.write_text(text[:len(text) // 2], encoding="utf-8")
     else:
         data = json.loads(text)
-        del data["betti_q"]
+        _tamper(data, damage)
         entry.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.warns(UserWarning, match="recomputing"):
+    with pytest.warns(UserWarning, match=f"recomputing.*{DAMAGE_WARNINGS[damage]}"):
         again = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
     assert again.to_json_dict() == fresh.to_json_dict()
     assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(text)

@@ -222,13 +222,27 @@ def test_rank_mod_p_examples():
         rank_mod_p(a, 1)
 
 
+def sparse_random_matrix(rng, rows, cols, density, bound):
+    entries = {(i, j): rng.randint(-bound, bound)
+               for i in range(rows) for j in range(cols) if rng.random() < density}
+    return IntegerMatrix(rows, cols, entries)
+
+
 def test_rank_mod_p_against_dense_oracle():
     rng = random.Random("rank-p")
-    for _ in range(120):
-        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        a = random_matrix(rng, rows, cols, 9)
+    cases = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(120)]
+    # Sparse inputs of 20-40 rows and columns: elimination fills rows in, so
+    # rows are pushed onto the pivot heap again and older entries go stale.
+    # The products have rank at most `inner`, so most rows cancel to zero.
+    for _ in range(30):
+        rows, cols = rng.randint(20, 40), rng.randint(20, 40)
+        cases.append(sparse_random_matrix(rng, rows, cols, rng.uniform(0.05, 0.3), 3))
+        inner = rng.randint(1, 15)
+        cases.append(sparse_random_matrix(rng, rows, inner, 0.3, 3)
+                     @ sparse_random_matrix(rng, inner, cols, 0.3, 3))
+    for a in cases:
         for p in (2, 3, 5, 7):
-            assert rank_mod_p(a, p) == dense_rank_mod_p(a.to_rows(), rows, cols, p)
+            assert rank_mod_p(a, p) == dense_rank_mod_p(a.to_rows(), a.rows, a.cols, p)
 
 
 def test_is_prime_small():
