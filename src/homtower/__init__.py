@@ -5,7 +5,6 @@ from .intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
     IntegerMatrix,
-    KernelLattice,
     SmithDecomposition,
     cokernel_structure,
     homology_at,

@@ -19,8 +19,7 @@ from collections import deque
 from .intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
-    KernelLattice,
-    cokernel_structure,
+    kernel_basis,
     rank_mod_p,
     smith_normal_form,
 )
@@ -183,6 +182,15 @@ def boundary_matrix(complex, k):
     return complex._cache[key]
 
 
+def _boundary_smith(complex, k):
+    """The divisor-only Smith form of the k-th boundary matrix, kept in the
+    complex's cache so each boundary is eliminated once over Z."""
+    key = ("smith", k)
+    if key not in complex._cache:
+        complex._cache[key] = smith_normal_form(boundary_matrix(complex, k))
+    return complex._cache[key]
+
+
 def _boundary_or_zero(complex, k):
     """Boundary matrix for any k, with the empty maps at the two ends."""
     if k < 1:
@@ -217,6 +225,10 @@ class HomologyProfile:
     def fp_dim(self, k, p):
         return self.fp_dims[p][k]
 
+    def cohomology(self, m):
+        """H^m = Z^{b_m} + tors H_{m-1}, by universal coefficients."""
+        return FgAbelianGroup(self.betti(m), self.groups[m - 1].torsion if m else ())
+
     def __repr__(self):
         body = ", ".join(f"H_{k}={g.pretty()}" for k, g in enumerate(self.groups))
         return f"<HomologyProfile {body}>"
@@ -242,7 +254,7 @@ def homology_profile(complex, primes=(2, 3, 5)):
     ranks = [0] * (dim + 2)
     divisors = [()] * (dim + 2)
     for k in range(1, dim + 1):
-        snf = smith_normal_form(boundary_matrix(complex, k))
+        snf = _boundary_smith(complex, k)
         ranks[k] = snf.rank
         divisors[k] = snf.nontrivial_divisors()
     groups = []
@@ -357,8 +369,15 @@ def orient(complex):
     dual graph meets a contradiction (the complex is non-orientable).
     Raises NotPseudomanifoldError when some (n-1)-simplex does not lie in
     exactly two top-simplex faces, or when the dual graph is disconnected
-    inside a connected complex.
+    inside a connected complex.  The result is kept in the complex's cache,
+    so a complex is oriented once.
     """
+    if "orientation" not in complex._cache:
+        complex._cache["orientation"] = _orient(complex)
+    return complex._cache["orientation"]
+
+
+def _orient(complex):
     n = complex.dim
     if n == 0:
         return FundamentalCycle((1,) * complex.counts[0])
@@ -576,13 +595,16 @@ def cap_duality_check(complex, cycle):
 
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
-    i.e. the cap product with the fundamental cycle.  The induced map is
-    evaluated on a basis of the cocycle lattice, which generates H^{n-k};
-    the caps land in kernel coordinates of d_k, where H_k is presented by
-    the relations coming from d_{k+1}.  The verdict is "isomorphism" iff the
-    groups agree as abstract groups and the map is onto (a surjection
-    between isomorphic finitely generated abelian groups is automatically
-    injective).
+    i.e. the cap product with the fundamental cycle.  With m = n-k, it is
+    evaluated on a basis of the cocycle lattice ker d_{m+1}^T, which
+    generates H^m, and the images must be cycles.  L = B_k + (their span)
+    lies in Z_k, and Z^{c_k}/Z_k embeds in C_{k-1}, so the map is onto
+    (L = Z_k) iff one Smith form shows [d_{k+1} | images] of rank
+    c_k - rank d_k with a torsion-free cokernel.  The groups come from the
+    cached homology: H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal
+    coefficients.  The verdict is "isomorphism" iff the groups agree and
+    the map is onto (a surjection between isomorphic finitely generated
+    abelian groups is automatically injective).
     """
     n = complex.dim
     if len(cycle.signs) != complex.counts[n]:
@@ -591,24 +613,23 @@ def cap_duality_check(complex, cycle):
                            {(t, 0): s for t, s in enumerate(cycle.signs)})
     if n >= 1 and not (boundary_matrix(complex, n) @ column).is_zero():
         raise ValueError("not a cycle: its boundary is nonzero")
+    profile = homology_profile(complex, ())
     records = []
     for k in range(n + 1):
         m = n - k
-        source = KernelLattice(_boundary_or_zero(complex, m + 1).transpose())
-        source_group = cokernel_structure(
-            source.coords(_boundary_or_zero(complex, m).transpose()))
-        target = KernelLattice(_boundary_or_zero(complex, k))
-        relations = target.coords(_boundary_or_zero(complex, k + 1))
+        cocycles = kernel_basis(_boundary_or_zero(complex, m + 1).transpose())
         cap = {}
         for t, s in enumerate(cycle.signs):
             key = (_back_face(complex, t, k), _front_face(complex, t, m))
             cap[key] = cap.get(key, 0) + s
-        cap_map = IntegerMatrix(complex.counts[k], complex.counts[m], cap)
-        images = target.coords(cap_map @ source.basis)
-        target_group = cokernel_structure(relations)
-        surjective = cokernel_structure(relations.hstack(images)).is_trivial()
-        iso = surjective and source_group == target_group
-        records.append(CapDualityRecord(k, source_group, target_group, iso))
+        images = IntegerMatrix(complex.counts[k], complex.counts[m], cap) @ cocycles
+        if not (_boundary_or_zero(complex, k) @ images).is_zero():
+            raise ValueError(f"not a cycle: a cap image in degree {k} has nonzero boundary")
+        span = smith_normal_form(_boundary_or_zero(complex, k + 1).hstack(images))
+        cycle_rank = complex.counts[k] - (_boundary_smith(complex, k).rank if k else 0)
+        surjective = span.rank == cycle_rank and not span.nontrivial_divisors()
+        source, target = profile.cohomology(m), profile.group(k)
+        records.append(CapDualityRecord(k, source, target, surjective and source == target))
     return CapDualityReport(records)
 
 
@@ -706,12 +727,20 @@ def builtin(name, genus=None):
     report = validate_complex(made)
     if not report.ok:
         raise AssertionError(f"builtin {name} failed validation: {report.problems}")
+    made._cache["builtin"] = made.name
     return made
 
 
+def builtin_name(complex):
+    """The name builtin() gave this complex, or None for a complex it did
+    not make.  The registries are keyed on this provenance, never on
+    `complex.name`, which callers and file stems choose."""
+    return complex._cache.get("builtin")
+
+
 def is_aspherical_builtin(complex):
-    return complex.name in ASPHERICAL_BUILTINS or (
-        complex.name or "").startswith("surface_")
+    name = builtin_name(complex) or ""
+    return name in ASPHERICAL_BUILTINS or name.startswith("surface_")
 
 
 # ---------------------------------------------------------------------------

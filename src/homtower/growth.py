@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 
 from .covers import action_to_json, build_cover
-from .deltacomplex import AMENABLE_BUILTINS, complex_to_json, homology_profile
+from .deltacomplex import AMENABLE_BUILTINS, builtin_name, complex_to_json, homology_profile
 
 
 class LevelStats:
@@ -46,9 +46,10 @@ class LevelStats:
 
 class GrowthReport:
     __slots__ = ("base_name", "dim", "modulus", "primes", "residual",
-                 "warnings", "levels", "verdicts")
+                 "warnings", "levels", "amenable", "verdicts")
 
-    def __init__(self, base_name, dim, modulus, primes, residual, warnings, levels):
+    def __init__(self, base_name, dim, modulus, primes, residual, warnings, levels,
+                 amenable):
         self.base_name = base_name
         self.dim = dim
         self.modulus = modulus
@@ -56,6 +57,7 @@ class GrowthReport:
         self.residual = residual
         self.warnings = tuple(warnings)
         self.levels = tuple(levels)
+        self.amenable = amenable  # the base is a built-in with amenable pi_1
         self.verdicts = self._trend_verdicts()
 
     @property
@@ -268,7 +270,8 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
             data["counts"])
         levels.append(stats)
     return GrowthReport(tower.base_name or "custom", tower.base.dim, tower.modulus,
-                        primes, tower.residual, tower.warnings, levels)
+                        primes, tower.residual, tower.warnings, levels,
+                        builtin_name(tower.base) in AMENABLE_BUILTINS)
 
 
 def l2_betti_trend(report):
@@ -293,9 +296,9 @@ def gap_consistency_check(report, threshold, level=None):
 
     Verdict is `pass` iff at the chosen level (default: final) every
     normalized mod-p Betti and log-torsion series sits below the threshold
-    and has not increased since the previous level.  Bases outside the
-    explicit amenable registry get verdict `not-applicable`; the series are
-    reported either way.
+    and has not increased since the previous level.  Bases that builtin()
+    did not make under a name in the explicit amenable registry get verdict
+    `not-applicable`; the series are reported either way.
     """
     series_map = {key: series for key, series in report._series_map().items()
                   if not key.startswith("betti_q")}
@@ -309,7 +312,7 @@ def gap_consistency_check(report, threshold, level=None):
         "base": report.base_name,
         "series": series_map,
     }
-    if report.base_name not in AMENABLE_BUILTINS:
+    if not report.amenable:
         result["status"] = "not-applicable"
         return result
     ok = True

@@ -539,45 +539,17 @@ def cokernel_structure(matrix):
     return FgAbelianGroup(free, snf.nontrivial_divisors())
 
 
-class KernelLattice:
-    """The integer kernel lattice of a matrix, with integral coordinates.
-
-    `basis` holds columns r.. of the Smith transform V (r = rank), so it
-    spans a direct summand of Z^cols.  `coords` writes kernel vectors in
-    that basis: V_inv @ vectors, whose first r rows must vanish.
-    """
-
-    __slots__ = ("basis", "_rank", "_v_inv")
-
-    def __init__(self, matrix):
-        snf = smith_normal_form(matrix, keep_transforms=True)
-        r = snf.rank
-        self._rank = r
-        self._v_inv = snf.V_inv
-        self.basis = IntegerMatrix(
-            matrix.cols, matrix.cols - r,
-            {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
-
-    def coords(self, vectors):
-        """Coordinates of the columns of `vectors` in `basis`; ValueError if
-        a column lies outside the kernel."""
-        w = self._v_inv @ vectors
-        r = self._rank
-        entries = {}
-        for (i, j), v in w.items():
-            if i < r:
-                raise ValueError(f"not a cycle: column {j} lies outside the kernel")
-            entries[i - r, j] = v
-        return IntegerMatrix(self.basis.cols, vectors.cols, entries)
-
-
 def kernel_basis(matrix):
     """Columns forming a basis of the integer kernel lattice.
 
-    The basis spans a direct summand of Z^cols (it comes from columns of a
-    unimodular matrix), so coordinates with respect to it are integral.
+    The basis is columns r.. of the Smith transform V (r = rank), so it
+    spans a direct summand of Z^cols and coordinates with respect to it are
+    integral.
     """
-    return KernelLattice(matrix).basis
+    snf = smith_normal_form(matrix, keep_transforms=True)
+    r = snf.rank
+    return IntegerMatrix(matrix.cols, matrix.cols - r,
+                         {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
 
 
 def homology_at(d_out, d_in):
@@ -655,10 +627,6 @@ def _random_matrix(rng, rows, cols, size_cap):
     return IntegerMatrix(rows, cols, entries)
 
 
-def _torsion_order_of_quotient(matrix):
-    return math.prod(smith_normal_form(matrix).nontrivial_divisors())
-
-
 def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
     """Randomised check of the two torsion inequalities for exact sequences.
 
@@ -686,7 +654,7 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
         # Lemma on 0 -> A -> B -> C: A generated by s random elements of B.
         s = rng.randint(0, 3)
         G = _random_matrix(rng, t, s, size_cap)
-        tors_C = _torsion_order_of_quotient(R.hstack(G))
+        tors_C = cokernel_structure(R.hstack(G)).torsion_order
         # ker(Z^s -> B) is the projection of ker[G | R] onto the G block.
         ker = kernel_basis(G.hstack(R))
         proj = IntegerMatrix(s, ker.cols,
@@ -718,7 +686,7 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
                 if val:
                     image_entries[i, jj] = val
         X = IntegerMatrix(t, s2, image_entries)
-        tors_C2 = _torsion_order_of_quotient(R.hstack(X))
+        tors_C2 = cokernel_structure(R.hstack(X)).torsion_order
         order_A2 = math.prod(orders)
         if tors_B > order_A2 * tors_C2:
             raise ExactnessViolation({

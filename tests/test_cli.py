@@ -114,6 +114,17 @@ def test_bounds_klein_via_double_cover(capsys):
     assert payload["index2_report"]["aspherical_model"] is True
 
 
+def test_aspherical_registry_ignores_the_file_name(tmp_path, capsys):
+    # rp2 saved under a surface's name is still not a registered example
+    path = tmp_path / "surface_9.json"
+    path.write_text(json.dumps(complex_to_json(builtin("rp2"))))
+    code, out, _ = run(capsys, "bounds", str(path), "--via-double-cover", "--format", "json")
+    assert code == 0
+    report = json.loads(out)["index2_report"]
+    assert report["aspherical_model"] is False
+    assert report["caveat"] is not None
+
+
 def test_bounds_csv(capsys):
     code, out, _ = run(capsys, "bounds", "--builtin", "sphere2", "--format", "csv")
     assert code == 0
@@ -133,6 +144,19 @@ def test_tower_torus_series(capsys):
                 for level in payload["report"]["levels"]]
     assert decimals == [0.5, 0.125, 0.03125, 0.0078125]
     assert payload["gap_check"]["status"] == "pass"
+
+
+def test_amenable_registry_ignores_the_file_name(tmp_path, capsys):
+    # a genus-2 surface saved under the torus's name is not an amenable base
+    path = tmp_path / "torus2.json"
+    path.write_text(json.dumps(complex_to_json(builtin("surface", genus=2))))
+    statuses = []
+    for source in ([str(path)], ["--builtin", "surface", "--g", "2"]):
+        code, out, _ = run(capsys, "tower", *source, "-m", "2", "-L", "1", "-p", "2",
+                           "--gap-threshold", "100", "--format", "json")
+        assert code == 0
+        statuses.append(json.loads(out)["gap_check"]["status"])
+    assert statuses == ["not-applicable", "not-applicable"]
 
 
 def test_tower_circle_degrees(capsys):

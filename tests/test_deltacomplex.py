@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homtower import deltacomplex, intlinalg
 from homtower.deltacomplex import (
     AMENABLE_BUILTINS,
     ComplexFormatError,
@@ -271,6 +272,39 @@ def test_cap_duality_detects_non_surjective_cap():
     assert record.source == record.target == Z(1)
     assert record.isomorphism is False
     assert not report.all_isomorphisms
+    # one vertex, loops e0..e2, triangles t3 = t0 and t2 = t1 face for face:
+    # the +-1 cycle t0 - t1 - t2 + t3 is twice t0 - t1, so its cap maps
+    # H^1 = Z^2 onto a sublattice of index 4 in H_1 = Z^2, of full rank
+    doubled = DeltaComplex((1, 3, 4), {
+        1: [(0, 0)] * 3,
+        2: [(2, 1, 0), (0, 1, 2), (0, 1, 2), (2, 1, 0)],
+    })
+    record = cap_duality_check(doubled, FundamentalCycle((1, -1, -1, 1))).record(1)
+    assert record.source == record.target == Z(2)
+    assert record.isomorphism is False
+
+
+def test_smith_forms_are_shared_with_the_homology(monkeypatch):
+    # each boundary is eliminated once over Z, whatever the primes, and the
+    # cap check adds a cocycle basis and one onto test per degree
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(matrix, keep_transforms=False):
+        calls.append(matrix)
+        return real(matrix, keep_transforms)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    monkeypatch.setattr(deltacomplex, "smith_normal_form", counting)
+    for name in ("circle", "sphere2", "torus2", "surface2"):
+        complex = make(name)
+        homology_profile(complex, (2,))
+        homology_profile(complex, (3,))
+        assert len(calls) == complex.dim, name
+        calls.clear()
+        cap_duality_check(complex, orient(complex))
+        assert len(calls) <= 2 * (complex.dim + 1), name
+        calls.clear()
 
 
 def test_unit_cocycle_caps_to_fundamental_cycle():

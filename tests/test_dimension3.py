@@ -6,16 +6,20 @@ from itertools import combinations
 import pytest
 
 from homtower.bounds import check_bounds, duality_report
+from homtower.covers import build_cover, mod_power_tower
 from homtower.deltacomplex import (
+    BUILTIN_NAMES,
     DeltaComplex,
     NotPseudomanifoldError,
+    _boundary_or_zero,
+    builtin,
     cap_duality_check,
     homology_profile,
     orient,
     orientation_double_cover,
     validate_complex,
 )
-from homtower.intlinalg import FgAbelianGroup
+from homtower.intlinalg import FgAbelianGroup, homology_at
 
 Z = FgAbelianGroup
 
@@ -116,3 +120,22 @@ def test_suspension_double_cover_degenerates():
     # refuse rather than hand back a non-cover
     with pytest.raises(NotPseudomanifoldError, match="degenerates"):
         orientation_double_cover(suspension_of_rp2())
+
+
+def test_cohomology_by_universal_coefficients():
+    """H^m = Z^{b_m} + tors H_{m-1}, as read off the homology, equals the
+    cohomology of the cochain complex, ker d_{m+1}^T / im d_m^T."""
+    torus = builtin("torus2")
+    complexes = [builtin(name) for name in BUILTIN_NAMES if name != "surface"]
+    complexes += [builtin("surface", genus=2), boundary_of_4_simplex(), suspension_of_rp2()]
+    complexes += [orientation_double_cover(builtin(name))[0] for name in ("klein_bottle", "rp2")]
+    complexes += [build_cover(torus, level.action)[0]
+                  for level in mod_power_tower(torus, 2, 2).levels]
+    for complex in complexes:
+        profile = homology_profile(complex, ())
+        for m in range(complex.dim + 1):
+            direct = homology_at(_boundary_or_zero(complex, m + 1).transpose(),
+                                 _boundary_or_zero(complex, m).transpose())
+            assert profile.cohomology(m) == direct, (complex, m)
+    # the suspension of RP^2 has H_2 = Z/2, so its H^3 is all torsion
+    assert homology_profile(suspension_of_rp2(), ()).cohomology(3) == Z(0, (2,))
