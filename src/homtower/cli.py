@@ -3,7 +3,8 @@
 Subcommands: homology, bounds, tower, verify.  All randomness flows from the
 single --seed flag; identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 failed checks, 2 usage or validation problems,
+Exit codes: 0 success, 1 failed checks, 2 usage or validation problems
+(including input that is not a closed pseudomanifold where one is needed),
 3 I/O errors, 4 parse errors, 5 orientation routing (non-orientable input to
 `bounds` without --via-double-cover).
 """
@@ -116,10 +117,7 @@ def _resolve_complex(args):
     if sources != 1:
         raise _CliError(EXIT_USAGE, "exactly one input source required: a file path or --builtin")
     if args.builtin:
-        try:
-            return builtin(args.builtin, genus=args.genus)
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from exc
+        return builtin(args.builtin, genus=args.genus)
     if args.genus is not None:
         raise _CliError(EXIT_USAGE, "--g only applies to --builtin surface")
     try:
@@ -264,10 +262,6 @@ def cmd_bounds(args):
 def cmd_tower(args):
     _check_primes(args)
     complex = _resolve_complex(args)
-    if args.modulus < 2:
-        raise _CliError(EXIT_USAGE, "modulus must be >= 2")
-    if args.levels < 1:
-        raise _CliError(EXIT_USAGE, "levels must be >= 1")
     primes = tuple(args.primes)
     tower = mod_power_tower(complex, args.modulus, args.levels)
     report = run_tower(tower, primes, cache_dir=args.cache)
@@ -341,6 +335,8 @@ def _duality_suite():
 def cmd_verify(args):
     if args.trials < 1:
         raise _CliError(EXIT_USAGE, "--trials must be >= 1")
+    if args.size_cap < 0:
+        raise _CliError(EXIT_USAGE, "--size-cap must be >= 0")
     suites = []
     exactness_failures = []
     try:
@@ -398,6 +394,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"homtower: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # The library's input errors (ComplexFormatError,
+        # NotPseudomanifoldError, NonOrientableError, bad builtin or tower
+        # parameters, a disconnected complex) are all ValueErrors.
+        print(f"homtower: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -212,20 +212,19 @@ class SmithDecomposition:
 
     divisors are the positive diagonal entries d_1 | d_2 | ... | d_r of the
     Smith normal form; rank == len(divisors).  When transforms are kept,
-    U @ A @ V equals the diagonal form and U, V are unimodular; the inverses
-    are carried along because callers routinely need coordinates both ways.
+    U @ A @ V equals the diagonal form and U, V are unimodular.  No inverse
+    is kept: a caller that needs column c < rank of U^-1 reads it as
+    (A @ V)[:, c] / d_c, since A @ V = U^-1 @ diag.
     """
 
-    __slots__ = ("divisors", "rows", "cols", "U", "V", "U_inv", "V_inv")
+    __slots__ = ("divisors", "rows", "cols", "U", "V")
 
-    def __init__(self, divisors, rows, cols, U=None, V=None, U_inv=None, V_inv=None):
+    def __init__(self, divisors, rows, cols, U=None, V=None):
         self.divisors = tuple(divisors)
         self.rows = rows
         self.cols = cols
         self.U = U
         self.V = V
-        self.U_inv = U_inv
-        self.V_inv = V_inv
         for a, b in zip(self.divisors, self.divisors[1:]):
             if a <= 0 or b % a != 0:
                 raise ValueError(f"divisors {self.divisors} violate the divisibility chain")
@@ -257,14 +256,13 @@ def _line_add(lines, dst, src, q):
 
 class _SmithWorker:
     """Mutable sparse matrix with mirrored row/column maps and, optionally,
-    the four transforms kept in sync with every elementary operation.
+    the transforms U and V kept in sync with every elementary operation.
 
     Each transform is a list of sparse dict lines, oriented so that every
-    operation is a line update: U and V_inv are stored by rows, U_inv and V
-    by columns.
+    operation is a line update: U is stored by rows, V by columns.
     """
 
-    __slots__ = ("m", "n", "row", "col", "keep", "U", "V", "U_inv", "V_inv")
+    __slots__ = ("m", "n", "row", "col", "keep", "U", "V")
 
     def __init__(self, matrix, keep):
         self.m = matrix.rows
@@ -276,8 +274,8 @@ class _SmithWorker:
             self.col[j][i] = v
         self.keep = keep
         if keep:
-            self.U, self.U_inv, self.V, self.V_inv = (
-                [{i: 1} for i in range(size)] for size in (self.m, self.m, self.n, self.n))
+            self.U = [{i: 1} for i in range(self.m)]
+            self.V = [{j: 1} for j in range(self.n)]
 
     def _set(self, i, j, v):
         if v:
@@ -293,7 +291,6 @@ class _SmithWorker:
             self._set(i, j, self.row[i].get(j, 0) + q * v)
         if self.keep:
             _line_add(self.U, i, t, q)
-            _line_add(self.U_inv, t, i, -q)
 
     def col_add(self, j, t, q):
         # col_j += q * col_t
@@ -301,7 +298,6 @@ class _SmithWorker:
             self._set(i, j, self.row[i].get(j, 0) + q * v)
         if self.keep:
             _line_add(self.V, j, t, q)
-            _line_add(self.V_inv, t, j, -q)
 
     def row_swap(self, i, j):
         if i == j:
@@ -312,8 +308,7 @@ class _SmithWorker:
             self._set(i, jj, b)
             self._set(j, jj, a)
         if self.keep:
-            for lines in (self.U, self.U_inv):
-                lines[i], lines[j] = lines[j], lines[i]
+            self.U[i], self.U[j] = self.U[j], self.U[i]
 
     def col_swap(self, i, j):
         if i == j:
@@ -324,15 +319,13 @@ class _SmithWorker:
             self._set(ii, i, b)
             self._set(ii, j, a)
         if self.keep:
-            for lines in (self.V, self.V_inv):
-                lines[i], lines[j] = lines[j], lines[i]
+            self.V[i], self.V[j] = self.V[j], self.V[i]
 
     def row_negate(self, i):
         for j in list(self.row[i]):
             self._set(i, j, -self.row[i][j])
         if self.keep:
-            for lines in (self.U, self.U_inv):
-                lines[i] = {k: -v for k, v in lines[i].items()}
+            self.U[i] = {k: -v for k, v in self.U[i].items()}
 
     def find_pivot(self, t):
         """Nonzero entry of minimal |value| with row >= t, col >= t;
@@ -359,22 +352,15 @@ class _SmithWorker:
         return None
 
 
-def _lines_matrix(lines):
-    """The square matrix whose i-th row is the sparse line lines[i]."""
-    n = len(lines)
-    return IntegerMatrix(n, n, {(i, j): v for i, line in enumerate(lines)
-                                for j, v in line.items()})
-
-
 def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix.
 
     Returns a SmithDecomposition whose divisors satisfy d_1 | d_2 | ... | d_r.
     With keep_transforms, unimodular U (rows x rows) and V (cols x cols) with
-    U @ A @ V = diag(divisors) are returned together with their inverses.
-    The transforms are tracked as sparse lines (U and V_inv by rows, U_inv
-    and V by columns), so each elementary operation costs the size of the
-    lines it touches, and are turned into matrices once, at the end.
+    U @ A @ V = diag(divisors) are returned.  They are tracked as sparse
+    lines (U by rows, V by columns), so each elementary operation costs the
+    size of the lines it touches, and each is turned into a matrix once, at
+    the end.
     """
     w = _SmithWorker(matrix, keep_transforms)
     divisors = []
@@ -393,10 +379,7 @@ def smith_normal_form(matrix, keep_transforms=False):
             # Clear column t; nonzero remainders shrink below |p| and one of
             # them becomes the next, strictly smaller pivot.
             for i in [i for i in w.col[t] if i != t]:
-                v = w.col[t].get(i)
-                if v is None:
-                    continue
-                q = v // p
+                q = w.col[t][i] // p
                 if q:
                     w.row_add(i, t, -q)
             rem = [i for i in w.col[t] if i != t]
@@ -405,10 +388,7 @@ def smith_normal_form(matrix, keep_transforms=False):
                 w.row_swap(t, i)
                 continue
             for j in [j for j in w.row[t] if j != t]:
-                v = w.row[t].get(j)
-                if v is None:
-                    continue
-                q = v // p
+                q = w.row[t][j] // p
                 if q:
                     w.col_add(j, t, -q)
             rem = [j for j in w.row[t] if j != t]
@@ -428,10 +408,12 @@ def smith_normal_form(matrix, keep_transforms=False):
         divisors.append(w.row[t][t])
         t += 1
     if keep_transforms:
-        return SmithDecomposition(
-            divisors, matrix.rows, matrix.cols,
-            U=_lines_matrix(w.U), V=_lines_matrix(w.V).transpose(),
-            U_inv=_lines_matrix(w.U_inv).transpose(), V_inv=_lines_matrix(w.V_inv))
+        m, n = matrix.rows, matrix.cols
+        U = IntegerMatrix(m, m, {(i, j): v for i, line in enumerate(w.U)
+                                 for j, v in line.items()})
+        V = IntegerMatrix(n, n, {(i, j): v for j, line in enumerate(w.V)
+                                 for i, v in line.items()})
+        return SmithDecomposition(divisors, m, n, U=U, V=V)
     return SmithDecomposition(divisors, matrix.rows, matrix.cols)
 
 
@@ -674,6 +656,8 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
         s2 = rng.randint(0, 3)
         orders = [rng.randint(1, size_cap + 1) for _ in range(s2)]
         divisors = snf_R.divisors
+        # Column c < rank of U^-1 is column c of R @ V = U^-1 @ diag over d_c.
+        RV = R @ snf_R.V
         image_entries = {}
         for jj, q in enumerate(orders):
             w = [0] * t
@@ -682,7 +666,8 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
                 w[c] = (d // g) * rng.randint(0, g - 1)
             # free coordinates stay zero so the element really has finite order
             for i in range(t):
-                val = sum(snf_R.U_inv.entry(i, c) * w[c] for c in range(len(divisors)) if w[c])
+                val = sum(RV.entry(i, c) // divisors[c] * w[c]
+                          for c in range(len(divisors)) if w[c])
                 if val:
                     image_entries[i, jj] = val
         X = IntegerMatrix(t, s2, image_entries)

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from homtower.cli import main
-from homtower.deltacomplex import builtin, complex_to_json
+from homtower.deltacomplex import BUILTIN_NAMES, builtin, complex_to_json
 
 
 def run(capsys, *argv):
@@ -184,6 +186,13 @@ def test_tower_truncation_warns_but_succeeds(capsys):
     assert [level["degree"] for level in payload["report"]["levels"]] == [2]
 
 
+@pytest.mark.parametrize("name", ["interval", "sphere2"])
+def test_tower_over_trivial_fundamental_group_is_empty(name, capsys):
+    code, out, _ = run(capsys, "tower", "--builtin", name)
+    assert code == 0
+    assert "warning: level 1 quotient is trivial; tower is empty" in out
+
+
 def test_tower_usage_errors(capsys):
     code, _, err = run(capsys, "tower", "--builtin", "circle", "-m", "1")
     assert code == 2
@@ -246,3 +255,32 @@ def test_json_outputs_are_byte_identical(capsys):
         _, second, _ = run(capsys, *argv)
         assert first == second, argv
         assert first.encode("utf-8") == second.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a documented exit code
+
+DISCONNECTED = '{"dim": 1, "counts": [2, 0], "faces": {"1": []}}'
+SUBCOMMANDS = ("homology", "bounds", "bounds --via-double-cover", "tower -L 2")
+
+
+def _sweep_cases():
+    for command in SUBCOMMANDS:
+        for name in BUILTIN_NAMES + ("disconnected",):
+            yield pytest.param(f"{command} -p 2", name, id=f"{command}-{name}")
+    yield pytest.param("verify --trials 2 --size-cap -1", None, id="verify-size-cap")
+
+
+@pytest.mark.parametrize("command, source", _sweep_cases())
+def test_every_input_exits_with_a_documented_code(command, source, tmp_path, capsys):
+    argv = command.split()
+    if source == "disconnected":
+        path = tmp_path / "disconnected.json"
+        path.write_text(DISCONNECTED)
+        argv.insert(1, str(path))  # before -p, which takes every number after it
+    elif source:
+        argv += ["--builtin", source] + (["--g", "2"] if source == "surface" else [])
+    code, _, err = run(capsys, *argv)
+    assert code in range(6)
+    if code:
+        assert any(line.startswith("homtower: ") for line in err.splitlines())

@@ -43,6 +43,25 @@ def leibniz_det(rows):
     return total
 
 
+def bareiss_det(rows):
+    """Determinant by fraction-free (Bareiss) elimination with row swaps."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
 def determinantal_divisors(rows, n_rows, n_cols):
     """d_k = gcd of all k x k minors; the SNF divisors are d_k / d_{k-1}."""
     out = []
@@ -173,11 +192,26 @@ def test_smith_transforms_reconstruct():
     for a in small + cover_boundaries():
         snf = smith_normal_form(a, keep_transforms=True)
         assert (snf.U @ a) @ snf.V == snf.diagonal()
-        if a.rows <= 6 and a.cols <= 6:
-            assert abs(leibniz_det(snf.U.to_rows())) == 1
-            assert abs(leibniz_det(snf.V.to_rows())) == 1
-        assert snf.U @ snf.U_inv == IntegerMatrix.identity(a.rows)
-        assert snf.V @ snf.V_inv == IntegerMatrix.identity(a.cols)
+        for t in (snf.U, snf.V):
+            det = bareiss_det(t.to_rows())
+            assert abs(det) == 1
+            if t.rows <= 6:
+                assert det == leibniz_det(t.to_rows())
+
+
+def test_inverse_transform_columns_from_a_v():
+    # A @ V = U^-1 @ diag, so column c < rank of A @ V is d_c times a
+    # column that U sends to the unit vector e_c.
+    rng = random.Random("snf-inverse-columns")
+    verify_shaped = [random_matrix(rng, rng.randint(1, 4), rng.randint(0, 4), 5)
+                     for _ in range(200)]
+    for a in verify_shaped + cover_boundaries():
+        snf = smith_normal_form(a, keep_transforms=True)
+        av = (a @ snf.V).columns()
+        for c, d in enumerate(snf.divisors):
+            assert all(v % d == 0 for v in av[c].values())
+            column = IntegerMatrix(a.rows, 1, {(i, 0): v // d for i, v in av[c].items()})
+            assert snf.U @ column == IntegerMatrix(a.rows, 1, {(c, 0): 1})
 
 
 def test_smith_is_deterministic():
