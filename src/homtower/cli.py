@@ -3,7 +3,9 @@
 Subcommands: homology, bounds, tower, verify.  All randomness flows from the
 single --seed flag; identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 failed checks, 2 usage or validation problems
+Exit codes: 0 success, 1 failed checks (a bound or theorem check, or an
+internal self-check such as the universal-coefficient cross-check between
+the integral Smith form and the mod-p ranks), 2 usage or validation problems
 (including input that is not a closed pseudomanifold where one is needed),
 3 I/O errors, 4 parse errors, 5 orientation routing (non-orientable input to
 `bounds` without --via-double-cover).
@@ -33,7 +35,7 @@ from .deltacomplex import (
     homology_profile,
     validate_complex,
 )
-from .growth import gap_consistency_check, l2_betti_trend, run_tower
+from .growth import TowerLevelError, gap_consistency_check, l2_betti_trend, run_tower
 from .intlinalg import (
     ExactnessViolation,
     IntegerMatrix,
@@ -390,6 +392,11 @@ def main(argv=None):
         return exc.code
     except (BoundViolation, ExactnessViolation) as exc:
         print(f"homtower: theorem check failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED_CHECK
+    except (AssertionError, TowerLevelError) as exc:
+        # An internal self-check failed; run_tower wraps a failing level's
+        # error in a TowerLevelError that keeps its message.
+        print(f"homtower: internal check failed: {exc}", file=sys.stderr)
         return EXIT_FAILED_CHECK
     except OSError as exc:
         print(f"homtower: {exc}", file=sys.stderr)

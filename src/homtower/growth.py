@@ -230,6 +230,11 @@ def _compute_level(base, level, primes, presentation):
     }
 
 
+class TowerLevelError(RuntimeError):
+    """A tower level failed to build or to pass its self-checks; the
+    message names the level and keeps the original error's."""
+
+
 def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
     """Build every level cover, compute its homology profile and assemble
     the growth report.
@@ -256,7 +261,7 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
             try:
                 data = _compute_level(tower.base, level, primes, tower.presentation)
             except Exception as exc:
-                raise RuntimeError(f"tower level {idx} failed: {exc}") from exc
+                raise TowerLevelError(f"tower level {idx} failed: {exc}") from exc
             if cache_path is not None:
                 tmp_path = f"{cache_path}.{os.getpid()}.tmp"
                 with open(tmp_path, "w", encoding="utf-8") as fh:

@@ -5,11 +5,14 @@ fixed-width fast path, so torsion orders are never silently corrupted by
 overflow.  Matrices are stored sparsely but behave like ordinary dense
 integer matrices (out-of-range access is an error, never an implicit zero).
 
-The Smith normal form routine uses a fixed pivot strategy: among the
-remaining entries, pick one of minimal absolute value, breaking ties by
-lowest row then lowest column.  This makes every decomposition reproducible
-and keeps intermediate entries small on the incidence-like matrices that
-dominate our workload.
+Without transforms, the Smith normal form first eliminates the +-1 pivots
+(each a divisor 1) in the order of a row-length heap, as sparse integer
+Smith-form codes do; on boundary maps of covers that usually leaves nothing.
+The transform path, and the core of non-unit entries that the unit pass
+leaves, use a fixed pivot strategy: among the remaining entries, pick one of
+minimal absolute value, breaking ties by lowest row then lowest column.
+This makes every decomposition reproducible and keeps intermediate entries
+small on the incidence-like matrices that dominate our workload.
 """
 
 import heapq
@@ -259,7 +262,9 @@ class _SmithWorker:
     the transforms U and V kept in sync with every elementary operation.
 
     Each transform is a list of sparse dict lines, oriented so that every
-    operation is a line update: U is stored by rows, V by columns.
+    operation is a line update: U is stored by rows, V by columns.  Without
+    transforms, clear_unit_pivots may first empty the rows and columns of
+    the +-1 pivots in place; the least-|value| loop then sees them as zero.
     """
 
     __slots__ = ("m", "n", "row", "col", "keep", "U", "V")
@@ -327,6 +332,51 @@ class _SmithWorker:
         if self.keep:
             self.U[i] = {k: -v for k, v in self.U[i].items()}
 
+    def clear_unit_pivots(self):
+        """Eliminate +-1 pivots in place and return how many there were.
+
+        Rows wait in a lazy min-heap of (length, row), as in rank_mod_p: pop
+        a shortest row (an entry whose length is stale is skipped) and pivot
+        on its +-1 column with the fewest entries, ties by lowest column.
+        Row operations clear that column; column operations would then clear
+        the pivot row without touching anything else, so the row and column
+        are simply emptied.  Each pivot is a divisor 1.  Every row changed
+        and left nonzero is pushed again, so when the heap runs dry no +-1
+        entry is left.  The transforms are not tracked.
+        """
+        row, col = self.row, self.col
+        heap = [(len(r), i) for i, r in enumerate(row) if r]
+        heapq.heapify(heap)
+        ones = 0
+        while heap:
+            length, pi = heapq.heappop(heap)
+            pivot_row = row[pi]
+            if length != len(pivot_row):
+                continue
+            units = [j for j, v in pivot_row.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            pj = min(units, key=lambda j: (len(col[j]), j))
+            u = pivot_row[pj]
+            row[pi] = {}
+            for j in pivot_row:
+                del col[j][pi]
+            for i, c in list(col[pj].items()):
+                q = c * u  # u is its own inverse
+                ri = row[i]
+                for j, v in pivot_row.items():
+                    nv = ri.get(j, 0) - q * v
+                    if nv:
+                        ri[j] = nv
+                        col[j][i] = nv
+                    else:
+                        del ri[j]
+                        del col[j][i]
+                if ri:
+                    heapq.heappush(heap, (len(ri), i))
+            ones += 1
+        return ones
+
     def find_pivot(self, t):
         """Nonzero entry of minimal |value| with row >= t, col >= t;
         ties broken by lowest row, then lowest column."""
@@ -356,6 +406,10 @@ def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix.
 
     Returns a SmithDecomposition whose divisors satisfy d_1 | d_2 | ... | d_r.
+    Without transforms, the +-1 pivots are eliminated first (see
+    _SmithWorker.clear_unit_pivots) and the least-|value| loop runs only on
+    the core of non-unit entries left over; its divisors follow the ones.
+    The divisors are invariants of the matrix, so they are the same either way.
     With keep_transforms, unimodular U (rows x rows) and V (cols x cols) with
     U @ A @ V = diag(divisors) are returned.  They are tracked as sparse
     lines (U by rows, V by columns), so each elementary operation costs the
@@ -363,7 +417,7 @@ def smith_normal_form(matrix, keep_transforms=False):
     the end.
     """
     w = _SmithWorker(matrix, keep_transforms)
-    divisors = []
+    divisors = [] if keep_transforms else [1] * w.clear_unit_pivots()
     t = 0
     limit = min(w.m, w.n)
     while t < limit:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homtower import deltacomplex
 from homtower.cli import main
 from homtower.deltacomplex import BUILTIN_NAMES, builtin, complex_to_json
 
@@ -284,3 +285,17 @@ def test_every_input_exits_with_a_documented_code(command, source, tmp_path, cap
     assert code in range(6)
     if code:
         assert any(line.startswith("homtower: ") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("command", ["homology", "bounds", "tower -L 1"])
+def test_internal_check_failure_exits_1(command, monkeypatch, capsys):
+    # One rank too many mod p breaks the universal-coefficient cross-check
+    # against the integral Smith form; tower sees it wrapped by run_tower.
+    true_rank_mod_p = deltacomplex.rank_mod_p
+    monkeypatch.setattr(deltacomplex, "rank_mod_p",
+                        lambda matrix, p: true_rank_mod_p(matrix, p) + 1)
+    code, out, err = run(capsys, *command.split(), "--builtin", "torus2", "-p", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("homtower: internal check failed: ")
+    assert "universal coefficient check failed" in err

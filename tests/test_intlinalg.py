@@ -4,13 +4,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtower.covers import build_cover, mod_power_tower
-from homtower.deltacomplex import boundary_matrix, builtin
+from homtower.deltacomplex import boundary_matrix, builtin, orientation_double_cover
 from homtower.intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
     IntegerMatrix,
+    _SmithWorker,
     cokernel_structure,
     homology_at,
     is_prime,
@@ -212,6 +214,76 @@ def test_inverse_transform_columns_from_a_v():
             assert all(v % d == 0 for v in av[c].values())
             column = IntegerMatrix(a.rows, 1, {(i, 0): v // d for i, v in av[c].items()})
             assert snf.U @ column == IntegerMatrix(a.rows, 1, {(c, 0): 1})
+
+
+def divisor_only_matches_transform_path(a):
+    return (smith_normal_form(a).divisors
+            == smith_normal_form(a, keep_transforms=True).divisors)
+
+
+def test_unit_pass_on_boundaries_with_torsion():
+    # Without transforms, the +-1 pivots are cleared first and the
+    # least-|value| loop runs only on the core left over; a divisor 2 can
+    # only come from a non-empty core.
+    for name in ("rp2", "klein_bottle"):
+        base = builtin(name)
+        cover, _ = orientation_double_cover(base)
+        for c in (base, cover):
+            for k in (1, 2):
+                a = boundary_matrix(c, k)
+                assert divisor_only_matches_transform_path(a), (name, c.counts, k)
+        assert smith_normal_form(boundary_matrix(base, 2)).divisors == (1, 2)
+    for a in cover_boundaries():
+        assert divisor_only_matches_transform_path(a)
+
+
+@pytest.mark.parametrize("values", [(0, 0, 2, -2, 3, -3, 6, -6),
+                                    (0, 0, 1, -1, 2, -2, 3, -3, 6, -6)],
+                         ids=["no-units", "some-units"])
+def test_unit_pass_hands_its_core_to_the_pivot_loop(values):
+    # With no +-1 entry the unit pass does nothing; with some, the pass
+    # stops on a core of non-units and the loop takes over from there.
+    rng = random.Random(f"snf-unit-pass:{len(values)}")
+    for _ in range(500):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        a = IntegerMatrix(rows, cols, {(i, j): rng.choice(values)
+                                       for i in range(rows) for j in range(cols)})
+        assert divisor_only_matches_transform_path(a), a.to_rows()
+
+
+def unit_pass_core(a):
+    """Run the unit pass alone; return its count of ones and the core left."""
+    w = _SmithWorker(a, False)
+    ones = w.clear_unit_pivots()
+    core = {(i, j): v for i, r in enumerate(w.row) for j, v in r.items()}
+    assert core == {(i, j): v for j, c in enumerate(w.col) for i, v in c.items()}
+    return ones, core
+
+
+def test_unit_pass_leaves_no_unit_entry():
+    # Every row the pass changes goes back on the heap, so no +-1 survives
+    # into the core; on the cover boundaries nothing survives at all.
+    rng = random.Random("snf-unit-core")
+    for _ in range(100):
+        _, core = unit_pass_core(random_matrix(rng, 6, 6, 3))
+        assert all(abs(v) > 1 for v in core.values())
+    for a in cover_boundaries():
+        assert unit_pass_core(a) == (smith_normal_form(a).rank, {})
+
+
+@st.composite
+def small_matrices(draw):
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    entries = draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
+    return IntegerMatrix(rows, cols, {(i, j): entries[i * cols + j]
+                                      for i in range(rows) for j in range(cols)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_matrices())
+def test_divisor_only_path_property(a):
+    assert divisor_only_matches_transform_path(a)
 
 
 def test_smith_is_deterministic():
