@@ -438,7 +438,7 @@ class AbelianQuotient:
 def _presentation_smith(complex, presentation=None):
     if presentation is None:
         presentation = edge_path_presentation(complex)
-    snf = smith_normal_form(presentation.relator_matrix(), keep_transforms=True)
+    snf = smith_normal_form(presentation.relator_matrix(), "U")
     return presentation, snf
 
 

@@ -18,7 +18,6 @@ small on the incidence-like matrices that dominate our workload.
 import heapq
 import math
 import random
-from fractions import Fraction
 
 
 class IntegerMatrix:
@@ -40,6 +39,14 @@ class IntegerMatrix:
                 if v:
                     data[i, j] = v
         self._data = data
+
+    @classmethod
+    def _trusted(cls, rows, cols, data):
+        """Wrap entries intlinalg built itself (keys in range, nonzero ints)
+        without the constructor's checks, which stay for outside input."""
+        self = object.__new__(cls)
+        self.rows, self.cols, self._data = rows, cols, data
+        return self
 
     @classmethod
     def from_rows(cls, row_lists):
@@ -96,8 +103,8 @@ class IntegerMatrix:
         return cls.from_rows([[int(s) for s in row] for row in rows])
 
     def transpose(self):
-        return IntegerMatrix(self.cols, self.rows,
-                             {(j, i): v for (i, j), v in self._data.items()})
+        return IntegerMatrix._trusted(self.cols, self.rows,
+                                      {(j, i): v for (i, j), v in self._data.items()})
 
     def columns(self):
         """The nonzero entries grouped by column: list of dicts row -> value."""
@@ -106,18 +113,13 @@ class IntegerMatrix:
             cols[j][i] = v
         return cols
 
-    def column_norm_sq(self, j):
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        return sum(v * v for (i, jj), v in self._data.items() if jj == j)
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("hstack needs matching row counts")
         entries = dict(self._data)
         for (i, j), v in other._data.items():
             entries[i, j + self.cols] = v
-        return IntegerMatrix(self.rows, self.cols + other.cols, entries)
+        return IntegerMatrix._trusted(self.rows, self.cols + other.cols, entries)
 
     def __matmul__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -131,11 +133,12 @@ class IntegerMatrix:
         for (k, j), w in other._data.items():
             for i, v in by_col.get(k, ()):
                 acc[i, j] = acc.get((i, j), 0) + v * w
-        return IntegerMatrix(self.rows, other.cols, acc)
+        return IntegerMatrix._trusted(self.rows, other.cols,
+                                      {k: v for k, v in acc.items() if v})
 
     def __neg__(self):
-        return IntegerMatrix(self.rows, self.cols,
-                             {k: -v for k, v in self._data.items()})
+        return IntegerMatrix._trusted(self.rows, self.cols,
+                                      {k: -v for k, v in self._data.items()})
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -185,9 +188,6 @@ class FgAbelianGroup:
         """dim over F_p of (this group) tensor F_p."""
         return self.free_rank + sum(1 for t in self.torsion if t % p == 0)
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def __eq__(self, other):
         if not isinstance(other, FgAbelianGroup):
             return NotImplemented
@@ -214,9 +214,9 @@ class SmithDecomposition:
     """Invariant factors of an integer matrix, with optional transforms.
 
     divisors are the positive diagonal entries d_1 | d_2 | ... | d_r of the
-    Smith normal form; rank == len(divisors).  When transforms are kept,
-    U @ A @ V equals the diagonal form and U, V are unimodular.  No inverse
-    is kept: a caller that needs column c < rank of U^-1 reads it as
+    Smith normal form; rank == len(divisors).  U and V are unimodular with
+    U @ A @ V the diagonal form; each is None unless it was asked for.  No
+    inverse is kept: a caller that needs column c < rank of U^-1 reads it as
     (A @ V)[:, c] / d_c, since A @ V = U^-1 @ diag.
     """
 
@@ -261,13 +261,14 @@ class _SmithWorker:
     """Mutable sparse matrix with mirrored row/column maps and, optionally,
     the transforms U and V kept in sync with every elementary operation.
 
-    Each transform is a list of sparse dict lines, oriented so that every
-    operation is a line update: U is stored by rows, V by columns.  Without
-    transforms, clear_unit_pivots may first empty the rows and columns of
-    the +-1 pivots in place; the least-|value| loop then sees them as zero.
+    keep names those tracked ("", "U", "V" or "UV"); the others are None.
+    Each is a list of sparse dict lines, so every operation is a line update:
+    U is stored by rows, V by columns.  Without transforms, clear_unit_pivots
+    may first empty the rows and columns of the +-1 pivots in place; the
+    least-|value| loop then sees them as zero.
     """
 
-    __slots__ = ("m", "n", "row", "col", "keep", "U", "V")
+    __slots__ = ("m", "n", "row", "col", "U", "V")
 
     def __init__(self, matrix, keep):
         self.m = matrix.rows
@@ -277,10 +278,8 @@ class _SmithWorker:
         for (i, j), v in matrix.items():
             self.row[i][j] = v
             self.col[j][i] = v
-        self.keep = keep
-        if keep:
-            self.U = [{i: 1} for i in range(self.m)]
-            self.V = [{j: 1} for j in range(self.n)]
+        self.U = [{i: 1} for i in range(self.m)] if "U" in keep else None
+        self.V = [{j: 1} for j in range(self.n)] if "V" in keep else None
 
     def _set(self, i, j, v):
         if v:
@@ -294,14 +293,14 @@ class _SmithWorker:
         # row_i += q * row_t
         for j, v in list(self.row[t].items()):
             self._set(i, j, self.row[i].get(j, 0) + q * v)
-        if self.keep:
+        if self.U is not None:
             _line_add(self.U, i, t, q)
 
     def col_add(self, j, t, q):
         # col_j += q * col_t
         for i, v in list(self.col[t].items()):
             self._set(i, j, self.row[i].get(j, 0) + q * v)
-        if self.keep:
+        if self.V is not None:
             _line_add(self.V, j, t, q)
 
     def row_swap(self, i, j):
@@ -312,7 +311,7 @@ class _SmithWorker:
             b = self.row[j].get(jj, 0)
             self._set(i, jj, b)
             self._set(j, jj, a)
-        if self.keep:
+        if self.U is not None:
             self.U[i], self.U[j] = self.U[j], self.U[i]
 
     def col_swap(self, i, j):
@@ -323,13 +322,13 @@ class _SmithWorker:
             b = self.col[j].get(ii, 0)
             self._set(ii, i, b)
             self._set(ii, j, a)
-        if self.keep:
+        if self.V is not None:
             self.V[i], self.V[j] = self.V[j], self.V[i]
 
     def row_negate(self, i):
         for j in list(self.row[i]):
             self._set(i, j, -self.row[i][j])
-        if self.keep:
+        if self.U is not None:
             self.U[i] = {k: -v for k, v in self.U[i].items()}
 
     def clear_unit_pivots(self):
@@ -410,14 +409,19 @@ def smith_normal_form(matrix, keep_transforms=False):
     _SmithWorker.clear_unit_pivots) and the least-|value| loop runs only on
     the core of non-unit entries left over; its divisors follow the ones.
     The divisors are invariants of the matrix, so they are the same either way.
-    With keep_transforms, unimodular U (rows x rows) and V (cols x cols) with
-    U @ A @ V = diag(divisors) are returned.  They are tracked as sparse
-    lines (U by rows, V by columns), so each elementary operation costs the
-    size of the lines it touches, and each is turned into a matrix once, at
-    the end.
+    keep_transforms names the unimodular U (rows x rows) and V (cols x cols)
+    with U @ A @ V = diag(divisors) to return: "U", "V" or "UV" (or True);
+    False or "" keeps none.  One not asked for is None and costs nothing; the
+    elimination does not depend on the choice, so a kept transform is the
+    same either way.  Each is tracked as sparse lines (U by rows, V by
+    columns), so an operation costs the size of the lines it touches, and is
+    turned into a matrix once, at the end.
     """
-    w = _SmithWorker(matrix, keep_transforms)
-    divisors = [] if keep_transforms else [1] * w.clear_unit_pivots()
+    keep = "UV" if keep_transforms is True else keep_transforms or ""
+    if keep not in ("", "U", "V", "UV"):
+        raise ValueError(f"keep_transforms must be 'U', 'V', 'UV' or False: {keep_transforms!r}")
+    w = _SmithWorker(matrix, keep)
+    divisors = [1] * w.clear_unit_pivots() if not keep else []
     t = 0
     limit = min(w.m, w.n)
     while t < limit:
@@ -461,14 +465,12 @@ def smith_normal_form(matrix, keep_transforms=False):
             break
         divisors.append(w.row[t][t])
         t += 1
-    if keep_transforms:
-        m, n = matrix.rows, matrix.cols
-        U = IntegerMatrix(m, m, {(i, j): v for i, line in enumerate(w.U)
-                                 for j, v in line.items()})
-        V = IntegerMatrix(n, n, {(i, j): v for j, line in enumerate(w.V)
-                                 for i, v in line.items()})
-        return SmithDecomposition(divisors, m, n, U=U, V=V)
-    return SmithDecomposition(divisors, matrix.rows, matrix.cols)
+    m, n = matrix.rows, matrix.cols
+    U = None if w.U is None else IntegerMatrix._trusted(
+        m, m, {(i, j): v for i, line in enumerate(w.U) for j, v in line.items()})
+    V = None if w.V is None else IntegerMatrix._trusted(
+        n, n, {(i, j): v for j, line in enumerate(w.V) for i, v in line.items()})
+    return SmithDecomposition(divisors, m, n, U=U, V=V)
 
 
 def rank_over_rationals(matrix):
@@ -580,12 +582,12 @@ def kernel_basis(matrix):
 
     The basis is columns r.. of the Smith transform V (r = rank), so it
     spans a direct summand of Z^cols and coordinates with respect to it are
-    integral.
+    integral.  Only V is tracked.
     """
-    snf = smith_normal_form(matrix, keep_transforms=True)
+    snf = smith_normal_form(matrix, "V")
     r = snf.rank
-    return IntegerMatrix(matrix.cols, matrix.cols - r,
-                         {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
+    return IntegerMatrix._trusted(matrix.cols, matrix.cols - r,
+                                  {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
 
 
 def homology_at(d_out, d_in):
@@ -618,26 +620,28 @@ def soule_torsion_bound(matrix):
     The standard basis of the codomain is treated as orthonormal.  The
     returned value bounds log |tors coker| from above; the greedy subset is
     scanned left to right, keeping a column iff it raises the rational rank
-    of the kept set.
+    of the kept set.  The rank test is fraction-free: vec = c*vec - a*basis
+    for each echelon vector in lead order (a/c their lead ratio in lowest
+    terms); a kept vector is stored divided by the gcd of its entries.
     """
-    echelon = []  # (lead index, Fraction vector) rows, reduced lazily
+    rows = matrix.rows
+    echelon = []  # (lead index, primitive integer vector), sorted by lead
     log_bound = 0.0
-    cols = matrix.columns()
-    for j in range(matrix.cols):
-        vec = [Fraction(0)] * matrix.rows
-        for i, v in cols[j].items():
-            vec[i] = Fraction(v)
-        for lead, basis_vec in echelon:
-            if vec[lead]:
-                scale = vec[lead] / basis_vec[lead]
-                for k in range(lead, matrix.rows):
-                    vec[k] -= scale * basis_vec[k]
-        lead = next((k for k in range(matrix.rows) if vec[k]), None)
+    for column in matrix.columns():
+        vec = [column.get(i, 0) for i in range(rows)]
+        for lead, basis in echelon:
+            a = vec[lead]
+            if a:
+                g = math.gcd(a, basis[lead])
+                a, c = a // g, basis[lead] // g
+                vec = [c * x - a * y for x, y in zip(vec, basis)]
+        lead = next((k for k, x in enumerate(vec) if x), None)
         if lead is None:
             continue
-        echelon.append((lead, vec))
+        g = math.gcd(*vec)
+        echelon.append((lead, [x // g for x in vec]))
         echelon.sort(key=lambda pair: pair[0])
-        log_bound += 0.5 * math.log(matrix.column_norm_sq(j))
+        log_bound += 0.5 * math.log(sum(v * v for v in column.values()))
     return log_bound
 
 
@@ -684,17 +688,19 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
         t = rng.randint(1, 4)
         u = rng.randint(0, 4)
         R = _random_matrix(rng, t, u, size_cap)
-        snf_R = smith_normal_form(R, keep_transforms=True)
+        snf_R = smith_normal_form(R, "V")
         tors_B = math.prod(snf_R.nontrivial_divisors())
 
         # Lemma on 0 -> A -> B -> C: A generated by s random elements of B.
         s = rng.randint(0, 3)
         G = _random_matrix(rng, t, s, size_cap)
-        tors_C = cokernel_structure(R.hstack(G)).torsion_order
-        # ker(Z^s -> B) is the projection of ker[G | R] onto the G block.
-        ker = kernel_basis(G.hstack(R))
-        proj = IntegerMatrix(s, ker.cols,
-                             {(i, j): v for (i, j), v in ker.items() if i < s})
+        # C = coker[R | G] = coker[G | R], so one Smith form gives tors C and
+        # ker(Z^s -> B): the G block of ker[G | R], columns r.. of V.
+        snf_GR = smith_normal_form(G.hstack(R), "V")
+        tors_C = math.prod(snf_GR.nontrivial_divisors())
+        r = snf_GR.rank
+        proj = IntegerMatrix._trusted(s, s + u - r, {(i, j - r): v for (i, j), v in snf_GR.V.items()
+                                                     if i < s and j >= r})
         tors_A = cokernel_structure(proj).torsion_order
         if tors_B > tors_A * tors_C:
             raise ExactnessViolation({

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homtower.covers import build_cover, mod_power_tower
-from homtower.deltacomplex import boundary_matrix, builtin, orientation_double_cover
+from homtower.deltacomplex import (
+    BUILTIN_NAMES,
+    boundary_matrix,
+    builtin,
+    orientation_double_cover,
+)
 from homtower.intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
@@ -112,6 +117,28 @@ def dense_rank_mod_p(rows, n_rows, n_cols, p):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def fraction_soule_bound(matrix):
+    """The column-norm torsion bound with the rank test over Fraction
+    vectors: the greedy subset is scanned left to right, keeping a column
+    iff it raises the rational rank of the kept set."""
+    echelon = []  # (lead index, Fraction vector), sorted by lead
+    log_bound = 0.0
+    for column in matrix.columns():
+        vec = [Fraction(column.get(i, 0)) for i in range(matrix.rows)]
+        for lead, basis_vec in echelon:
+            if vec[lead]:
+                scale = vec[lead] / basis_vec[lead]
+                for k in range(lead, matrix.rows):
+                    vec[k] -= scale * basis_vec[k]
+        lead = next((k for k in range(matrix.rows) if vec[k]), None)
+        if lead is None:
+            continue
+        echelon.append((lead, vec))
+        echelon.sort(key=lambda pair: pair[0])
+        log_bound += 0.5 * math.log(sum(v * v for v in column.values()))
+    return log_bound
 
 
 def random_matrix(rng, rows, cols, bound):
@@ -253,7 +280,7 @@ def test_unit_pass_hands_its_core_to_the_pivot_loop(values):
 
 def unit_pass_core(a):
     """Run the unit pass alone; return its count of ones and the core left."""
-    w = _SmithWorker(a, False)
+    w = _SmithWorker(a, "")
     ones = w.clear_unit_pivots()
     core = {(i, j): v for i, r in enumerate(w.row) for j, v in r.items()}
     assert core == {(i, j): v for j, c in enumerate(w.col) for i, v in c.items()}
@@ -294,6 +321,81 @@ def test_smith_is_deterministic():
         s2 = smith_normal_form(a, keep_transforms=True)
         assert s1.divisors == s2.divisors
         assert s1.U == s2.U and s1.V == s2.V
+
+
+def test_single_transform_equals_its_half_of_both():
+    # The elimination does not depend on which transforms are tracked, so a
+    # transform kept alone equals the one kept beside the other.
+    rng = random.Random("snf-keep")
+    small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(100)]
+    for a in small + cover_boundaries():
+        both = smith_normal_form(a, "UV")
+        only_u = smith_normal_form(a, "U")
+        only_v = smith_normal_form(a, "V")
+        assert only_u.divisors == only_v.divisors == both.divisors
+        assert only_u.U == both.U and only_u.V is None
+        assert only_v.V == both.V and only_v.U is None
+        legacy = smith_normal_form(a, keep_transforms=True)
+        assert (legacy.U, legacy.V) == (both.U, both.V)
+        for none in (False, ""):
+            snf = smith_normal_form(a, none)
+            assert snf.divisors == both.divisors and snf.U is None and snf.V is None
+
+
+def test_keep_transforms_rejects_unknown_names():
+    a = IntegerMatrix.identity(2)
+    for bad in ("X", "VU", "uv", 1):
+        with pytest.raises(ValueError, match="keep_transforms"):
+            smith_normal_form(a, bad)
+
+
+def test_kernel_basis_is_the_kernel_columns_of_v():
+    # kernel_basis tracks V alone; its basis is still columns r.. of the V
+    # that the decomposition with both transforms returns.
+    rng = random.Random("kernel-v")
+    inputs = [random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 6) for _ in range(50)]
+    for a in inputs + cover_boundaries():
+        snf = smith_normal_form(a, "UV")
+        r = snf.rank
+        expected = IntegerMatrix(a.cols, a.cols - r,
+                                 {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
+        assert kernel_basis(a) == expected
+
+
+def test_one_smith_form_gives_the_subgroup_lemma_data():
+    # coker[R | G] and coker[G | R] are the same group, so the V-only Smith
+    # form of [G | R] gives tors C and the G block of ker[G | R].
+    rng = random.Random("exactness-identity")
+    for _ in range(500):
+        t, u, s = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+        cap = rng.choice((1, 5, 10**6))
+        R, G = random_matrix(rng, t, u, cap), random_matrix(rng, t, s, cap)
+        snf = smith_normal_form(G.hstack(R), "V")
+        assert cokernel_structure(R.hstack(G)) == cokernel_structure(G.hstack(R))
+        assert cokernel_structure(R.hstack(G)).torsion == snf.nontrivial_divisors()
+        r = snf.rank
+        proj = IntegerMatrix(s, s + u - r, {(i, j - r): v for (i, j), v in snf.V.items()
+                                            if i < s and j >= r})
+        ker = kernel_basis(G.hstack(R))
+        assert proj == IntegerMatrix(s, ker.cols,
+                                     {(i, j): v for (i, j), v in ker.items() if i < s})
+
+
+def test_internal_results_are_checked_matrices():
+    # transpose, hstack, negation, products and the Smith transforms skip
+    # the constructor's checks; each result must still be a matrix the
+    # public constructor would build, with no zero stored.
+    rng = random.Random("trusted")
+    for _ in range(100):
+        a = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 2)
+        b = random_matrix(rng, a.cols, rng.randint(0, 5), 2)
+        c = random_matrix(rng, a.rows, rng.randint(0, 5), 2)
+        snf = smith_normal_form(a, "UV")
+        for x in (a.transpose(), a.hstack(c), -a, a @ b, snf.U, snf.V):
+            assert x == IntegerMatrix(x.rows, x.cols, dict(x.items()))
+            assert all(type(v) is int and v for _, v in x.items())
+    cancel = IntegerMatrix.from_rows([[1, 1]]) @ IntegerMatrix.from_rows([[1], [-1]])
+    assert cancel.is_zero() and cancel.nnz() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +534,69 @@ def test_soule_bound_dominates_log_torsion():
         bound = soule_torsion_bound(a)
         actual = cokernel_structure(a).log_torsion
         assert bound >= actual - 1e-9, a.to_rows()
+
+
+def soule_stress_matrix(rng):
+    """Shape 0-9 each way, entries up to 10^12, with zero columns and
+    columns forced to be integer combinations of earlier ones."""
+    rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+    bound = rng.choice((1, 5, 1000, 10**12))
+    columns = []
+    for _ in range(cols):
+        kind = rng.random()
+        if kind < 0.15:
+            column = [0] * rows
+        elif kind < 0.45 and columns:
+            x, y = rng.choice(columns), rng.choice(columns)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            column = [a * u + b * v for u, v in zip(x, y)]
+        else:
+            column = [rng.randint(-bound, bound) for _ in range(rows)]
+        columns.append(column)
+    return IntegerMatrix(rows, cols, {(i, j): column[i] for j, column in enumerate(columns)
+                                      for i in range(rows)})
+
+
+def test_soule_bound_equals_fraction_oracle_on_random_matrices():
+    # The integer rank test keeps exactly the columns the Fraction one
+    # keeps, and the float sum runs in the same order, so the two agree
+    # bit for bit.
+    rng = random.Random("soule-oracle")
+    for _ in range(2000):
+        a = soule_stress_matrix(rng)
+        assert soule_torsion_bound(a) == fraction_soule_bound(a), a.to_rows()
+
+
+def builtin_and_cover_boundaries():
+    complexes = [builtin(name) for name in BUILTIN_NAMES if name != "surface"]
+    complexes += [builtin("surface", genus=g) for g in (1, 2, 3)]
+    out = [boundary_matrix(c, k) for c in complexes for k in range(1, c.dim + 1)]
+    return out + cover_boundaries()
+
+
+def test_soule_bound_equals_fraction_oracle_on_boundaries():
+    for d in builtin_and_cover_boundaries():
+        for a in (d, d.transpose()):
+            assert soule_torsion_bound(a) == fraction_soule_bound(a), (a.rows, a.cols)
+
+
+@st.composite
+def wide_entry_matrices(draw):
+    # Small and 10^12-sized entries; the last two columns repeat the first
+    # scaled by 2 and -3, so dependent columns always occur.
+    rows = draw(st.integers(0, 9))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+    columns = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows),
+                            min_size=1, max_size=7))
+    columns += [[2 * v for v in columns[0]], [-3 * v for v in columns[0]]]
+    return IntegerMatrix(rows, len(columns), {(i, j): v for j, column in enumerate(columns)
+                                              for i, v in enumerate(column)})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_entry_matrices())
+def test_soule_bound_fraction_oracle_property(a):
+    assert soule_torsion_bound(a) == fraction_soule_bound(a)
 
 
 def test_soule_skips_dependent_columns():
