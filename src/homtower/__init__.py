@@ -10,6 +10,7 @@ from .intlinalg import (
     homology_at,
     kernel_basis,
     rank_mod_p,
+    ranks_mod_primes,
     rank_over_rationals,
     smith_normal_form,
     soule_torsion_bound,

@@ -6,7 +6,8 @@ single --seed flag; identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 failed checks (a bound or theorem check, or an
 internal self-check such as the universal-coefficient cross-check between
 the integral Smith form and the mod-p ranks), 2 usage or validation problems
-(including input that is not a closed pseudomanifold where one is needed),
+(including input that is not a closed pseudomanifold where one is needed, a
+repeated prime and a gap threshold that is not finite and positive),
 3 I/O errors, 4 parse errors, 5 orientation routing (non-orientable input to
 `bounds` without --via-double-cover).
 """
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -109,9 +111,11 @@ def _build_parser():
 
 def _check_primes(args):
     from .intlinalg import is_prime
-    for p in args.primes:
+    for i, p in enumerate(args.primes):
         if not is_prime(p):
             raise _CliError(EXIT_USAGE, f"--primes: {p} is not prime")
+        if p in args.primes[:i]:
+            raise _CliError(EXIT_USAGE, f"--primes: {p} given twice")
 
 
 def _resolve_complex(args):
@@ -263,6 +267,9 @@ def cmd_bounds(args):
 
 def cmd_tower(args):
     _check_primes(args)
+    if not 0 < args.gap_threshold < math.inf:
+        raise _CliError(EXIT_USAGE,
+                        f"--gap-threshold must be finite and > 0: {args.gap_threshold}")
     complex = _resolve_complex(args)
     primes = tuple(args.primes)
     tower = mod_power_tower(complex, args.modulus, args.levels)

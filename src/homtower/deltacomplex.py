@@ -20,7 +20,7 @@ from .intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
     kernel_basis,
-    rank_mod_p,
+    ranks_mod_primes,
     smith_normal_form,
 )
 
@@ -237,7 +237,9 @@ class HomologyProfile:
 def homology_profile(complex, primes=(2, 3, 5)):
     """Integral homology in every degree together with dim_{F_p} H_k.
 
-    The universal coefficient identity
+    Each boundary is eliminated over Z once (its cached Smith form) and once
+    by ranks_mod_primes for all the primes together, a pass skipped when
+    there are none.  The universal coefficient identity
         dim_{F_p} H_k = b_k + #{p | t : t in tors H_k} + #{p | t : t in tors H_{k-1}}
     is asserted internally for every degree and prime; a violation would mean
     the integral and mod-p eliminations disagree and aborts loudly.
@@ -251,21 +253,16 @@ def homology_profile(complex, primes=(2, 3, 5)):
         raise ValueError(f"invalid complex: {report.problems[0]}")
     dim = complex.dim
     # rank and divisors of every boundary map, shared across adjacent degrees
-    ranks = [0] * (dim + 2)
-    divisors = [()] * (dim + 2)
-    for k in range(1, dim + 1):
-        snf = _boundary_smith(complex, k)
-        ranks[k] = snf.rank
-        divisors[k] = snf.nontrivial_divisors()
-    groups = []
-    for k in range(dim + 1):
-        free = complex.counts[k] - ranks[k] - ranks[k + 1]
-        groups.append(FgAbelianGroup(free, divisors[k + 1]))
+    snfs = [_boundary_smith(complex, k) for k in range(1, dim + 1)]
+    ranks = [0] + [snf.rank for snf in snfs] + [0]
+    groups = [FgAbelianGroup(complex.counts[k] - ranks[k] - ranks[k + 1],
+                             snfs[k].nontrivial_divisors() if k < dim else ())
+              for k in range(dim + 1)]
+    fp_ranks = [ranks_mod_primes(boundary_matrix(complex, k), primes)
+                for k in range(1, dim + 1)] if primes else []
     fp_dims = {}
     for p in primes:
-        ranks_p = [0] * (dim + 2)
-        for k in range(1, dim + 1):
-            ranks_p[k] = rank_mod_p(boundary_matrix(complex, k), p)
+        ranks_p = [0] + [r[p] for r in fp_ranks] + [0]
         dims = tuple(complex.counts[k] - ranks_p[k] - ranks_p[k + 1]
                      for k in range(dim + 1))
         for k in range(dim + 1):

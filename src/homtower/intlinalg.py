@@ -334,9 +334,9 @@ class _SmithWorker:
     def clear_unit_pivots(self):
         """Eliminate +-1 pivots in place and return how many there were.
 
-        Rows wait in a lazy min-heap of (length, row), as in rank_mod_p: pop
-        a shortest row (an entry whose length is stale is skipped) and pivot
-        on its +-1 column with the fewest entries, ties by lowest column.
+        Rows wait in a lazy min-heap of (length, row), as in ranks_mod_primes:
+        pop a shortest row (an entry whose length is stale is skipped) and
+        pivot on its +-1 column with the fewest entries, ties by lowest column.
         Row operations clear that column; column operations would then clear
         the pivot row without touching anything else, so the row and column
         are simply emptied.  Each pivot is a divisor 1.  Every row changed
@@ -522,22 +522,36 @@ def is_prime(p):
 
 
 def rank_mod_p(matrix, p):
-    """Rank of the matrix with entries reduced mod p, over the field F_p.
+    """Rank over F_p, as ranks_mod_primes(matrix, (p,))[p]; kept apart from
+    the Smith form code because it is the universal-coefficient cross-check."""
+    return ranks_mod_primes(matrix, (p,))[p]
 
-    Sparse Gaussian elimination, kept independent of the Smith form because
-    it is the universal-coefficient cross-check.  Pivot rule: take a
-    shortest nonzero row, and in it the column with the fewest entries (ties
-    by lowest column).  Rows wait in a lazy min-heap of (length, row): every
-    nonzero row has an entry whose length is its current length, so an entry
-    whose length differs is stale and skipped; a row that elimination changes
-    and leaves nonzero is pushed again.
+
+def ranks_mod_primes(matrix, primes):
+    """{p: rank over F_p} for each of the primes (a repeated one counts
+    once, a non-prime is a ValueError), from one sparse elimination over Z/N,
+    N the product of the primes.
+
+    Z/N is the product of the fields F_p (Chinese remainder theorem), and an
+    entry coprime to N is nonzero in each; so a step pivoting on it is, mod
+    each p, a step over every F_p and adds one to every rank.  Pivot: a
+    shortest row from a lazy min-heap of (length, row) (a stale length is
+    skipped; a row changed and left nonzero is pushed again), and in it the
+    unit whose column has the fewest entries, ties by lowest column.  A row
+    without a unit waits; the core of rows left at the end is reduced mod
+    each p and finished with that one prime, where every entry is a unit.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    primes = sorted(set(primes))
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    if not primes:
+        return {}
+    n = math.prod(primes)
     row = [dict() for _ in range(matrix.rows)]
     col = [dict() for _ in range(matrix.cols)]
     for (i, j), v in matrix.items():
-        v %= p
+        v %= n
         if v:
             row[i][j] = v
             col[j][i] = v
@@ -546,18 +560,22 @@ def rank_mod_p(matrix, p):
     rank = 0
     while heap:
         length, pi = heapq.heappop(heap)
-        if length != len(row[pi]):
+        pivot_row = row[pi]
+        if length != len(pivot_row):
             continue
-        pivot_row, row[pi] = row[pi], {}
-        pj = min(pivot_row, key=lambda j: (len(col[j]), j))
-        inv = pow(pivot_row[pj], -1, p)
+        units = [j for j, v in pivot_row.items() if math.gcd(v, n) == 1]
+        if not units:
+            continue
+        pj = min(units, key=lambda j: (len(col[j]), j))
+        inv = pow(pivot_row[pj], -1, n)
+        row[pi] = {}
         for jj in pivot_row:
             del col[jj][pi]
         for i in list(col[pj]):
-            factor = (col[pj][i] * inv) % p
+            factor = (col[pj][i] * inv) % n
             ri = row[i]
             for jj, v in pivot_row.items():
-                nv = (ri.get(jj, 0) - factor * v) % p
+                nv = (ri.get(jj, 0) - factor * v) % n
                 if nv:
                     ri[jj] = nv
                     col[jj][i] = nv
@@ -567,7 +585,11 @@ def rank_mod_p(matrix, p):
             if ri:
                 heapq.heappush(heap, (len(ri), i))
         rank += 1
-    return rank
+    core = {(i, j): v for i, r in enumerate(row) for j, v in r.items()}
+    if not core:
+        return dict.fromkeys(primes, rank)
+    return {p: rank + ranks_mod_primes(IntegerMatrix(
+        matrix.rows, matrix.cols, {k: v % p for k, v in core.items()}), (p,))[p] for p in primes}
 
 
 def cokernel_structure(matrix):

@@ -269,6 +269,10 @@ def _sweep_cases():
     for command in SUBCOMMANDS:
         for name in BUILTIN_NAMES + ("disconnected",):
             yield pytest.param(f"{command} -p 2", name, id=f"{command}-{name}")
+        yield pytest.param(f"{command} -p 2 3 2", "torus2", id=f"{command}-repeated-prime")
+    for value in ("nan", "inf", "-inf", "0", "-1"):
+        yield pytest.param(f"tower -L 1 --gap-threshold={value} -p 2", "torus2",
+                           id=f"tower-gap-threshold-{value}")
     yield pytest.param("verify --trials 2 --size-cap -1", None, id="verify-size-cap")
 
 
@@ -287,13 +291,30 @@ def test_every_input_exits_with_a_documented_code(command, source, tmp_path, cap
         assert any(line.startswith("homtower: ") for line in err.splitlines())
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_repeated_prime_exits_2(command, capsys):
+    # a repeated prime would repeat a CSV column or a bound record
+    code, out, err = run(capsys, *command.split(), "--builtin", "torus2", "-p", "2", "3", "2")
+    assert (code, out, err) == (2, "", "homtower: --primes: 2 given twice\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_gap_threshold_must_be_finite_and_positive(value, capsys):
+    # inf would be written as Infinity, which is not JSON
+    code, out, err = run(capsys, "tower", "--builtin", "torus2", "-L", "1", "-p", "2",
+                         f"--gap-threshold={value}", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"homtower: --gap-threshold must be finite and > 0: {float(value)}\n"
+
+
 @pytest.mark.parametrize("command", ["homology", "bounds", "tower -L 1"])
 def test_internal_check_failure_exits_1(command, monkeypatch, capsys):
     # One rank too many mod p breaks the universal-coefficient cross-check
     # against the integral Smith form; tower sees it wrapped by run_tower.
-    true_rank_mod_p = deltacomplex.rank_mod_p
-    monkeypatch.setattr(deltacomplex, "rank_mod_p",
-                        lambda matrix, p: true_rank_mod_p(matrix, p) + 1)
+    true_ranks = deltacomplex.ranks_mod_primes
+    monkeypatch.setattr(deltacomplex, "ranks_mod_primes",
+                        lambda matrix, primes: {p: r + 1 for p, r in
+                                                true_ranks(matrix, primes).items()})
     code, out, err = run(capsys, *command.split(), "--builtin", "torus2", "-p", "2")
     assert code == 1
     assert out == ""

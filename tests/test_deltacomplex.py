@@ -3,6 +3,7 @@ import json
 import pytest
 
 from homtower import deltacomplex, intlinalg
+from homtower.covers import build_cover, mod_power_tower
 from homtower.deltacomplex import (
     AMENABLE_BUILTINS,
     ComplexFormatError,
@@ -304,6 +305,30 @@ def test_smith_forms_are_shared_with_the_homology(monkeypatch):
         cap_duality_check(complex, orient(complex))
         assert len(calls) <= 2 * (complex.dim + 1), name
         calls.clear()
+
+
+def test_one_modular_elimination_per_boundary(monkeypatch):
+    # All primes share one elimination of each boundary; the core is empty
+    # on a torus cover, so nothing is finished prime by prime, and with no
+    # primes the mod-p pass does not run at all.
+    torus = builtin("torus2")
+    tower = mod_power_tower(torus, 2, 2)
+    calls = []
+    real = intlinalg.ranks_mod_primes
+
+    def counting(matrix, primes):
+        calls.append((matrix.rows, matrix.cols, tuple(primes)))
+        return real(matrix, primes)
+
+    monkeypatch.setattr(intlinalg, "ranks_mod_primes", counting)
+    monkeypatch.setattr(deltacomplex, "ranks_mod_primes", counting)
+    cover, _ = build_cover(torus, tower.levels[-1].action, tower.presentation)
+    assert cover.counts == (16, 48, 32)
+    homology_profile(cover, ())
+    assert calls == []
+    profile = homology_profile(cover, (2, 3, 5))
+    assert calls == [(16, 48, (2, 3, 5)), (48, 32, (2, 3, 5))]
+    assert all(profile.fp_dims[p] == (1, 2, 1) for p in (2, 3, 5))
 
 
 def test_unit_cocycle_caps_to_fundamental_cycle():

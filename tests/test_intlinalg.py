@@ -24,6 +24,7 @@ from homtower.intlinalg import (
     kernel_basis,
     rank_mod_p,
     rank_over_rationals,
+    ranks_mod_primes,
     smith_normal_form,
     soule_torsion_bound,
     verify_torsion_exactness_lemmas,
@@ -450,6 +451,47 @@ def test_rank_mod_p_against_dense_oracle():
     for a in cases:
         for p in (2, 3, 5, 7):
             assert rank_mod_p(a, p) == dense_rank_mod_p(a.to_rows(), a.rows, a.cols, p)
+
+
+# Entries that leave rows without a unit of Z/N, N the product of the
+# primes, so the shared elimination stops on a core that each prime finishes.
+CORE_VALUES = ((1, -1, 2, 3, 5, 6, 10, 15, 30), (2, -2, 3, 5))
+
+
+def test_ranks_mod_primes_against_dense_oracle():
+    rng = random.Random("ranks-mod-primes")
+    for trial in range(1600):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        values = CORE_VALUES[trial % 2]
+        density = rng.random()
+        a = IntegerMatrix(rows, cols, {(i, j): rng.choice(values)
+                                       for i in range(rows) for j in range(cols)
+                                       if rng.random() < density})
+        primes = tuple(rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 4)))
+        expected = {p: dense_rank_mod_p(a.to_rows(), rows, cols, p) for p in primes}
+        assert ranks_mod_primes(a, primes) == expected, (a.to_rows(), primes)
+
+
+def test_ranks_mod_primes_finishes_a_unit_free_core():
+    # No entry of [[2, 3], [3, 2]] is a unit mod 30: the whole matrix is the
+    # core, and its determinant -5 drops the rank mod 5 only.
+    a = IntegerMatrix.from_rows([[2, 3], [3, 2]])
+    assert ranks_mod_primes(a, (2, 3, 5)) == {2: 2, 3: 2, 5: 1}
+    for name in ("klein_bottle", "rp2"):
+        d2 = boundary_matrix(builtin(name), 2)
+        assert ranks_mod_primes(d2, (2, 3, 5)) == {2: 1, 3: 2, 5: 2}, name
+        assert ranks_mod_primes(d2, (5, 3, 2)) == {2: 1, 3: 2, 5: 2}, name
+
+
+def test_ranks_mod_primes_prime_sets():
+    a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+    assert ranks_mod_primes(a, (2, 3, 2, 3)) == ranks_mod_primes(a, (2, 3)) == {2: 1, 3: 1}
+    assert ranks_mod_primes(a, ()) == {}
+    for primes in ((2, 4), (4,), (1, 2)):
+        with pytest.raises(ValueError):
+            ranks_mod_primes(a, primes)
+    for d in cover_boundaries():
+        assert ranks_mod_primes(d, (2, 3, 5)) == {p: rank_mod_p(d, p) for p in (2, 3, 5)}
 
 
 def test_is_prime_small():
