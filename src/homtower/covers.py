@@ -300,13 +300,14 @@ def action_from_json(obj):
     if "degree" not in obj or "edge_perms" not in obj:
         raise ValueError("permutation action: keys 'degree' and 'edge_perms' required")
     degree = obj["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:  # a JSON true is a bool
         raise ValueError("permutation action: degree must be a positive integer")
     perms = obj["edge_perms"]
     if not isinstance(perms, list):
         raise ValueError("permutation action: edge_perms must be a list")
     for e, perm in enumerate(perms):
-        if not isinstance(perm, list) or sorted(perm) != list(range(degree)):
+        if (not isinstance(perm, list) or any(type(s) is not int for s in perm)
+                or sorted(perm) != list(range(degree))):
             raise ValueError(
                 f"permutation action: edge_perms[{e}] is not a permutation "
                 f"of 0..{degree - 1}")

@@ -761,13 +761,13 @@ def complex_from_json(obj, name=None):
         if key not in obj:
             raise ComplexFormatError(f"missing key {key!r}", "$")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:  # a JSON true is a bool, not a count
         raise ComplexFormatError("dim must be a nonnegative integer", "dim")
     counts = obj["counts"]
     if not isinstance(counts, list) or len(counts) != dim + 1:
         raise ComplexFormatError(f"counts must list {dim + 1} entries", "counts")
     for k, c in enumerate(counts):
-        if not isinstance(c, int) or c < 0:
+        if type(c) is not int or c < 0:
             raise ComplexFormatError("count must be a nonnegative integer", f"counts[{k}]")
     raw_faces = obj["faces"]
     if not isinstance(raw_faces, dict):
@@ -794,7 +794,7 @@ def complex_from_json(obj, name=None):
                 raise ComplexFormatError(
                     f"face list must have {k + 1} entries", f"faces.{k}[{j}]")
             for i, f in enumerate(row):
-                if not isinstance(f, int) or f < 0:
+                if type(f) is not int or f < 0:
                     raise ComplexFormatError(
                         "face index must be a nonnegative integer",
                         f"faces.{k}[{j}][{i}]")

@@ -5,14 +5,15 @@ fixed-width fast path, so torsion orders are never silently corrupted by
 overflow.  Matrices are stored sparsely but behave like ordinary dense
 integer matrices (out-of-range access is an error, never an implicit zero).
 
-Without transforms, the Smith normal form first eliminates the +-1 pivots
-(each a divisor 1) in the order of a row-length heap, as sparse integer
-Smith-form codes do; on boundary maps of covers that usually leaves nothing.
-The transform path, and the core of non-unit entries that the unit pass
-leaves, use a fixed pivot strategy: among the remaining entries, pick one of
-minimal absolute value, breaking ties by lowest row then lowest column.
-This makes every decomposition reproducible and keeps intermediate entries
-small on the incidence-like matrices that dominate our workload.
+The Smith normal form is one elimination, with or without transforms, and
+rows and columns never move: each finished pivot is recorded and its row and
+column emptied.  It first eliminates the +-1 pivots (each a divisor 1) in the
+order of a row-length heap, as sparse integer Smith-form codes do; on
+boundary maps of covers that usually leaves nothing.  The core of non-unit
+entries left over uses a fixed pivot strategy: among the remaining entries,
+pick one of minimal absolute value, breaking ties by lowest row then lowest
+column.  This makes every decomposition reproducible and keeps intermediate
+entries small on the incidence-like matrices that dominate our workload.
 """
 
 import heapq
@@ -258,28 +259,29 @@ def _line_add(lines, dst, src, q):
 
 
 class _SmithWorker:
-    """Mutable sparse matrix with mirrored row/column maps and, optionally,
-    the transforms U and V kept in sync with every elementary operation.
+    """Mutable sparse matrix with mirrored row/column maps, the transforms
+    asked for, and the pivots found so far.
 
-    keep names those tracked ("", "U", "V" or "UV"); the others are None.
-    Each is a list of sparse dict lines, so every operation is a line update:
-    U is stored by rows, V by columns.  Without transforms, clear_unit_pivots
-    may first empty the rows and columns of the +-1 pivots in place; the
-    least-|value| loop then sees them as zero.
+    keep names the transforms tracked ("", "U", "V" or "UV"); the others are
+    None.  Each is a list of sparse dict lines, so every operation is a line
+    update: U is stored by rows, V by columns.  Rows and columns never move.
+    A finished pivot is recorded (its divisor always, its (row, col) only
+    when a transform is tracked) and its row and column are emptied, so the
+    entries left are exactly the part still to be eliminated.
     """
 
-    __slots__ = ("m", "n", "row", "col", "U", "V")
+    __slots__ = ("row", "col", "U", "V", "divisors", "at")
 
     def __init__(self, matrix, keep):
-        self.m = matrix.rows
-        self.n = matrix.cols
-        self.row = [dict() for _ in range(self.m)]
-        self.col = [dict() for _ in range(self.n)]
+        self.row = [dict() for _ in range(matrix.rows)]
+        self.col = [dict() for _ in range(matrix.cols)]
         for (i, j), v in matrix.items():
             self.row[i][j] = v
             self.col[j][i] = v
-        self.U = [{i: 1} for i in range(self.m)] if "U" in keep else None
-        self.V = [{j: 1} for j in range(self.n)] if "V" in keep else None
+        self.U = [{i: 1} for i in range(matrix.rows)] if "U" in keep else None
+        self.V = [{j: 1} for j in range(matrix.cols)] if "V" in keep else None
+        self.divisors = []
+        self.at = [] if keep else None
 
     def _set(self, i, j, v):
         if v:
@@ -303,50 +305,33 @@ class _SmithWorker:
         if self.V is not None:
             _line_add(self.V, j, t, q)
 
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        for jj in set(self.row[i]) | set(self.row[j]):
-            a = self.row[i].get(jj, 0)
-            b = self.row[j].get(jj, 0)
-            self._set(i, jj, b)
-            self._set(j, jj, a)
-        if self.U is not None:
-            self.U[i], self.U[j] = self.U[j], self.U[i]
-
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        for ii in set(self.col[i]) | set(self.col[j]):
-            a = self.col[i].get(ii, 0)
-            b = self.col[j].get(ii, 0)
-            self._set(ii, i, b)
-            self._set(ii, j, a)
-        if self.V is not None:
-            self.V[i], self.V[j] = self.V[j], self.V[i]
-
-    def row_negate(self, i):
-        for j in list(self.row[i]):
-            self._set(i, j, -self.row[i][j])
-        if self.U is not None:
-            self.U[i] = {k: -v for k, v in self.U[i].items()}
+    def record(self, i, j, d):
+        """Record the pivot d at (i, j), whose row and column are already
+        empty; a negative pivot negates row i of U, so the divisor is |d|."""
+        if d < 0:
+            d = -d
+            if self.U is not None:
+                self.U[i] = {k: -v for k, v in self.U[i].items()}
+        self.divisors.append(d)
+        if self.at is not None:
+            self.at.append((i, j))
 
     def clear_unit_pivots(self):
-        """Eliminate +-1 pivots in place and return how many there were.
+        """Eliminate the +-1 pivots in place.
 
         Rows wait in a lazy min-heap of (length, row), as in ranks_mod_primes:
         pop a shortest row (an entry whose length is stale is skipped) and
         pivot on its +-1 column with the fewest entries, ties by lowest column.
-        Row operations clear that column; column operations would then clear
-        the pivot row without touching anything else, so the row and column
-        are simply emptied.  Each pivot is a divisor 1.  Every row changed
-        and left nonzero is pushed again, so when the heap runs dry no +-1
-        entry is left.  The transforms are not tracked.
+        Row operations clear that column; the column operations that clear
+        the pivot row then change nothing else, so on the matrix the row and
+        column are simply emptied, and only V records them.  Each pivot is a
+        divisor 1, recorded as it is found.  Every row changed and left
+        nonzero is pushed again, so when the heap runs dry no +-1 entry is
+        left.
         """
-        row, col = self.row, self.col
+        row, col, U, V = self.row, self.col, self.U, self.V
         heap = [(len(r), i) for i, r in enumerate(row) if r]
         heapq.heapify(heap)
-        ones = 0
         while heap:
             length, pi = heapq.heappop(heap)
             pivot_row = row[pi]
@@ -373,104 +358,109 @@ class _SmithWorker:
                         del col[j][i]
                 if ri:
                     heapq.heappush(heap, (len(ri), i))
-            ones += 1
-        return ones
+                if U is not None:
+                    _line_add(U, i, pi, -q)
+            if V is not None:
+                for j, v in pivot_row.items():
+                    if j != pj:
+                        _line_add(V, j, pj, -v * u)
+            self.record(pi, pj, u)
 
-    def find_pivot(self, t):
-        """Nonzero entry of minimal |value| with row >= t, col >= t;
-        ties broken by lowest row, then lowest column."""
+    def find_pivot(self):
+        """Nonzero entry of minimal |value| among those left; ties broken by
+        lowest row, then lowest column."""
         best = None
-        for i in range(t, self.m):
-            for j, v in self.row[i].items():
-                if j < t:
-                    continue
+        for i, r in enumerate(self.row):
+            for j, v in r.items():
                 key = (abs(v), i, j)
                 if best is None or key < best:
                     best = key
             if best is not None and best[0] == 1:
                 break  # no later row can beat a +-1 already found
-        if best is None:
-            return None
-        return best[1], best[2]
+        return None if best is None else best[1:]
 
-    def find_nondivisible(self, t, p):
-        for i in range(t + 1, self.m):
-            for j, v in self.row[i].items():
-                if j > t and v % p != 0:
-                    return i, j
+    def find_nondivisible(self, p):
+        """The first row holding an entry that p does not divide, or None."""
+        for i, r in enumerate(self.row):
+            for v in r.values():
+                if v % p:
+                    return i
         return None
+
+
+def _pivots_first(pivots, size):
+    """The pivot indices in pivot order, then the others in increasing order."""
+    done = set(pivots)
+    return pivots + [k for k in range(size) if k not in done]
 
 
 def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix.
 
     Returns a SmithDecomposition whose divisors satisfy d_1 | d_2 | ... | d_r.
-    Without transforms, the +-1 pivots are eliminated first (see
-    _SmithWorker.clear_unit_pivots) and the least-|value| loop runs only on
-    the core of non-unit entries left over; its divisors follow the ones.
-    The divisors are invariants of the matrix, so they are the same either way.
+    There is one elimination, with rows and columns left in place: first the
+    +-1 pivots (see _SmithWorker.clear_unit_pivots), each a divisor 1, then
+    a least-|value| loop on the core of non-unit entries left over.  The loop
+    picks an entry of minimal |value| (ties by lowest row, then column),
+    clears its column and row, moving to a smaller remainder whenever one
+    is left, and folds in a row the pivot does not divide until it divides
+    every entry left; so its divisors follow the ones in divisibility order.
     keep_transforms names the unimodular U (rows x rows) and V (cols x cols)
-    with U @ A @ V = diag(divisors) to return: "U", "V" or "UV" (or True);
-    False or "" keeps none.  One not asked for is None and costs nothing; the
+    with U @ A @ V = diag(divisors) to return: "U", "V" or "UV"; False or ""
+    keeps none.  One not asked for is None and costs nothing; the
     elimination does not depend on the choice, so a kept transform is the
     same either way.  Each is tracked as sparse lines (U by rows, V by
     columns), so an operation costs the size of the lines it touches, and is
-    turned into a matrix once, at the end.
+    put in pivot order and turned into a matrix once, at the end.
     """
-    keep = "UV" if keep_transforms is True else keep_transforms or ""
+    keep = keep_transforms or ""
     if keep not in ("", "U", "V", "UV"):
         raise ValueError(f"keep_transforms must be 'U', 'V', 'UV' or False: {keep_transforms!r}")
     w = _SmithWorker(matrix, keep)
-    divisors = [1] * w.clear_unit_pivots() if not keep else []
-    t = 0
-    limit = min(w.m, w.n)
-    while t < limit:
-        pos = w.find_pivot(t)
-        if pos is None:
-            break
-        w.row_swap(t, pos[0])
-        w.col_swap(t, pos[1])
+    w.clear_unit_pivots()
+    row, col = w.row, w.col
+    while (pos := w.find_pivot()) is not None:
+        pi, pj = pos
         while True:
-            if w.row[t][t] < 0:
-                w.row_negate(t)
-            p = w.row[t][t]
-            # Clear column t; nonzero remainders shrink below |p| and one of
+            p = row[pi][pj]
+            # Clear column pj; nonzero remainders shrink below |p| and one of
             # them becomes the next, strictly smaller pivot.
-            for i in [i for i in w.col[t] if i != t]:
-                q = w.col[t][i] // p
+            for i in [i for i in col[pj] if i != pi]:
+                q = col[pj][i] // p
                 if q:
-                    w.row_add(i, t, -q)
-            rem = [i for i in w.col[t] if i != t]
+                    w.row_add(i, pi, -q)
+            rem = [i for i in col[pj] if i != pi]
             if rem:
-                i = min(rem, key=lambda r: (abs(w.col[t][r]), r))
-                w.row_swap(t, i)
+                pi = min(rem, key=lambda r: (abs(col[pj][r]), r))
                 continue
-            for j in [j for j in w.row[t] if j != t]:
-                q = w.row[t][j] // p
+            for j in [j for j in row[pi] if j != pj]:
+                q = row[pi][j] // p
                 if q:
-                    w.col_add(j, t, -q)
-            rem = [j for j in w.row[t] if j != t]
+                    w.col_add(j, pj, -q)
+            rem = [j for j in row[pi] if j != pj]
             if rem:
-                j = min(rem, key=lambda c: (abs(w.row[t][c]), c))
-                w.col_swap(t, j)
+                pj = min(rem, key=lambda c: (abs(row[pi][c]), c))
                 continue
-            # Row and column are clear; enforce that the pivot divides the
-            # rest of the matrix, else fold the offending row in and retry.
-            p = w.row[t][t]
-            if p != 1:
-                bad = w.find_nondivisible(t, p)
-                if bad is not None:
-                    w.row_add(t, bad[0], 1)
-                    continue
-            break
-        divisors.append(w.row[t][t])
-        t += 1
+            # Row and column are clear; the pivot must divide every entry
+            # left, else fold the offending row in and retry.
+            bad = None if p in (1, -1) else w.find_nondivisible(p)
+            if bad is None:
+                break
+            w.row_add(pi, bad, 1)
+        row[pi] = {}
+        col[pj] = {}
+        w.record(pi, pj, p)
     m, n = matrix.rows, matrix.cols
-    U = None if w.U is None else IntegerMatrix._trusted(
-        m, m, {(i, j): v for i, line in enumerate(w.U) for j, v in line.items()})
-    V = None if w.V is None else IntegerMatrix._trusted(
-        n, n, {(i, j): v for j, line in enumerate(w.V) for i, v in line.items()})
-    return SmithDecomposition(divisors, m, n, U=U, V=V)
+    U = V = None
+    if w.U is not None:
+        order = _pivots_first([i for i, _ in w.at], m)
+        U = IntegerMatrix._trusted(
+            m, m, {(a, j): v for a, i in enumerate(order) for j, v in w.U[i].items()})
+    if w.V is not None:
+        order = _pivots_first([j for _, j in w.at], n)
+        V = IntegerMatrix._trusted(
+            n, n, {(i, b): v for b, j in enumerate(order) for i, v in w.V[j].items()})
+    return SmithDecomposition(w.divisors, m, n, U=U, V=V)
 
 
 def rank_over_rationals(matrix):

@@ -61,6 +61,15 @@ def test_homology_format_error_positions(tmp_path, capsys):
     assert "faces.1[0][1]" in err
 
 
+def test_homology_rejects_json_booleans(tmp_path, capsys):
+    # JSON true and false are not the integers 1 and 0, so this is no circle.
+    path = tmp_path / "bools.json"
+    path.write_text('{"dim": true, "counts": [1, true], "faces": {"1": [[0, false]]}}')
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (4, "")
+    assert "dim must be a nonnegative integer" in err
+
+
 def test_homology_invalid_complex_is_usage_error(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text('{"dim": 1, "counts": [1, 1], "faces": {"1": [[0, 7]]}}')

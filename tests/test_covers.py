@@ -161,6 +161,10 @@ def test_action_json_round_trip_and_errors():
         action_from_json({"degree": 0, "edge_perms": []})
     with pytest.raises(ValueError, match=r"edge_perms\[0\]"):
         action_from_json({"degree": 2, "edge_perms": [[0, 0]]})
+    with pytest.raises(ValueError, match="degree"):
+        action_from_json({"degree": True, "edge_perms": [[0]]})
+    with pytest.raises(ValueError, match=r"edge_perms\[1\]"):
+        action_from_json({"degree": 2, "edge_perms": [[0, 1], [True, False]]})
     with pytest.raises(ValueError):
         PermutationAction(2, [(0, 0)])
 

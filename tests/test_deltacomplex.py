@@ -396,6 +396,17 @@ def test_json_parser_positions():
         complex_from_json({"dim": 0, "counts": [1], "faces": {"1": []}})
 
 
+@pytest.mark.parametrize("obj, position", [
+    ({"dim": True, "counts": [1, 1], "faces": {"1": [[0, 0]]}}, "dim"),
+    ({"dim": 1, "counts": [1, True], "faces": {"1": [[0, 0]]}}, r"counts\[1\]"),
+    ({"dim": 1, "counts": [1, 1], "faces": {"1": [[0, False]]}}, r"faces\.1\[0\]\[1\]"),
+], ids=["dim", "count", "face-index"])
+def test_json_parser_rejects_booleans(obj, position):
+    # json.load gives bool, a subclass of int; true and false are not numbers.
+    with pytest.raises(ComplexFormatError, match=position):
+        complex_from_json(obj)
+
+
 def test_amenable_registry_is_explicit():
     assert "torus2" in AMENABLE_BUILTINS
     assert "circle" in AMENABLE_BUILTINS

@@ -216,17 +216,40 @@ def cover_boundaries():
             for k in (1, 2)]
 
 
+def assert_smith_certificate(a):
+    """Check the "UV" decomposition of a without trusting the elimination:
+    U @ a @ V is the diagonal, |det U| = |det V| = 1 by Bareiss, and the
+    divisors equal those of the call without transforms."""
+    snf = smith_normal_form(a, "UV")
+    assert (snf.U @ a) @ snf.V == snf.diagonal(), a.to_rows()
+    for t in (snf.U, snf.V):
+        assert abs(bareiss_det(t.to_rows())) == 1, a.to_rows()
+    assert smith_normal_form(a).divisors == snf.divisors, a.to_rows()
+    return snf
+
+
 def test_smith_transforms_reconstruct():
     rng = random.Random("snf-transforms")
     small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(80)]
     for a in small + cover_boundaries():
-        snf = smith_normal_form(a, keep_transforms=True)
-        assert (snf.U @ a) @ snf.V == snf.diagonal()
+        snf = assert_smith_certificate(a)
         for t in (snf.U, snf.V):
-            det = bareiss_det(t.to_rows())
-            assert abs(det) == 1
             if t.rows <= 6:
-                assert det == leibniz_det(t.to_rows())
+                assert bareiss_det(t.to_rows()) == leibniz_det(t.to_rows())
+
+
+@pytest.mark.parametrize("rows, divisors", [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[4, 0], [0, 6]], (2, 12)),
+    ([[3, 0], [0, 2]], (1, 6)),
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 6)),
+    ([[2, 0, 0], [0, 4, 0], [0, 0, 6]], (2, 2, 12)),
+], ids=["2-3", "4-6", "3-2", "unit-2-3", "2-4-6"])
+def test_pivot_that_does_not_divide_the_rest(rows, divisors):
+    # Each clean pivot here fails to divide an entry left elsewhere, so the
+    # offending row must be folded into the pivot row before it is final.
+    a = IntegerMatrix.from_rows(rows)
+    assert assert_smith_certificate(a).divisors == divisors
 
 
 def test_inverse_transform_columns_from_a_v():
@@ -236,7 +259,7 @@ def test_inverse_transform_columns_from_a_v():
     verify_shaped = [random_matrix(rng, rng.randint(1, 4), rng.randint(0, 4), 5)
                      for _ in range(200)]
     for a in verify_shaped + cover_boundaries():
-        snf = smith_normal_form(a, keep_transforms=True)
+        snf = smith_normal_form(a, "UV")
         av = (a @ snf.V).columns()
         for c, d in enumerate(snf.divisors):
             assert all(v % d == 0 for v in av[c].values())
@@ -244,25 +267,19 @@ def test_inverse_transform_columns_from_a_v():
             assert snf.U @ column == IntegerMatrix(a.rows, 1, {(c, 0): 1})
 
 
-def divisor_only_matches_transform_path(a):
-    return (smith_normal_form(a).divisors
-            == smith_normal_form(a, keep_transforms=True).divisors)
-
-
 def test_unit_pass_on_boundaries_with_torsion():
-    # Without transforms, the +-1 pivots are cleared first and the
-    # least-|value| loop runs only on the core left over; a divisor 2 can
-    # only come from a non-empty core.
+    # The +-1 pivots are cleared first and the least-|value| loop runs only
+    # on the core left over; a divisor 2 can only come from a non-empty core.
     for name in ("rp2", "klein_bottle"):
         base = builtin(name)
         cover, _ = orientation_double_cover(base)
         for c in (base, cover):
             for k in (1, 2):
                 a = boundary_matrix(c, k)
-                assert divisor_only_matches_transform_path(a), (name, c.counts, k)
+                assert_smith_certificate(a)
         assert smith_normal_form(boundary_matrix(base, 2)).divisors == (1, 2)
     for a in cover_boundaries():
-        assert divisor_only_matches_transform_path(a)
+        assert_smith_certificate(a)
 
 
 @pytest.mark.parametrize("values", [(0, 0, 2, -2, 3, -3, 6, -6),
@@ -276,13 +293,14 @@ def test_unit_pass_hands_its_core_to_the_pivot_loop(values):
         rows, cols = rng.randint(0, 7), rng.randint(0, 7)
         a = IntegerMatrix(rows, cols, {(i, j): rng.choice(values)
                                        for i in range(rows) for j in range(cols)})
-        assert divisor_only_matches_transform_path(a), a.to_rows()
+        assert_smith_certificate(a)
 
 
 def unit_pass_core(a):
     """Run the unit pass alone; return its count of ones and the core left."""
     w = _SmithWorker(a, "")
-    ones = w.clear_unit_pivots()
+    w.clear_unit_pivots()
+    ones = len(w.divisors)
     core = {(i, j): v for i, r in enumerate(w.row) for j, v in r.items()}
     assert core == {(i, j): v for j, c in enumerate(w.col) for i, v in c.items()}
     return ones, core
@@ -311,15 +329,15 @@ def small_matrices(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(small_matrices())
 def test_divisor_only_path_property(a):
-    assert divisor_only_matches_transform_path(a)
+    assert_smith_certificate(a)
 
 
 def test_smith_is_deterministic():
     rng = random.Random("snf-det")
     for _ in range(20):
         a = random_matrix(rng, 5, 5, 9)
-        s1 = smith_normal_form(a, keep_transforms=True)
-        s2 = smith_normal_form(a, keep_transforms=True)
+        s1 = smith_normal_form(a, "UV")
+        s2 = smith_normal_form(a, "UV")
         assert s1.divisors == s2.divisors
         assert s1.U == s2.U and s1.V == s2.V
 
@@ -336,8 +354,6 @@ def test_single_transform_equals_its_half_of_both():
         assert only_u.divisors == only_v.divisors == both.divisors
         assert only_u.U == both.U and only_u.V is None
         assert only_v.V == both.V and only_v.U is None
-        legacy = smith_normal_form(a, keep_transforms=True)
-        assert (legacy.U, legacy.V) == (both.U, both.V)
         for none in (False, ""):
             snf = smith_normal_form(a, none)
             assert snf.divisors == both.divisors and snf.U is None and snf.V is None
@@ -345,7 +361,7 @@ def test_single_transform_equals_its_half_of_both():
 
 def test_keep_transforms_rejects_unknown_names():
     a = IntegerMatrix.identity(2)
-    for bad in ("X", "VU", "uv", 1):
+    for bad in ("X", "VU", "uv", 1, True):
         with pytest.raises(ValueError, match="keep_transforms"):
             smith_normal_form(a, bad)
 
