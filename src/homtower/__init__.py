@@ -7,11 +7,9 @@ from .intlinalg import (
     IntegerMatrix,
     SmithDecomposition,
     cokernel_structure,
-    homology_at,
     kernel_basis,
     rank_mod_p,
     ranks_mod_primes,
-    rank_over_rationals,
     smith_normal_form,
     soule_torsion_bound,
     verify_torsion_exactness_lemmas,

@@ -219,22 +219,6 @@ class PermutationAction:
             fixed.append(perm)
         self.edge_perms = tuple(fixed)
 
-    def is_transitive(self):
-        seen = {0}
-        frontier = [0]
-        inverses = [_invert_perm(p) for p in self.edge_perms]
-        while frontier:
-            s = frontier.pop()
-            for perm in self.edge_perms:
-                if perm[s] not in seen:
-                    seen.add(perm[s])
-                    frontier.append(perm[s])
-            for perm in inverses:
-                if perm[s] not in seen:
-                    seen.add(perm[s])
-                    frontier.append(perm[s])
-        return len(seen) == self.degree
-
     def __eq__(self, other):
         if not isinstance(other, PermutationAction):
             return NotImplemented

@@ -137,11 +137,15 @@ class ValidationReport:
 
 
 def validate_complex(complex):
-    """Check face-index ranges and the chain condition d o d = 0.
+    """Check face-index ranges and the face identities of a delta-complex.
 
-    Returns a ValidationReport; never raises on bad data.  The first chain
-    violation is reported with the simplex coordinates that witness it.  The
-    report is kept in the complex's cache, so a complex is checked once.
+    For i < j, face i of face j of a k-simplex must be face j-1 of its face
+    i (d_i d_j = d_{j-1} d_i).  These identities give d o d = 0 in the
+    boundary matrices, and the front and back faces, lead edges and double
+    covers rely on them too.  Returns a ValidationReport; never raises on
+    bad data.  The first violation is reported with the simplex and the two
+    face slots that witness it.  The report is kept in the complex's cache,
+    so a complex is checked once.
     """
     if "validation" in complex._cache:
         return complex._cache["validation"]
@@ -155,16 +159,23 @@ def validate_complex(complex):
                         f"faces[{k}][{j}][{i}] = {f} out of range "
                         f"(complex has {limit} simplices of dimension {k - 1})")
     if not problems:
-        for k in range(2, complex.dim + 1):
-            product = boundary_matrix(complex, k - 1) @ boundary_matrix(complex, k)
-            if not product.is_zero():
-                (r, c), v = min(product.items())
-                problems.append(
-                    f"chain condition fails: d_{k - 1} d_{k} has entry {v} at "
-                    f"({k - 2}-simplex {r}, {k}-simplex {c})")
-                break
+        problems = _face_identity_violation(complex)
     report = complex._cache["validation"] = ValidationReport(problems)
     return report
+
+
+def _face_identity_violation(complex):
+    """[message] for the first (k, simplex, i, j) with d_i d_j != d_{j-1} d_i
+    on a k-simplex, in that order; [] when every identity holds."""
+    for k in range(2, complex.dim + 1):
+        below = complex.faces[k - 1]
+        pairs = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+        for s, row in enumerate(complex.faces[k]):
+            for i, j in pairs:
+                if below[row[j]][i] != below[row[i]][j - 1]:
+                    return [f"face identity d_{i} d_{j} = d_{j - 1} d_{i} fails on "
+                            f"{k}-simplex {s}: {below[row[j]][i]} != {below[row[i]][j - 1]}"]
+    return []
 
 
 def boundary_matrix(complex, k):
@@ -592,16 +603,24 @@ def cap_duality_check(complex, cycle):
 
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
-    i.e. the cap product with the fundamental cycle.  With m = n-k, it is
-    evaluated on a basis of the cocycle lattice ker d_{m+1}^T, which
-    generates H^m, and the images must be cycles.  L = B_k + (their span)
-    lies in Z_k, and Z^{c_k}/Z_k embeds in C_{k-1}, so the map is onto
-    (L = Z_k) iff one Smith form shows [d_{k+1} | images] of rank
-    c_k - rank d_k with a torsion-free cokernel.  The groups come from the
-    cached homology: H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal
-    coefficients.  The verdict is "isomorphism" iff the groups agree and
-    the map is onto (a surjection between isomorphic finitely generated
-    abelian groups is automatically injective).
+    i.e. the cap product with the fundamental cycle.  With m = n-k, let S be
+    the pivot columns of the +-1 pass in the cached Smith form of d_m.  When
+    such a pivot was found, its row of the partly reduced d_m was the
+    coboundary of an (m-1)-cochain with +-1 at the pivot and 0 at every
+    earlier pivot, so subtracting these coboundaries in pivot order makes
+    any cocycle vanish on S.  Hence H^m is generated by the cocycles that
+    vanish on S, the integer kernel of d_{m+1}^T restricted to the columns
+    outside S, and the map is evaluated on a basis of that kernel only; the
+    images must be cycles.  A dropped cocycle differs from a kept one by a
+    coboundary delta c, and cap(delta c) = +-d cap(c) is a boundary, so
+    L = B_k + (span of the images) is the lattice the whole cocycle lattice
+    would give.  L lies in Z_k, and Z^{c_k}/Z_k embeds in C_{k-1}, so the
+    map is onto (L = Z_k) iff one Smith form shows [d_{k+1} | images] of
+    rank c_k - rank d_k with a torsion-free cokernel.  The groups come from
+    the cached homology: H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal
+    coefficients.  The verdict is "isomorphism" iff the groups agree and the
+    map is onto (a surjection between isomorphic finitely generated abelian
+    groups is automatically injective).
     """
     n = complex.dim
     if len(cycle.signs) != complex.counts[n]:
@@ -614,12 +633,20 @@ def cap_duality_check(complex, cycle):
     records = []
     for k in range(n + 1):
         m = n - k
-        cocycles = kernel_basis(_boundary_or_zero(complex, m + 1).transpose())
+        pivots = set(_boundary_smith(complex, m).unit_columns) if m else ()
+        outside = {c: a for a, c in enumerate(
+            c for c in range(complex.counts[m]) if c not in pivots)}
+        d_up = _boundary_or_zero(complex, m + 1)
+        cocycles = kernel_basis(IntegerMatrix(
+            d_up.cols, len(outside),
+            {(j, outside[i]): v for (i, j), v in d_up.items() if i in outside}))
         cap = {}
         for t, s in enumerate(cycle.signs):
-            key = (_back_face(complex, t, k), _front_face(complex, t, m))
-            cap[key] = cap.get(key, 0) + s
-        images = IntegerMatrix(complex.counts[k], complex.counts[m], cap) @ cocycles
+            a = outside.get(_front_face(complex, t, m))
+            if a is not None:
+                key = (_back_face(complex, t, k), a)
+                cap[key] = cap.get(key, 0) + s
+        images = IntegerMatrix(complex.counts[k], len(outside), cap) @ cocycles
         if not (_boundary_or_zero(complex, k) @ images).is_zero():
             raise ValueError(f"not a cycle: a cap image in degree {k} has nonzero boundary")
         span = smith_normal_form(_boundary_or_zero(complex, k + 1).hstack(images))

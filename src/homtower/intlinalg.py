@@ -99,10 +99,6 @@ class IntegerMatrix:
         """Row-major entries as decimal strings (text round-trips exactly)."""
         return [[str(v) for v in row] for row in self.to_rows()]
 
-    @classmethod
-    def from_decimal_rows(cls, rows):
-        return cls.from_rows([[int(s) for s in row] for row in rows])
-
     def transpose(self):
         return IntegerMatrix._trusted(self.cols, self.rows,
                                       {(j, i): v for (i, j), v in self._data.items()})
@@ -185,10 +181,6 @@ class FgAbelianGroup:
     def log_torsion(self):
         return sum(math.log(t) for t in self.torsion)
 
-    def dim_mod_p(self, p):
-        """dim over F_p of (this group) tensor F_p."""
-        return self.free_rank + sum(1 for t in self.torsion if t % p == 0)
-
     def __eq__(self, other):
         if not isinstance(other, FgAbelianGroup):
             return NotImplemented
@@ -218,17 +210,19 @@ class SmithDecomposition:
     Smith normal form; rank == len(divisors).  U and V are unimodular with
     U @ A @ V the diagonal form; each is None unless it was asked for.  No
     inverse is kept: a caller that needs column c < rank of U^-1 reads it as
-    (A @ V)[:, c] / d_c, since A @ V = U^-1 @ diag.
+    (A @ V)[:, c] / d_c, since A @ V = U^-1 @ diag.  unit_columns lists the
+    pivot columns of the +-1 pass in the order they were found.
     """
 
-    __slots__ = ("divisors", "rows", "cols", "U", "V")
+    __slots__ = ("divisors", "rows", "cols", "U", "V", "unit_columns")
 
-    def __init__(self, divisors, rows, cols, U=None, V=None):
+    def __init__(self, divisors, rows, cols, U=None, V=None, unit_columns=()):
         self.divisors = tuple(divisors)
         self.rows = rows
         self.cols = cols
         self.U = U
         self.V = V
+        self.unit_columns = tuple(unit_columns)
         for a, b in zip(self.divisors, self.divisors[1:]):
             if a <= 0 or b % a != 0:
                 raise ValueError(f"divisors {self.divisors} violate the divisibility chain")
@@ -270,7 +264,7 @@ class _SmithWorker:
     entries left are exactly the part still to be eliminated.
     """
 
-    __slots__ = ("row", "col", "U", "V", "divisors", "at")
+    __slots__ = ("row", "col", "U", "V", "divisors", "at", "unit_columns")
 
     def __init__(self, matrix, keep):
         self.row = [dict() for _ in range(matrix.rows)]
@@ -282,6 +276,7 @@ class _SmithWorker:
         self.V = [{j: 1} for j in range(matrix.cols)] if "V" in keep else None
         self.divisors = []
         self.at = [] if keep else None
+        self.unit_columns = []
 
     def _set(self, i, j, v):
         if v:
@@ -325,11 +320,12 @@ class _SmithWorker:
         Row operations clear that column; the column operations that clear
         the pivot row then change nothing else, so on the matrix the row and
         column are simply emptied, and only V records them.  Each pivot is a
-        divisor 1, recorded as it is found.  Every row changed and left
-        nonzero is pushed again, so when the heap runs dry no +-1 entry is
-        left.
+        divisor 1, recorded as it is found, and its column is appended to
+        unit_columns.  Every row changed and left nonzero is pushed again, so
+        when the heap runs dry no +-1 entry is left.
         """
         row, col, U, V = self.row, self.col, self.U, self.V
+        unit_columns = self.unit_columns
         heap = [(len(r), i) for i, r in enumerate(row) if r]
         heapq.heapify(heap)
         while heap:
@@ -365,6 +361,7 @@ class _SmithWorker:
                     if j != pj:
                         _line_add(V, j, pj, -v * u)
             self.record(pi, pj, u)
+            unit_columns.append(pj)
 
     def find_pivot(self):
         """Nonzero entry of minimal |value| among those left; ties broken by
@@ -460,40 +457,7 @@ def smith_normal_form(matrix, keep_transforms=False):
         order = _pivots_first([j for _, j in w.at], n)
         V = IntegerMatrix._trusted(
             n, n, {(i, b): v for b, j in enumerate(order) for i, v in w.V[j].items()})
-    return SmithDecomposition(w.divisors, m, n, U=U, V=V)
-
-
-def rank_over_rationals(matrix):
-    """Rank of an integer matrix over Q by fraction-free (Bareiss) elimination.
-
-    Independent of the Smith normal form code on purpose: the two are
-    cross-checked against each other in the test suite.
-    """
-    m = matrix.to_rows()
-    rows, cols = matrix.rows, matrix.cols
-    rank = 0
-    prev = 1
-    for j in range(cols):
-        pivot_row = None
-        for i in range(rank, rows):
-            if m[i][j]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        p = m[rank][j]
-        for i in range(rank + 1, rows):
-            if not m[i][j] and prev == 1:
-                continue
-            for jj in range(j + 1, cols):
-                m[i][jj] = (p * m[i][jj] - m[i][j] * m[rank][jj]) // prev
-            m[i][j] = 0
-        prev = p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return SmithDecomposition(w.divisors, m, n, U=U, V=V, unit_columns=w.unit_columns)
 
 
 def is_prime(p):
@@ -600,29 +564,6 @@ def kernel_basis(matrix):
     r = snf.rank
     return IntegerMatrix._trusted(matrix.cols, matrix.cols - r,
                                   {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
-
-
-def homology_at(d_out, d_in):
-    """ker(d_out) / im(d_in) as an abelian group.
-
-    d_out is the boundary leaving the degree in question and d_in the one
-    arriving; d_out @ d_in must vanish (checked).  The torsion equals the
-    nontrivial invariant factors of d_in: the quotient of Z^n/im(d_in) by
-    ker(d_out)/im(d_in) embeds in the free module im(d_out), so all torsion
-    of the cokernel already lives in the homology group.
-    """
-    if d_out.cols != d_in.rows:
-        raise ValueError(
-            f"shape mismatch: d_out is {d_out.rows}x{d_out.cols} "
-            f"but d_in is {d_in.rows}x{d_in.cols}")
-    product = d_out @ d_in
-    if not product.is_zero():
-        (i, j), v = min(product.items())
-        raise ValueError(
-            f"not a chain complex: (d_out @ d_in)[{i}, {j}] = {v} != 0")
-    nullity = d_out.cols - smith_normal_form(d_out).rank
-    snf_in = smith_normal_form(d_in)
-    return FgAbelianGroup(nullity - snf_in.rank, snf_in.nontrivial_divisors())
 
 
 def soule_torsion_bound(matrix):

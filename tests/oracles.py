@@ -1,0 +1,126 @@
+"""Reference computations that only the tests use.
+
+Each one is an independent route to a quantity the program computes another
+way (Bareiss rank, homology from two boundaries, the cap duality check on a
+whole cocycle basis), or a small reader the program itself never needs.
+"""
+
+from homtower.deltacomplex import (
+    _back_face,
+    _boundary_or_zero,
+    _boundary_smith,
+    _front_face,
+    homology_profile,
+)
+from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, kernel_basis, smith_normal_form
+
+
+def rank_over_rationals(matrix):
+    """Rank of an integer matrix over Q by fraction-free (Bareiss) elimination.
+
+    Independent of the Smith normal form code on purpose: the two are
+    cross-checked against each other.
+    """
+    m = matrix.to_rows()
+    rows, cols = matrix.rows, matrix.cols
+    rank = 0
+    prev = 1
+    for j in range(cols):
+        pivot_row = None
+        for i in range(rank, rows):
+            if m[i][j]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        p = m[rank][j]
+        for i in range(rank + 1, rows):
+            if not m[i][j] and prev == 1:
+                continue
+            for jj in range(j + 1, cols):
+                m[i][jj] = (p * m[i][jj] - m[i][j] * m[rank][jj]) // prev
+            m[i][j] = 0
+        prev = p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def homology_at(d_out, d_in):
+    """ker(d_out) / im(d_in) as an abelian group.
+
+    d_out is the boundary leaving the degree in question and d_in the one
+    arriving; d_out @ d_in must vanish (checked).  The torsion equals the
+    nontrivial invariant factors of d_in: the quotient of Z^n/im(d_in) by
+    ker(d_out)/im(d_in) embeds in the free module im(d_out), so all torsion
+    of the cokernel already lives in the homology group.
+    """
+    if d_out.cols != d_in.rows:
+        raise ValueError(
+            f"shape mismatch: d_out is {d_out.rows}x{d_out.cols} "
+            f"but d_in is {d_in.rows}x{d_in.cols}")
+    product = d_out @ d_in
+    if not product.is_zero():
+        (i, j), v = min(product.items())
+        raise ValueError(
+            f"not a chain complex: (d_out @ d_in)[{i}, {j}] = {v} != 0")
+    nullity = d_out.cols - smith_normal_form(d_out).rank
+    snf_in = smith_normal_form(d_in)
+    return FgAbelianGroup(nullity - snf_in.rank, snf_in.nontrivial_divisors())
+
+
+def dim_mod_p(group, p):
+    """dim over F_p of (group) tensor F_p."""
+    return group.free_rank + sum(1 for t in group.torsion if t % p == 0)
+
+
+def is_transitive(action):
+    """Whether the sheet permutations of an action generate a transitive
+    group, by a search over sheets along each permutation and its inverse."""
+    perms = list(action.edge_perms)
+    for perm in action.edge_perms:
+        inverse = [0] * len(perm)
+        for s, image in enumerate(perm):
+            inverse[image] = s
+        perms.append(inverse)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        s = frontier.pop()
+        for perm in perms:
+            if perm[s] not in seen:
+                seen.add(perm[s])
+                frontier.append(perm[s])
+    return len(seen) == action.degree
+
+
+def matrix_from_decimal_rows(rows):
+    """The inverse of IntegerMatrix.to_decimal_rows."""
+    return IntegerMatrix.from_rows([[int(s) for s in row] for row in rows])
+
+
+def cap_duality_records_full_basis(complex, cycle):
+    """(degree, source, target, isomorphism) per degree, with the cap map
+    evaluated on a whole basis of the cocycle lattice ker d_{m+1}^T rather
+    than on the cocycles that vanish on the unit pivots of d_m; the onto test
+    and the groups are those of cap_duality_check."""
+    n = complex.dim
+    profile = homology_profile(complex, ())
+    records = []
+    for k in range(n + 1):
+        m = n - k
+        cocycles = kernel_basis(_boundary_or_zero(complex, m + 1).transpose())
+        cap = {}
+        for t, s in enumerate(cycle.signs):
+            key = (_back_face(complex, t, k), _front_face(complex, t, m))
+            cap[key] = cap.get(key, 0) + s
+        images = IntegerMatrix(complex.counts[k], complex.counts[m], cap) @ cocycles
+        assert (_boundary_or_zero(complex, k) @ images).is_zero(), (complex, k)
+        span = smith_normal_form(_boundary_or_zero(complex, k + 1).hstack(images))
+        cycle_rank = complex.counts[k] - (_boundary_smith(complex, k).rank if k else 0)
+        surjective = span.rank == cycle_rank and not span.nontrivial_divisors()
+        source, target = profile.cohomology(m), profile.group(k)
+        records.append((k, source, target, surjective and source == target))
+    return records

@@ -78,6 +78,22 @@ def test_homology_invalid_complex_is_usage_error(tmp_path, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("command", ["tower -m 2 -L 3", "bounds --via-double-cover"])
+def test_face_identity_violation_is_usage_error(command, tmp_path, capsys):
+    # rp2 with triangle 0 written [2, 0, 1] instead of [1, 0, 2]: the same
+    # boundary chain, so d o d = 0, but face 0 of face 1 is vertex 1 while
+    # face 0 of face 0 is vertex 0.  Covers and double covers rely on the
+    # face identities, so the input is rejected before either is built.
+    obj = complex_to_json(builtin("rp2"))
+    obj["faces"]["2"][0] = [2, 0, 1]
+    path = tmp_path / "rp2_twisted.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"homtower: {path}: invalid complex: face identity d_0 d_1 = d_0 d_0 "
+                   "fails on 2-simplex 0: 1 != 0\n")
+
+
 def test_exactly_one_input_source(tmp_path, capsys):
     code, _, err = run(capsys, "homology")
     assert code == 2

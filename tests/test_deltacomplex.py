@@ -21,6 +21,8 @@ from homtower.deltacomplex import (
     validate_complex,
 )
 from homtower.intlinalg import FgAbelianGroup, IntegerMatrix
+from oracles import cap_duality_records_full_basis
+from test_dimension3 import boundary_of_4_simplex
 
 Z = FgAbelianGroup
 PRIMES = (2, 3, 5)
@@ -84,11 +86,13 @@ def test_validate_reports_out_of_range_face():
 
 
 def test_validate_reports_chain_violation():
-    # one triangle whose boundary is a single unbalanced edge
+    # one triangle whose boundary is a single unbalanced edge: d o d != 0,
+    # witnessed by the first face identity that fails, i = 0 and j = 2: face
+    # 0 of face 2 is vertex 1, but face 1 of face 0 is vertex 0
     bad = DeltaComplex((2, 1, 1), {1: [(1, 0)], 2: [(0, 0, 0)]})
     report = validate_complex(bad)
     assert not report.ok
-    assert "chain condition" in report.problems[0]
+    assert report.problems == ["face identity d_0 d_2 = d_1 d_0 fails on 2-simplex 0: 1 != 0"]
 
 
 def test_single_vertex_complex_is_ok():
@@ -259,29 +263,98 @@ def test_cap_duality_records_expected_groups():
     assert report.record(2).source == Z(1)   # H^0 -> H_2
 
 
-def test_cap_duality_detects_non_surjective_cap():
-    # sphere2 with vertices 0 and 3 identified (a sphere with two points
-    # glued, S^2 v S^1): H^1 = H_1 = Z, but capping kills the loop class
-    pinched = DeltaComplex((3, 6, 4), {
+def pinched_sphere():
+    """sphere2 with vertices 0 and 3 identified (a sphere with two points
+    glued, S^2 v S^1): H^1 = H_1 = Z, but capping kills the loop class."""
+    return DeltaComplex((3, 6, 4), {
         1: [(1, 0), (2, 0), (0, 0), (2, 1), (0, 1), (0, 2)],
         2: [(5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0)],
     })
+
+
+def doubled_one_vertex():
+    """One vertex, loops e0..e2, triangles t3 = t0 and t2 = t1 face for
+    face: the +-1 cycle t0 - t1 - t2 + t3 (DOUBLED_CYCLE) is twice t0 - t1,
+    so its cap maps H^1 = Z^2 onto a sublattice of index 4 in H_1 = Z^2, of
+    full rank."""
+    return DeltaComplex((1, 3, 4), {
+        1: [(0, 0)] * 3,
+        2: [(2, 1, 0), (0, 1, 2), (0, 1, 2), (2, 1, 0)],
+    })
+
+
+DOUBLED_CYCLE = FundamentalCycle((1, -1, -1, 1))
+
+
+def torus_cover(levels):
+    """The last cover of the mod-2 tower of torus2, of degree 4^levels."""
+    torus = builtin("torus2")
+    return build_cover(torus, mod_power_tower(torus, 2, levels).levels[-1].action)[0]
+
+
+def test_cap_duality_detects_non_surjective_cap():
+    pinched = pinched_sphere()
     assert validate_complex(pinched).ok
     report = cap_duality_check(pinched, orient(pinched))
     record = report.record(1)
     assert record.source == record.target == Z(1)
     assert record.isomorphism is False
     assert not report.all_isomorphisms
-    # one vertex, loops e0..e2, triangles t3 = t0 and t2 = t1 face for face:
-    # the +-1 cycle t0 - t1 - t2 + t3 is twice t0 - t1, so its cap maps
-    # H^1 = Z^2 onto a sublattice of index 4 in H_1 = Z^2, of full rank
-    doubled = DeltaComplex((1, 3, 4), {
-        1: [(0, 0)] * 3,
-        2: [(2, 1, 0), (0, 1, 2), (0, 1, 2), (2, 1, 0)],
-    })
-    record = cap_duality_check(doubled, FundamentalCycle((1, -1, -1, 1))).record(1)
+    record = cap_duality_check(doubled_one_vertex(), DOUBLED_CYCLE).record(1)
     assert record.source == record.target == Z(2)
     assert record.isomorphism is False
+
+
+def test_cap_duality_matches_the_full_cocycle_basis():
+    # The cocycles that vanish on the unit pivots give the records a whole
+    # basis of the cocycle lattice gives, both False verdicts included.
+    complexes = [make(name) for name in ("torus2", "sphere2", "circle", "surface2")]
+    complexes += [builtin("surface", genus=g) for g in (1, 3)]
+    surface = make("surface2")
+    complexes += [build_cover(surface, mod_power_tower(surface, 2, 1).levels[0].action)[0]]
+    complexes += [orientation_double_cover(builtin(name))[0] for name in ("klein_bottle", "rp2")]
+    complexes += [torus_cover(levels) for levels in (2, 3, 4)]
+    complexes += [boundary_of_4_simplex(), pinched_sphere()]
+    cases = [(c, orient(c)) for c in complexes] + [(doubled_one_vertex(), DOUBLED_CYCLE)]
+    degree_1 = []
+    for complex, cycle in cases:
+        records = [(r.degree, r.source, r.target, r.isomorphism)
+                   for r in cap_duality_check(complex, cycle).records]
+        assert records == cap_duality_records_full_basis(complex, cycle), complex
+        degree_1.append(records[1][3] if len(records) > 1 else None)
+    # the onto test fails on the pinched sphere and on the doubled complex only
+    assert degree_1[-2:] == [False, False]
+    assert all(degree_1[:-2])
+
+
+def test_cap_duality_cocycles_are_few_on_a_torus_cover(monkeypatch):
+    # Off the unit pivots, H^m of a torus cover comes from b_m cocycles: one,
+    # two and one columns for k = 0, 1, 2, where the whole cocycle lattice
+    # of the degree-16 cover has rank 32, 17 and 1.
+    cover = torus_cover(2)
+    assert cover.counts == (16, 48, 32)
+    widths = []
+    real = deltacomplex.kernel_basis
+
+    def counting(matrix):
+        basis = real(matrix)
+        widths.append(basis.cols)
+        return basis
+
+    monkeypatch.setattr(deltacomplex, "kernel_basis", counting)
+    assert cap_duality_check(cover, orient(cover)).all_isomorphisms
+    assert widths == [1, 2, 1]
+
+
+def test_face_identities_are_stronger_than_the_chain_condition():
+    # rp2 with triangle 0 written [2, 0, 1] instead of [1, 0, 2] has the
+    # same boundary matrices, so d o d = 0, but not the same faces of faces
+    rp2 = builtin("rp2")
+    twisted = DeltaComplex(rp2.counts, {1: rp2.faces[1], 2: [(2, 0, 1), rp2.faces[2][1]]})
+    assert boundary_matrix(twisted, 2) == boundary_matrix(rp2, 2)
+    assert (boundary_matrix(twisted, 1) @ boundary_matrix(twisted, 2)).is_zero()
+    assert validate_complex(twisted).problems == [
+        "face identity d_0 d_1 = d_0 d_0 fails on 2-simplex 0: 1 != 0"]
 
 
 def test_smith_forms_are_shared_with_the_homology(monkeypatch):

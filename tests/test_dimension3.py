@@ -19,7 +19,8 @@ from homtower.deltacomplex import (
     orientation_double_cover,
     validate_complex,
 )
-from homtower.intlinalg import FgAbelianGroup, homology_at
+from homtower.intlinalg import FgAbelianGroup
+from oracles import homology_at
 
 Z = FgAbelianGroup
 

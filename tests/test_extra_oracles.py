@@ -32,7 +32,8 @@ from homtower.deltacomplex import (
     validate_complex,
 )
 from homtower.growth import run_tower
-from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, homology_at, smith_normal_form
+from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, smith_normal_form
+from oracles import homology_at
 
 Z = FgAbelianGroup
 
