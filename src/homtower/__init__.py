@@ -16,7 +16,6 @@ from .intlinalg import (
 )
 from .deltacomplex import (
     ComplexFormatError,
-    CoverProjection,
     DeltaComplex,
     FundamentalCycle,
     NonOrientableError,

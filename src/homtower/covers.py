@@ -19,7 +19,7 @@ import math
 import warnings
 from collections import deque
 
-from .deltacomplex import CoverProjection, DeltaComplex, ValidationReport, validate_complex
+from .deltacomplex import DeltaComplex, ValidationReport, validate_complex
 from .intlinalg import IntegerMatrix, smith_normal_form
 
 
@@ -312,7 +312,7 @@ def _lead_edge(complex, k, simplex):
 def build_cover(complex, action, presentation=None):
     """The covering complex described by a validated permutation action.
 
-    Returns (cover, projection); cover simplex (base, sheet) has index
+    Returns (cover, degree); cover simplex (base, sheet) has index
     base * degree + sheet.  The construction is recertified: the cover
     validates and its Euler characteristic is degree times the base one.
     """
@@ -348,8 +348,7 @@ def build_cover(complex, action, presentation=None):
         raise AssertionError(f"constructed cover failed validation: {check.problems[0]}")
     if cover.euler_characteristic() != d * complex.euler_characteristic():
         raise AssertionError("cover Euler characteristic is not multiplicative")
-    base_index = [tuple(i // d for i in range(c * d)) for c in complex.counts]
-    return cover, CoverProjection(d, base_index)
+    return cover, d
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +359,10 @@ class AbelianQuotient:
 
     Coordinates come from one Smith transform U of the relator matrix,
     shared across all moduli, so the reduction maps between the quotients
-    for m^i and m^{i+1} are literally componentwise.
+    for m^i and m^{i+1} are literally componentwise.  Sheet s is the element
+    whose coordinates are the digits of s in the mixed radix of `moduli`,
+    the first most significant; the sheet maps act digit by digit, so they
+    are built as mixed-radix products (_radix_product), decoding no sheet.
     """
 
     __slots__ = ("modulus", "coords", "moduli", "size", "_strides", "_shifts")
@@ -390,34 +392,34 @@ class AbelianQuotient:
                                     for i, q in zip(self.coords, self.moduli)))
         self._shifts = tuple(images)
 
-    def encode(self, values):
-        return sum(v * s for v, s in zip(values, self._strides))
-
-    def decode(self, index):
-        out = []
-        for q, s in zip(self.moduli, self._strides):
-            out.append((index // s) % q)
-        return tuple(out)
-
     def action(self):
         """The translation action on the quotient's elements: edge e moves
         every sheet by its image in the quotient (size 1 gives the degree-1
         identity action)."""
-        sheets = [self.decode(s) for s in range(self.size)]
-        perms = [[self.encode(tuple((v + t) % q for v, t, q in zip(vals, shift, self.moduli)))
-                  for vals in sheets]
+        perms = [_radix_product([[(v + t) % q * stride for v in range(q)]
+                                 for t, q, stride in zip(shift, self.moduli, self._strides)])
                  for shift in self._shifts]
         return PermutationAction(self.size, perms)
 
     def reduction_to(self, coarser):
-        """Sheet map to the quotient for a modulus dividing this one."""
-        positions = [self.coords.index(c) for c in coarser.coords]
-        out = []
-        for s in range(self.size):
-            vals = self.decode(s)
-            out.append(coarser.encode(
-                tuple(vals[p] % q for p, q in zip(positions, coarser.moduli))))
-        return tuple(out)
+        """Sheet map to the quotient for a modulus dividing this one (a
+        coordinate it lacks contributes nothing)."""
+        target = dict(zip(coarser.coords, zip(coarser.moduli, coarser._strides)))
+        tables = []
+        for c, q in zip(self.coords, self.moduli):
+            q2, stride = target.get(c, (1, 0))
+            tables.append([v % q2 * stride for v in range(q)])
+        return tuple(_radix_product(tables))
+
+
+def _radix_product(tables):
+    """The sheet map sending each sheet to the sum over coordinates c of
+    tables[c][digit c]: each step pairs every image so far with every entry
+    of the next table, so the map comes out in sheet order."""
+    out = [0]
+    for table in tables:
+        out = [a + b for a in out for b in table]
+    return out
 
 
 def _presentation_smith(complex, presentation=None):

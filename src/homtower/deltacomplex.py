@@ -19,8 +19,8 @@ from collections import deque
 from .intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
+    _ranks_and_unit_columns,
     kernel_basis,
-    ranks_mod_primes,
     smith_normal_form,
 )
 
@@ -184,21 +184,43 @@ def boundary_matrix(complex, k):
         raise ValueError(f"boundary degree {k} out of range 1..{complex.dim}")
     key = ("boundary", k)
     if key not in complex._cache:
-        entries = {}
-        for j, row in enumerate(complex.faces[k]):
-            for i, f in enumerate(row):
-                pos = (f, j)
-                entries[pos] = entries.get(pos, 0) + (1 if i % 2 == 0 else -1)
-        complex._cache[key] = IntegerMatrix(complex.counts[k - 1], complex.counts[k], entries)
+        complex._cache[key] = IntegerMatrix(complex.counts[k - 1], complex.counts[k],
+                                            _boundary_entries(complex, k, ()))
     return complex._cache[key]
 
 
+def _boundary_entries(complex, k, dropped):
+    """{(row, col): signed incidence} of d_k, rows in `dropped` left out."""
+    entries = {}
+    for j, row in enumerate(complex.faces[k]):
+        for i, f in enumerate(row):
+            if f not in dropped:
+                pos = (f, j)
+                entries[pos] = entries.get(pos, 0) + (1 if i % 2 == 0 else -1)
+    return entries
+
+
+def _boundary_off_rows(complex, k, dropped):
+    """d_k of a validated complex (so unchecked by the constructor), rows in
+    `dropped` left empty and row indices kept; each elimination builds its
+    own and keeps none.  When `dropped` is the unit-pivot columns S of an
+    elimination of d_{k-1}, the rank and invariant factors over Z and every
+    F_p are d_k's: each pivot row was a coboundary with a unit at its column
+    and 0 at every earlier pivot, so with the e^c, c not in S, they span the
+    (k-1)-cochains; row c of d_k is the coboundary of e^c, and dd = 0."""
+    entries = _boundary_entries(complex, k, set(dropped))
+    return IntegerMatrix._trusted(complex.counts[k - 1], complex.counts[k],
+                                  {pos: v for pos, v in entries.items() if v})
+
+
 def _boundary_smith(complex, k):
-    """The divisor-only Smith form of the k-th boundary matrix, kept in the
-    complex's cache so each boundary is eliminated once over Z."""
+    """The divisor-only Smith form of d_k, kept in the complex's cache so
+    each boundary is eliminated once over Z; d_k goes without the rows that
+    are unit_columns of the one of d_{k-1} (see _boundary_off_rows)."""
     key = ("smith", k)
     if key not in complex._cache:
-        complex._cache[key] = smith_normal_form(boundary_matrix(complex, k))
+        dropped = _boundary_smith(complex, k - 1).unit_columns if k > 1 else ()
+        complex._cache[key] = smith_normal_form(_boundary_off_rows(complex, k, dropped))
     return complex._cache[key]
 
 
@@ -249,8 +271,11 @@ def homology_profile(complex, primes=(2, 3, 5)):
     """Integral homology in every degree together with dim_{F_p} H_k.
 
     Each boundary is eliminated over Z once (its cached Smith form) and once
-    by ranks_mod_primes for all the primes together, a pass skipped when
-    there are none.  The universal coefficient identity
+    over Z/N for all the primes together (ranks_mod_primes), a pass skipped
+    when there are none.  Both go bottom-up, and each eliminates d_k without
+    the rows that are the unit-pivot columns of its own elimination of
+    d_{k-1} (see _boundary_off_rows), so the two stay independent.  The
+    universal coefficient identity
         dim_{F_p} H_k = b_k + #{p | t : t in tors H_k} + #{p | t : t in tors H_{k-1}}
     is asserted internally for every degree and prime; a violation would mean
     the integral and mod-p eliminations disagree and aborts loudly.
@@ -269,8 +294,10 @@ def homology_profile(complex, primes=(2, 3, 5)):
     groups = [FgAbelianGroup(complex.counts[k] - ranks[k] - ranks[k + 1],
                              snfs[k].nontrivial_divisors() if k < dim else ())
               for k in range(dim + 1)]
-    fp_ranks = [ranks_mod_primes(boundary_matrix(complex, k), primes)
-                for k in range(1, dim + 1)] if primes else []
+    fp_ranks, dropped = [], ()
+    for k in range(1, dim + 1) if primes else ():
+        fp, dropped = _ranks_and_unit_columns(_boundary_off_rows(complex, k, dropped), primes)
+        fp_ranks.append(fp)
     fp_dims = {}
     for p in primes:
         ranks_p = [0] + [r[p] for r in fp_ranks] + [0]
@@ -406,43 +433,9 @@ def _orient(complex):
     return cycle
 
 
-# ---------------------------------------------------------------------------
-# Covers as raw projection data (shared with the covers module)
-
-class CoverProjection:
-    """Projection data of a covering: per dimension, the base simplex under
-    each cover simplex."""
-
-    __slots__ = ("degree", "base_index")
-
-    def __init__(self, degree, base_index):
-        self.degree = degree
-        self.base_index = tuple(tuple(xs) for xs in base_index)
-
-    def base_of(self, k, idx):
-        return self.base_index[k][idx]
-
-
-def _subsimplex(complex, top, positions):
-    """The iterated face of a top simplex spanned by the given vertex
-    positions (a sorted tuple); returns its index in dimension len-1."""
-    cur = top
-    live = list(range(complex.dim + 1))
-    d = complex.dim
-    keep = set(positions)
-    while len(live) > len(positions):
-        # drop the largest vertex position not kept
-        p = max(x for x in live if x not in keep)
-        i = live.index(p)
-        cur = complex.faces[d][cur][i]
-        live.pop(i)
-        d -= 1
-    return cur
-
-
 def orientation_double_cover(complex):
     """The orientable connected 2-sheeted cover of a non-orientable closed
-    pseudomanifold, together with its projection data.
+    pseudomanifold, returned as (cover, 2).
 
     Top simplices of the cover are (top, local orientation) pairs; lower
     simplices arise by gluing the lifted faces, matching sheets across each
@@ -506,7 +499,6 @@ def orientation_double_cover(complex):
         members[j].setdefault(root, []).append(key)
     index_of = [{} for _ in range(n)]
     counts = []
-    base_index = []
     for j in range(n):
         roots = sorted(members[j])
         if len(roots) != 2 * complex.counts[j]:
@@ -517,9 +509,7 @@ def orientation_double_cover(complex):
             for key in members[j][root]:
                 index_of[j][key] = idx
         counts.append(len(roots))
-        base_index.append(tuple(_subsimplex(complex, root[0], root[2]) for root in roots))
     counts.append(2 * complex.counts[n])
-    base_index.append(tuple(t for t in range(complex.counts[n]) for _ in (0, 1)))
 
     faces = {}
     for j in range(1, n):
@@ -551,7 +541,7 @@ def orientation_double_cover(complex):
         raise AssertionError("orientation double cover came out disconnected")
     if orient(cover) is None:
         raise AssertionError("orientation double cover came out non-orientable")
-    return cover, CoverProjection(2, base_index)
+    return cover, 2
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +594,8 @@ def cap_duality_check(complex, cycle):
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
     i.e. the cap product with the fundamental cycle.  With m = n-k, let S be
-    the pivot columns of the +-1 pass in the cached Smith form of d_m.  When
+    the pivot columns of the +-1 pass in the cached Smith form of d_m (which
+    leaves out the unit-pivot rows of d_{m-1}, see _boundary_smith).  When
     such a pivot was found, its row of the partly reduced d_m was the
     coboundary of an (m-1)-cochain with +-1 at the pivot and 0 at every
     earlier pivot, so subtracting these coboundaries in pivot order makes

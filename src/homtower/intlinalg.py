@@ -43,8 +43,8 @@ class IntegerMatrix:
 
     @classmethod
     def _trusted(cls, rows, cols, data):
-        """Wrap entries intlinalg built itself (keys in range, nonzero ints)
-        without the constructor's checks, which stay for outside input."""
+        """Wrap checked entries (in range, nonzero ints: intlinalg's own or a
+        validated complex's) without the constructor's outside-input checks."""
         self = object.__new__(cls)
         self.rows, self.cols, self._data = rows, cols, data
         return self
@@ -495,12 +495,19 @@ def ranks_mod_primes(matrix, primes):
     without a unit waits; the core of rows left at the end is reduced mod
     each p and finished with that one prime, where every entry is a unit.
     """
+    return _ranks_and_unit_columns(matrix, primes)[0]
+
+
+def _ranks_and_unit_columns(matrix, primes):
+    """(ranks_mod_primes(matrix, primes), the pivot columns of its unit phase
+    over Z/N in pivot order); each pivot row was a combination of rows with
+    a unit at its column and 0 at every earlier pivot column."""
     primes = sorted(set(primes))
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if not primes:
-        return {}
+        return {}, ()
     n = math.prod(primes)
     row = [dict() for _ in range(matrix.rows)]
     col = [dict() for _ in range(matrix.cols)]
@@ -511,7 +518,7 @@ def ranks_mod_primes(matrix, primes):
             col[j][i] = v
     heap = [(len(r), i) for i, r in enumerate(row) if r]
     heapq.heapify(heap)
-    rank = 0
+    unit_columns = []
     while heap:
         length, pi = heapq.heappop(heap)
         pivot_row = row[pi]
@@ -538,12 +545,13 @@ def ranks_mod_primes(matrix, primes):
                     col[jj].pop(i, None)
             if ri:
                 heapq.heappush(heap, (len(ri), i))
-        rank += 1
+        unit_columns.append(pj)
+    rank = len(unit_columns)
     core = {(i, j): v for i, r in enumerate(row) for j, v in r.items()}
     if not core:
-        return dict.fromkeys(primes, rank)
-    return {p: rank + ranks_mod_primes(IntegerMatrix(
-        matrix.rows, matrix.cols, {k: v % p for k, v in core.items()}), (p,))[p] for p in primes}
+        return dict.fromkeys(primes, rank), unit_columns
+    return {p: rank + ranks_mod_primes(IntegerMatrix(matrix.rows, matrix.cols, {
+        k: v % p for k, v in core.items()}), (p,))[p] for p in primes}, unit_columns
 
 
 def cokernel_structure(matrix):

@@ -2,9 +2,14 @@
 
 Each one is an independent route to a quantity the program computes another
 way (Bareiss rank, homology from two boundaries, the cap duality check on a
-whole cocycle basis), or a small reader the program itself never needs.
+whole cocycle basis, translation actions decoded sheet by sheet, the
+projection of a cover read off its faces), or a small reader the program
+itself never needs.
 """
 
+import math
+
+from homtower.covers import PermutationAction
 from homtower.deltacomplex import (
     _back_face,
     _boundary_or_zero,
@@ -124,3 +129,67 @@ def cap_duality_records_full_basis(complex, cycle):
         source, target = profile.cohomology(m), profile.group(k)
         records.append((k, source, target, surjective and source == target))
     return records
+
+
+def projection_from_faces(base, cover, degree):
+    """The base simplex under each cover simplex, per dimension, read off
+    the faces alone.
+
+    Top simplex t lies over t // degree (build_cover and the orientation
+    double cover both number the lifts of top simplex b as b * degree +
+    sheet), and face i of a simplex over b lies over face i of b.  Asserts
+    that this gives every simplex exactly one base simplex, i.e. that the
+    face maps commute with the projection, and that each base simplex has
+    `degree` lifts.
+    """
+    n = base.dim
+    projection = [None] * n + [[t // degree for t in range(cover.counts[n])]]
+    for k in range(n, 0, -1):
+        below = [None] * cover.counts[k - 1]
+        for j, row in enumerate(cover.faces[k]):
+            over = base.faces[k][projection[k][j]]
+            for i, f in enumerate(row):
+                assert below[f] in (None, over[i]), (k, j, i)
+                below[f] = over[i]
+        assert None not in below, k  # every simplex is a face of a top one
+        projection[k - 1] = below
+    for k in range(n + 1):
+        for b in range(base.counts[k]):
+            assert projection[k].count(b) == degree, (k, b)
+    return projection
+
+
+def _mixed_radix(moduli):
+    """(decode, encode) between sheet numbers and digit tuples in the mixed
+    radix of `moduli`, the first coordinate most significant."""
+    strides = [math.prod(moduli[c + 1:]) for c in range(len(moduli))]
+
+    def decode(sheet):
+        return tuple(sheet // t % q for q, t in zip(moduli, strides))
+
+    def encode(digits):
+        return sum(v * t for v, t in zip(digits, strides))
+
+    return decode, encode
+
+
+def action_by_decoding(quotient):
+    """AbelianQuotient.action() sheet by sheet: decode each sheet into its
+    digits, translate them by the edge's shift, encode the result."""
+    decode, encode = _mixed_radix(quotient.moduli)
+    sheets = [decode(s) for s in range(quotient.size)]
+    return PermutationAction(quotient.size, [
+        [encode(tuple((v + t) % q for v, t, q in zip(digits, shift, quotient.moduli)))
+         for digits in sheets]
+        for shift in quotient._shifts])
+
+
+def reduction_by_decoding(finer, coarser):
+    """AbelianQuotient.reduction_to() sheet by sheet: decode each sheet of
+    the finer quotient, reduce the digits of the coarser one's coordinates,
+    encode them there."""
+    decode, _ = _mixed_radix(finer.moduli)
+    _, encode = _mixed_radix(coarser.moduli)
+    positions = [finer.coords.index(c) for c in coarser.coords]
+    return tuple(encode(tuple(decode(s)[p] % q for p, q in zip(positions, coarser.moduli)))
+                 for s in range(finer.size))

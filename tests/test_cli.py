@@ -336,10 +336,13 @@ def test_gap_threshold_must_be_finite_and_positive(value, capsys):
 def test_internal_check_failure_exits_1(command, monkeypatch, capsys):
     # One rank too many mod p breaks the universal-coefficient cross-check
     # against the integral Smith form; tower sees it wrapped by run_tower.
-    true_ranks = deltacomplex.ranks_mod_primes
-    monkeypatch.setattr(deltacomplex, "ranks_mod_primes",
-                        lambda matrix, primes: {p: r + 1 for p, r in
-                                                true_ranks(matrix, primes).items()})
+    true_ranks = deltacomplex._ranks_and_unit_columns
+
+    def one_too_many(matrix, primes):
+        ranks, unit_columns = true_ranks(matrix, primes)
+        return {p: r + 1 for p, r in ranks.items()}, unit_columns
+
+    monkeypatch.setattr(deltacomplex, "_ranks_and_unit_columns", one_too_many)
     code, out, err = run(capsys, *command.split(), "--builtin", "torus2", "-p", "2")
     assert code == 1
     assert out == ""

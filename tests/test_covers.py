@@ -14,7 +14,12 @@ from homtower.covers import (
 )
 from homtower.deltacomplex import builtin, homology_profile, orient, validate_complex
 from homtower.intlinalg import FgAbelianGroup
-from oracles import is_transitive
+from oracles import (
+    action_by_decoding,
+    is_transitive,
+    projection_from_faces,
+    reduction_by_decoding,
+)
 
 Z = FgAbelianGroup
 
@@ -175,13 +180,15 @@ def test_action_json_round_trip_and_errors():
 
 def test_circle_triple_cover_is_a_circle():
     circle = builtin("circle")
-    cover, projection = build_cover(circle, PermutationAction(3, [(1, 2, 0)]))
+    cover, degree = build_cover(circle, PermutationAction(3, [(1, 2, 0)]))
     assert cover.counts == (3, 3)
     assert cover.is_connected()
     profile = homology_profile(cover, (2,))
     assert list(profile.groups) == [Z(1), Z(1)]
-    assert projection.degree == 3
-    assert projection.base_of(1, 2) == 0
+    assert degree == 3
+    # the faces alone project cover simplex (base, sheet) to its base
+    projection = projection_from_faces(circle, cover, degree)
+    assert projection == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_disconnected_cover_from_trivial_action():
@@ -326,6 +333,32 @@ def test_tower_functoriality_exhaustive():
             for i in range(k + 1):
                 assert push(k - 1, hi_cover.faces[k][idx][i]) == \
                     lo_cover.faces[k][mapped][i], (k, idx, i)
+
+
+@pytest.mark.parametrize("name, genus, modulus, levels", [
+    ("torus2", None, 2, 5),
+    ("torus2", None, 3, 3),
+    ("klein_bottle", None, 2, 4),
+    ("surface", 2, 2, 2),
+    ("rp2", None, 2, 3),
+])
+def test_mixed_radix_actions_match_sheet_by_sheet_decoding(name, genus, modulus, levels):
+    # action() and reduction_to() are built as mixed-radix products; the
+    # oracle decodes and re-encodes every sheet
+    tower = mod_power_tower(builtin(name, genus), modulus, levels)
+    assert tower.levels
+    for level in tower.levels:
+        assert level.action == action_by_decoding(level.quotient)
+    for finer_index, finer in enumerate(tower.levels):
+        for coarser in tower.levels[:finer_index]:
+            assert finer.quotient.reduction_to(coarser.quotient) == \
+                reduction_by_decoding(finer.quotient, coarser.quotient)
+    for finer, coarser, certificate in zip(tower.levels[1:], tower.levels,
+                                           tower.certificates):
+        assert certificate == reduction_by_decoding(finer.quotient, coarser.quotient)
+    if name == "klein_bottle":
+        # H_1 = Z + Z/2, so the coordinates have different moduli
+        assert tower.levels[-1].quotient.moduli == (2, 16)
 
 
 def test_nesting_certificate_rejects_swapped_sheets():

@@ -6,6 +6,7 @@ from homtower import deltacomplex, intlinalg
 from homtower.covers import build_cover, mod_power_tower
 from homtower.deltacomplex import (
     AMENABLE_BUILTINS,
+    BUILTIN_NAMES,
     ComplexFormatError,
     DeltaComplex,
     FundamentalCycle,
@@ -20,9 +21,16 @@ from homtower.deltacomplex import (
     orientation_double_cover,
     validate_complex,
 )
-from homtower.intlinalg import FgAbelianGroup, IntegerMatrix
-from oracles import cap_duality_records_full_basis
-from test_dimension3 import boundary_of_4_simplex
+from homtower.intlinalg import (
+    FgAbelianGroup,
+    IntegerMatrix,
+    _ranks_and_unit_columns,
+    ranks_mod_primes,
+    smith_normal_form,
+)
+from oracles import cap_duality_records_full_basis, projection_from_faces
+from test_dimension3 import boundary_of_4_simplex, suspension_of_rp2
+from test_intlinalg import cover_boundaries
 
 Z = FgAbelianGroup
 PRIMES = (2, 3, 5)
@@ -216,17 +224,16 @@ def test_negated_cycle_is_still_a_cycle():
 # Orientation double cover
 
 def test_klein_bottle_double_cover_is_torus_like():
-    cover, projection = orientation_double_cover(builtin("klein_bottle"))
+    cover, degree = orientation_double_cover(builtin("klein_bottle"))
     assert cover.counts == (2, 6, 4)
     assert cover.euler_characteristic() == 0
     assert orient(cover) is not None
     profile = homology_profile(cover, (2,))
     assert list(profile.groups) == [Z(1), Z(2), Z(1)]
-    assert projection.degree == 2
-    # every base simplex is covered exactly twice in every dimension
-    for k in range(3):
-        for base in range(builtin("klein_bottle").counts[k]):
-            assert projection.base_index[k].count(base) == 2
+    assert degree == 2
+    # the face maps commute with the projection, and every base simplex is
+    # covered exactly twice in every dimension
+    projection_from_faces(builtin("klein_bottle"), cover, degree)
 
 
 def test_rp2_double_cover_is_sphere_like():
@@ -387,14 +394,14 @@ def test_one_modular_elimination_per_boundary(monkeypatch):
     torus = builtin("torus2")
     tower = mod_power_tower(torus, 2, 2)
     calls = []
-    real = intlinalg.ranks_mod_primes
+    real = intlinalg._ranks_and_unit_columns
 
     def counting(matrix, primes):
         calls.append((matrix.rows, matrix.cols, tuple(primes)))
         return real(matrix, primes)
 
-    monkeypatch.setattr(intlinalg, "ranks_mod_primes", counting)
-    monkeypatch.setattr(deltacomplex, "ranks_mod_primes", counting)
+    monkeypatch.setattr(intlinalg, "_ranks_and_unit_columns", counting)
+    monkeypatch.setattr(deltacomplex, "_ranks_and_unit_columns", counting)
     cover, _ = build_cover(torus, tower.levels[-1].action, tower.presentation)
     assert cover.counts == (16, 48, 32)
     homology_profile(cover, ())
@@ -402,6 +409,101 @@ def test_one_modular_elimination_per_boundary(monkeypatch):
     profile = homology_profile(cover, (2, 3, 5))
     assert calls == [(16, 48, (2, 3, 5)), (48, 32, (2, 3, 5))]
     assert all(profile.fp_dims[p] == (1, 2, 1) for p in (2, 3, 5))
+
+
+def restriction_inputs():
+    """(name, [d_1, ..., d_n]) for the boundary chains the restriction tests
+    run on."""
+    complexes = [(name, builtin(name)) for name in BUILTIN_NAMES if name != "surface"]
+    complexes += [(f"surface_{g}", builtin("surface", genus=g)) for g in (2, 3)]
+    complexes += [(f"{name} double cover", orientation_double_cover(builtin(name))[0])
+                  for name in ("klein_bottle", "rp2")]
+    complexes += [("suspension of rp2", suspension_of_rp2())]
+    chains = [(name, [boundary_matrix(c, k) for k in range(1, c.dim + 1)])
+              for name, c in complexes]
+    d = cover_boundaries()
+    return chains + [("degree-16 torus cover", d[:2]), ("surface_2 from cover_boundaries", d[2:])]
+
+
+def without_rows(matrix, rows):
+    return IntegerMatrix(matrix.rows, matrix.cols,
+                         {(i, j): v for (i, j), v in matrix.items() if i not in rows})
+
+
+def nonzero_rows(matrix):
+    return {i for (i, _), _ in matrix.items()}
+
+
+RESTRICTION_PRIME_SETS = ((2,), (3,), (2, 3, 5), (7,))
+
+
+def test_dropping_unit_pivot_rows_keeps_every_boundary_invariant():
+    # d_k without the rows that are unit-pivot columns S_{k-1} of the same
+    # engine's elimination of d_{k-1} (itself restricted, as in
+    # homology_profile) has the Smith divisors and F_p ranks of d_k.
+    seen_3d = seen_torsion = False
+    for name, chain in restriction_inputs():
+        smith_units = ()
+        mod_units = dict.fromkeys(RESTRICTION_PRIME_SETS, ())
+        for k, d in enumerate(chain, start=1):
+            full = smith_normal_form(d)
+            kept = smith_normal_form(without_rows(d, set(smith_units)))
+            assert (kept.rank, kept.divisors) == (full.rank, full.divisors), (name, k)
+            smith_units = kept.unit_columns
+            seen_torsion |= bool(full.nontrivial_divisors())
+            for primes in RESTRICTION_PRIME_SETS:
+                ranks, mod_units[primes] = _ranks_and_unit_columns(
+                    without_rows(d, set(mod_units[primes])), primes)
+                assert ranks == ranks_mod_primes(d, primes), (name, k, primes)
+        seen_3d |= len(chain) == 3
+    assert seen_3d and seen_torsion
+
+
+def test_program_eliminates_the_restricted_boundaries():
+    # _boundary_smith and homology_profile go through the restricted
+    # matrices, and their results are those of the full boundaries.
+    for c in (suspension_of_rp2(), builtin("surface", genus=3),
+              orientation_double_cover(builtin("rp2"))[0]):
+        units = ()
+        for k in range(1, c.dim + 1):
+            restricted = deltacomplex._boundary_off_rows(c, k, units)
+            assert restricted == without_rows(boundary_matrix(c, k), set(units))
+            assert restricted.nnz() < boundary_matrix(c, k).nnz() or not units
+            snf = deltacomplex._boundary_smith(c, k)
+            assert snf.divisors == smith_normal_form(boundary_matrix(c, k)).divisors
+            units = snf.unit_columns
+        profile = homology_profile(c, PRIMES)
+        for p in PRIMES:
+            ranks = [0] + [ranks_mod_primes(boundary_matrix(c, k), (p,))[p]
+                           for k in range(1, c.dim + 1)] + [0]
+            assert profile.fp_dims[p] == tuple(c.counts[k] - ranks[k] - ranks[k + 1]
+                                               for k in range(c.dim + 1))
+
+
+def test_dropping_a_row_outside_the_unit_pivots_changes_some_answer():
+    # Negative control: the restriction tests can fail.  One more row, not a
+    # unit-pivot column of d_{k-1}, changes the Smith divisors or the F_p
+    # ranks of d_k on some input.
+    smith_changed = []
+    ranks_changed = []
+    for name, chain in restriction_inputs():
+        smith_units = ()
+        mod_units = ()
+        for k, d in enumerate(chain, start=1):
+            full = smith_normal_form(d)
+            full_ranks = ranks_mod_primes(d, PRIMES)
+            for r in sorted(nonzero_rows(d) - set(smith_units)):
+                if smith_normal_form(without_rows(d, {*smith_units, r})).divisors != full.divisors:
+                    smith_changed.append((name, k, r))
+                    break
+            for r in sorted(nonzero_rows(d) - set(mod_units)):
+                if ranks_mod_primes(without_rows(d, {*mod_units, r}), PRIMES) != full_ranks:
+                    ranks_changed.append((name, k, r))
+                    break
+            smith_units = smith_normal_form(without_rows(d, set(smith_units))).unit_columns
+            mod_units = _ranks_and_unit_columns(without_rows(d, set(mod_units)), PRIMES)[1]
+    assert smith_changed and ranks_changed
+    assert ("sphere2", 2) in {(name, k) for name, k, _ in smith_changed}
 
 
 def test_unit_cocycle_caps_to_fundamental_cycle():

@@ -33,7 +33,7 @@ from homtower.deltacomplex import (
 )
 from homtower.growth import run_tower
 from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, smith_normal_form
-from oracles import homology_at
+from oracles import homology_at, projection_from_faces
 
 Z = FgAbelianGroup
 
@@ -126,11 +126,14 @@ def test_rp2_six_is_a_projective_plane():
 
 def test_rp2_six_double_cover_is_the_icosahedron():
     rp2 = rp2_six()
-    cover, projection = orientation_double_cover(rp2)
+    cover, degree = orientation_double_cover(rp2)
     assert cover.counts == (12, 30, 20)
     assert cover.euler_characteristic() == 2
     assert list(homology_profile(cover, (2,)).groups) == [Z(1), Z(0), Z(1)]
-    assert projection.degree == 2
+    assert degree == 2
+    # every base simplex has two lifts, and the face maps commute with the
+    # projection
+    projection_from_faces(rp2, cover, degree)
     report = check_index2_reduction(rp2, (2,))
     assert report.all_pass
     assert report.caveat is not None  # not a registered aspherical example
