@@ -26,7 +26,6 @@ from .deltacomplex import (
     complex_from_json,
     complex_to_json,
     homology_profile,
-    load_complex,
     orient,
     orientation_double_cover,
     validate_complex,

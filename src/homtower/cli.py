@@ -40,7 +40,7 @@ from .deltacomplex import (
 from .growth import TowerLevelError, gap_consistency_check, l2_betti_trend, run_tower
 from .intlinalg import (
     ExactnessViolation,
-    IntegerMatrix,
+    _random_matrix,
     cokernel_structure,
     soule_torsion_bound,
     verify_torsion_exactness_lemmas,
@@ -311,11 +311,7 @@ def _soule_suite(trials, seed, size_cap=5):
     rng = random.Random(f"{seed}:soule")
     failures = []
     for trial in range(trials):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        entries = {(i, j): rng.randint(-size_cap, size_cap)
-                   for i in range(rows) for j in range(cols)}
-        matrix = IntegerMatrix(rows, cols, entries)
+        matrix = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), size_cap)
         bound = soule_torsion_bound(matrix)
         actual = cokernel_structure(matrix).log_torsion
         if bound < actual - 1e-9:

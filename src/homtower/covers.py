@@ -19,7 +19,7 @@ import math
 import warnings
 from collections import deque
 
-from .deltacomplex import DeltaComplex, ValidationReport, validate_complex
+from .deltacomplex import DeltaComplex, ValidationReport, _valid, validate_complex
 from .intlinalg import IntegerMatrix, smith_normal_form
 
 
@@ -27,15 +27,14 @@ class Presentation:
     """Edge-path presentation of the fundamental group of a complex."""
 
     __slots__ = ("edge_count", "tree_edges", "generator_edges", "generator_of_edge",
-                 "relators", "relator_sources")
+                 "relators")
 
-    def __init__(self, edge_count, tree_edges, generator_edges, relators, relator_sources):
+    def __init__(self, edge_count, tree_edges, generator_edges, relators):
         self.edge_count = edge_count
         self.tree_edges = frozenset(tree_edges)
         self.generator_edges = tuple(generator_edges)
         self.generator_of_edge = {e: g for g, e in enumerate(self.generator_edges)}
         self.relators = tuple(tuple(word) for word in relators)
-        self.relator_sources = tuple(relator_sources)
 
     @property
     def generator_count(self):
@@ -55,7 +54,9 @@ class Presentation:
 
 
 def edge_path_presentation(complex):
-    """Presentation of pi_1 from the 2-skeleton of a connected complex."""
+    """Presentation of pi_1 from the 2-skeleton of a connected complex;
+    relator t is read off 2-simplex t."""
+    _valid(complex)
     if complex.dim < 1:
         raise ValueError("edge-path presentation needs dimension >= 1")
     if not complex.is_connected():
@@ -81,16 +82,14 @@ def edge_path_presentation(complex):
     generator_edges = [e for e in range(complex.counts[1]) if e not in tree]
     gen_of = {e: g for g, e in enumerate(generator_edges)}
     relators = []
-    sources = []
     if complex.dim >= 2:
-        for t, (f0, f1, f2) in enumerate(complex.faces[2]):
+        for f0, f1, f2 in complex.faces[2]:
             word = []
             for e, exp in ((f2, 1), (f0, 1), (f1, -1)):
                 if e not in tree:
                     word.append((gen_of[e], exp))
             relators.append(tuple(word))
-            sources.append(t)
-    return Presentation(complex.counts[1], tree, generator_edges, relators, sources)
+    return Presentation(complex.counts[1], tree, generator_edges, relators)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def validate_action(presentation, action):
             pretty = " ".join(
                 f"g{g}" if e == 1 else f"g{g}^-1" for g, e in word) or "(empty)"
             problems.append(
-                f"relator {idx} (2-simplex {presentation.relator_sources[idx]}, "
+                f"relator {idx} (2-simplex {idx}, "
                 f"word {pretty}) evaluates to {evaluated}")
             return ValidationReport(problems)
     return ValidationReport(problems)

@@ -13,7 +13,6 @@ sum over i of (-1)^i [faces[k][c][i] == r], so every column has at most k+1
 signed incidences and Euclidean norm at most k+1.
 """
 
-import json
 from collections import deque
 
 from .intlinalg import (
@@ -43,36 +42,19 @@ class NonOrientableError(ValueError):
 
 
 class DeltaComplex:
-    """Immutable delta-complex; validate with validate_complex before use."""
+    """Immutable delta-complex.  The constructor only stores: counts as a
+    tuple, and `faces` (a mapping from k to the face lists of dimension k)
+    as faces[k], a tuple of tuples, None where a dimension is missing.
+    validate_complex makes every check; boundary_matrix, homology_profile,
+    orient and covers.edge_path_presentation, and so everything built on
+    them, raise ValueError through _valid before they read a face."""
 
     __slots__ = ("counts", "faces", "name", "_cache")
 
     def __init__(self, counts, faces, name=None):
-        counts = tuple(int(c) for c in counts)
-        if not counts:
-            raise ValueError("counts must list at least the vertex count")
-        if any(c < 0 for c in counts):
-            raise ValueError("negative simplex count")
-        dim = len(counts) - 1
-        norm_faces = [()]
-        for k in range(1, dim + 1):
-            try:
-                rows = faces[k]
-            except (KeyError, IndexError):
-                raise ValueError(f"missing face lists for dimension {k}") from None
-            if len(rows) != counts[k]:
-                raise ValueError(
-                    f"dimension {k}: {len(rows)} face lists for {counts[k]} simplices")
-            fixed = []
-            for j, row in enumerate(rows):
-                row = tuple(int(x) for x in row)
-                if len(row) != k + 1:
-                    raise ValueError(
-                        f"{k}-simplex {j}: face list has {len(row)} entries, expected {k + 1}")
-                fixed.append(row)
-            norm_faces.append(tuple(fixed))
-        self.counts = counts
-        self.faces = tuple(norm_faces)
+        self.counts = tuple(counts)
+        rows = [faces.get(k) for k in range(1, len(self.counts))]
+        self.faces = ((),) + tuple(None if r is None else tuple(map(tuple, r)) for r in rows)
         self.name = name
         self._cache = {}
 
@@ -137,31 +119,68 @@ class ValidationReport:
 
 
 def validate_complex(complex):
-    """Check face-index ranges and the face identities of a delta-complex.
+    """The one check of a delta-complex, made once: it runs on any data the
+    constructor stored and never raises.
 
-    For i < j, face i of face j of a k-simplex must be face j-1 of its face
+    In order, it checks that the counts are a nonempty list of nonnegative
+    ints, that dimension k has counts[k] face lists, that each k-simplex
+    has k+1 entries, each an int in range, and then the face identities:
+    for i < j, face i of face j of a k-simplex must be face j-1 of its face
     i (d_i d_j = d_{j-1} d_i).  These identities give d o d = 0 in the
     boundary matrices, and the front and back faces, lead edges and double
-    covers rely on them too.  Returns a ValidationReport; never raises on
-    bad data.  The first violation is reported with the simplex and the two
-    face slots that witness it.  The report is kept in the complex's cache,
-    so a complex is checked once.
+    covers rely on them too.  Returns a ValidationReport listing every
+    shape and range problem, or else the first identity that fails, with
+    the simplex and the two face slots that witness it.  The report is kept
+    in the complex's cache, and _valid raises on it.
     """
     if "validation" in complex._cache:
         return complex._cache["validation"]
+    problems = (_count_problems(complex.counts) or _entry_problems(complex)
+                or _face_identity_violation(complex))
+    report = complex._cache["validation"] = ValidationReport(problems)
+    return report
+
+
+def _count_problems(counts):
+    if not counts:
+        return ["counts must list at least the vertex count"]
+    return [f"counts[{k}] = {c!r} is not a nonnegative integer"
+            for k, c in enumerate(counts) if type(c) is not int or c < 0]
+
+
+def _entry_problems(complex):
+    """Every missing dimension, wrong row count, wrong row length and
+    entry that is not an int in range, in one pass over the entries."""
     problems = []
     for k in range(1, complex.dim + 1):
+        rows = complex.faces[k]
+        if rows is None:
+            problems.append(f"missing face lists for dimension {k}")
+            continue
+        if len(rows) != complex.counts[k]:
+            problems.append(
+                f"dimension {k}: {len(rows)} face lists for {complex.counts[k]} simplices")
         limit = complex.counts[k - 1]
-        for j, row in enumerate(complex.faces[k]):
+        for j, row in enumerate(rows):
+            if len(row) != k + 1:
+                problems.append(
+                    f"{k}-simplex {j}: face list has {len(row)} entries, expected {k + 1}")
             for i, f in enumerate(row):
-                if not 0 <= f < limit:
+                if type(f) is not int:  # a bool, float or str names no simplex
+                    problems.append(f"faces[{k}][{j}][{i}] = {f!r} is not an integer")
+                elif not 0 <= f < limit:
                     problems.append(
                         f"faces[{k}][{j}][{i}] = {f} out of range "
                         f"(complex has {limit} simplices of dimension {k - 1})")
-    if not problems:
-        problems = _face_identity_violation(complex)
-    report = complex._cache["validation"] = ValidationReport(problems)
-    return report
+    return problems
+
+
+def _valid(complex):
+    """Raise ValueError naming the first problem unless validate_complex
+    passes the complex; every reader of faces calls this first."""
+    report = validate_complex(complex)
+    if not report.ok:
+        raise ValueError(f"invalid complex: {report.problems[0]}")
 
 
 def _face_identity_violation(complex):
@@ -180,35 +199,31 @@ def _face_identity_violation(complex):
 
 def boundary_matrix(complex, k):
     """The k-th boundary matrix, counts[k-1] x counts[k]."""
+    _valid(complex)
     if not 1 <= k <= complex.dim:
         raise ValueError(f"boundary degree {k} out of range 1..{complex.dim}")
     key = ("boundary", k)
     if key not in complex._cache:
-        complex._cache[key] = IntegerMatrix(complex.counts[k - 1], complex.counts[k],
-                                            _boundary_entries(complex, k, ()))
+        complex._cache[key] = _boundary_off_rows(complex, k, ())
     return complex._cache[key]
 
 
-def _boundary_entries(complex, k, dropped):
-    """{(row, col): signed incidence} of d_k, rows in `dropped` left out."""
+def _boundary_off_rows(complex, k, dropped):
+    """d_k of a validated complex (so unchecked by the IntegerMatrix
+    constructor), rows in `dropped` left empty and row indices kept; each
+    elimination builds its own and keeps none.  When `dropped` is the
+    unit-pivot columns S of an elimination of d_{k-1}, the rank and
+    invariant factors over Z and every F_p are d_k's: each pivot row was a
+    coboundary with a unit at its column and 0 at every earlier pivot, so
+    with the e^c, c not in S, they span the (k-1)-cochains; row c of d_k is
+    the coboundary of e^c, and dd = 0."""
+    dropped = set(dropped)
     entries = {}
     for j, row in enumerate(complex.faces[k]):
         for i, f in enumerate(row):
             if f not in dropped:
                 pos = (f, j)
                 entries[pos] = entries.get(pos, 0) + (1 if i % 2 == 0 else -1)
-    return entries
-
-
-def _boundary_off_rows(complex, k, dropped):
-    """d_k of a validated complex (so unchecked by the constructor), rows in
-    `dropped` left empty and row indices kept; each elimination builds its
-    own and keeps none.  When `dropped` is the unit-pivot columns S of an
-    elimination of d_{k-1}, the rank and invariant factors over Z and every
-    F_p are d_k's: each pivot row was a coboundary with a unit at its column
-    and 0 at every earlier pivot, so with the e^c, c not in S, they span the
-    (k-1)-cochains; row c of d_k is the coboundary of e^c, and dd = 0."""
-    entries = _boundary_entries(complex, k, set(dropped))
     return IntegerMatrix._trusted(complex.counts[k - 1], complex.counts[k],
                                   {pos: v for pos, v in entries.items() if v})
 
@@ -284,9 +299,7 @@ def homology_profile(complex, primes=(2, 3, 5)):
     key = ("profile", primes)
     if key in complex._cache:
         return complex._cache[key]
-    report = validate_complex(complex)
-    if not report.ok:
-        raise ValueError(f"invalid complex: {report.problems[0]}")
+    _valid(complex)
     dim = complex.dim
     # rank and divisors of every boundary map, shared across adjacent degrees
     snfs = [_boundary_smith(complex, k) for k in range(1, dim + 1)]
@@ -333,9 +346,6 @@ class FundamentalCycle:
 
     def support_size(self):
         return sum(1 for s in self.signs if s)
-
-    def negated(self):
-        return FundamentalCycle(tuple(-s for s in self.signs))
 
     def __eq__(self, other):
         if not isinstance(other, FundamentalCycle):
@@ -407,6 +417,7 @@ def orient(complex):
     inside a connected complex.  The result is kept in the complex's cache,
     so a complex is oriented once.
     """
+    _valid(complex)
     if "orientation" not in complex._cache:
         complex._cache["orientation"] = _orient(complex)
     return complex._cache["orientation"]
@@ -446,11 +457,11 @@ def orientation_double_cover(complex):
     n = complex.dim
     if n < 1:
         raise ValueError("orientation double cover needs dimension >= 1")
-    incidences = _top_face_incidences(complex)
     if orient(complex) is not None:
         raise ValueError(
             "complex is already orientable; its orientation double cover "
             "would be the disconnected trivial cover")
+    incidences = _top_face_incidences(complex)
     _, eta, _ = _propagate_signs(complex, incidences)
 
     parent = {}
@@ -800,13 +811,11 @@ def complex_from_json(obj, name=None):
         if extra:
             detail.append(f"unexpected keys {extra}")
         raise ComplexFormatError("; ".join(detail), "faces")
-    faces = {}
     for k in range(1, dim + 1):
         rows = raw_faces[str(k)]
         if not isinstance(rows, list) or len(rows) != counts[k]:
             raise ComplexFormatError(
                 f"expected {counts[k]} face lists", f"faces.{k}")
-        fixed = []
         for j, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != k + 1:
                 raise ComplexFormatError(
@@ -816,12 +825,4 @@ def complex_from_json(obj, name=None):
                     raise ComplexFormatError(
                         "face index must be a nonnegative integer",
                         f"faces.{k}[{j}][{i}]")
-            fixed.append(tuple(row))
-        faces[k] = fixed
-    return DeltaComplex(counts, faces, name=name)
-
-
-def load_complex(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return complex_from_json(obj)
+    return DeltaComplex(counts, {k: raw_faces[str(k)] for k in range(1, dim + 1)}, name=name)

@@ -182,7 +182,10 @@ def _cache_entry_problem(data, base, degree, primes):
         return "a key is missing"
     n = base.dim + 1
     betti = data["betti_q"]
-    if data["degree"] != degree or data["counts"] != [degree * c for c in base.counts]:
+    counts = data["counts"]
+    # types first: JSON false == 0 and 4.0 == 4
+    if not (type(data["degree"]) is int and data["degree"] == degree
+            and _is_count_list(counts, n) and counts == [degree * c for c in base.counts]):
         return "the counts are not the degree times the base counts"
     if not (_is_count_list(betti, n) and sum((-1) ** k * b for k, b in enumerate(betti))
             == degree * base.euler_characteristic()):

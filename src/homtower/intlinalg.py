@@ -66,10 +66,6 @@ class IntegerMatrix:
     def zeros(cls, rows, cols):
         return cls(rows, cols)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")
@@ -232,10 +228,6 @@ class SmithDecomposition:
     @property
     def rank(self):
         return len(self.divisors)
-
-    def diagonal(self):
-        return IntegerMatrix(self.rows, self.cols,
-                             {(i, i): d for i, d in enumerate(self.divisors)})
 
     def nontrivial_divisors(self):
         return tuple(d for d in self.divisors if d > 1)

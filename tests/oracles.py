@@ -11,6 +11,7 @@ import math
 
 from homtower.covers import PermutationAction
 from homtower.deltacomplex import (
+    FundamentalCycle,
     _back_face,
     _boundary_or_zero,
     _boundary_smith,
@@ -99,6 +100,20 @@ def is_transitive(action):
                 seen.add(perm[s])
                 frontier.append(perm[s])
     return len(seen) == action.degree
+
+
+def identity_matrix(n):
+    return IntegerMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def smith_diagonal(snf):
+    """The Smith normal form itself, rows x cols with the divisors down the
+    diagonal."""
+    return IntegerMatrix(snf.rows, snf.cols, {(i, i): d for i, d in enumerate(snf.divisors)})
+
+
+def negated_cycle(cycle):
+    return FundamentalCycle(tuple(-s for s in cycle.signs))
 
 
 def matrix_from_decimal_rows(rows):

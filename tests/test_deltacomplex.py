@@ -3,7 +3,12 @@ import json
 import pytest
 
 from homtower import deltacomplex, intlinalg
-from homtower.covers import build_cover, mod_power_tower
+from homtower.covers import (
+    PermutationAction,
+    build_cover,
+    edge_path_presentation,
+    mod_power_tower,
+)
 from homtower.deltacomplex import (
     AMENABLE_BUILTINS,
     BUILTIN_NAMES,
@@ -28,7 +33,7 @@ from homtower.intlinalg import (
     ranks_mod_primes,
     smith_normal_form,
 )
-from oracles import cap_duality_records_full_basis, projection_from_faces
+from oracles import cap_duality_records_full_basis, negated_cycle, projection_from_faces
 from test_dimension3 import boundary_of_4_simplex, suspension_of_rp2
 from test_intlinalg import cover_boundaries
 
@@ -101,6 +106,49 @@ def test_validate_reports_chain_violation():
     report = validate_complex(bad)
     assert not report.ok
     assert report.problems == ["face identity d_0 d_2 = d_1 d_0 fails on 2-simplex 0: 1 != 0"]
+
+
+@pytest.mark.parametrize("counts, faces, problem", [
+    ((1, 2), {1: [(0, 0), (0.7, 0)]}, "faces[1][1][0] = 0.7 is not an integer"),
+    ((1, 2), {1: [(0, 0), ("0", 0)]}, "faces[1][1][0] = '0' is not an integer"),
+    ((1, 2), {1: [(0, 0), (0, False)]}, "faces[1][1][1] = False is not an integer"),
+    ((1, 2), {1: [(0, 0), (0,)]}, "1-simplex 1: face list has 1 entries, expected 2"),
+    ((1, 2), {1: [(0, 0), (0, 0, 0)]}, "1-simplex 1: face list has 3 entries, expected 2"),
+    ((1, 2), {1: [(0, 0)]}, "dimension 1: 1 face lists for 2 simplices"),
+    ((1, -1), {1: []}, "counts[1] = -1 is not a nonnegative integer"),
+    ((1, 1.0), {1: [(0, 0)]}, "counts[1] = 1.0 is not a nonnegative integer"),
+    ((1, True), {1: [(0, 0)]}, "counts[1] = True is not a nonnegative integer"),
+    ((), {}, "counts must list at least the vertex count"),
+    ((1, 1, 0), {1: [(0, 0)]}, "missing face lists for dimension 2"),
+], ids=["float", "str", "bool", "short-row", "long-row", "row-count", "negative-count",
+        "float-count", "bool-count", "no-counts", "missing-dimension"])
+def test_validate_names_each_malformed_item(counts, faces, problem):
+    # the constructor stores what it is given, so 0.7 and "0" stay what they
+    # are, and validate_complex names the one bad item
+    report = validate_complex(DeltaComplex(counts, faces))
+    assert not report.ok
+    assert report.problems == [problem]
+
+
+def test_every_reader_of_faces_refuses_an_invalid_complex():
+    # a torus whose second triangle names a missing edge 7: past the gate,
+    # each reader would run into it with an IndexError or a KeyError
+    bad = DeltaComplex((1, 3, 2), {1: [(0, 0)] * 3, 2: [(0, 2, 1), (1, 2, 7)]})
+    readers = {
+        "homology_profile": lambda: homology_profile(bad),
+        "boundary_matrix": lambda: boundary_matrix(bad, 2),
+        "orient": lambda: orient(bad),
+        "orientation_double_cover": lambda: orientation_double_cover(bad),
+        "cap_duality_check": lambda: cap_duality_check(bad, FundamentalCycle((1, -1))),
+        "edge_path_presentation": lambda: edge_path_presentation(bad),
+        "mod_power_tower": lambda: mod_power_tower(bad, 2, 1),
+        "build_cover": lambda: build_cover(bad, PermutationAction(1, [(0,)] * 3)),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError) as caught:
+            read()
+        assert str(caught.value) == ("invalid complex: faces[2][1][2] = 7 out of range "
+                                     "(complex has 3 simplices of dimension 1)"), name
 
 
 def test_single_vertex_complex_is_ok():
@@ -213,7 +261,7 @@ def test_orient_rejects_disconnected_dual_graph():
 def test_negated_cycle_is_still_a_cycle():
     sphere = builtin("sphere2")
     cycle = orient(sphere)
-    flipped = cycle.negated()
+    flipped = negated_cycle(cycle)
     column = IntegerMatrix(4, 1, {(t, 0): s for t, s in enumerate(flipped.signs)})
     assert (boundary_matrix(sphere, 2) @ column).is_zero()
     with pytest.raises(ValueError):
@@ -358,8 +406,10 @@ def test_face_identities_are_stronger_than_the_chain_condition():
     # same boundary matrices, so d o d = 0, but not the same faces of faces
     rp2 = builtin("rp2")
     twisted = DeltaComplex(rp2.counts, {1: rp2.faces[1], 2: [(2, 0, 1), rp2.faces[2][1]]})
-    assert boundary_matrix(twisted, 2) == boundary_matrix(rp2, 2)
-    assert (boundary_matrix(twisted, 1) @ boundary_matrix(twisted, 2)).is_zero()
+    # boundary_matrix refuses an invalid complex, so these read the builder
+    assert deltacomplex._boundary_off_rows(twisted, 2, ()) == boundary_matrix(rp2, 2)
+    assert (deltacomplex._boundary_off_rows(twisted, 1, ())
+            @ deltacomplex._boundary_off_rows(twisted, 2, ())).is_zero()
     assert validate_complex(twisted).problems == [
         "face identity d_0 d_1 = d_0 d_0 fails on 2-simplex 0: 1 != 0"]
 
@@ -525,7 +575,7 @@ def test_cap_duality_rejects_fake_cycle():
     sphere = builtin("sphere2")
     bad = FundamentalCycle((1, 1, 1, 1))
     cycle = orient(sphere)
-    if bad == cycle or bad == cycle.negated():
+    if bad == cycle or bad == negated_cycle(cycle):
         bad = FundamentalCycle((1, 1, 1, -1))
     with pytest.raises(ValueError, match="cycle"):
         cap_duality_check(sphere, bad)

@@ -6,7 +6,7 @@ import pytest
 from homtower import growth
 from homtower.bounds import rank_bound_value, torsion_bound_value
 from homtower.covers import mod_power_tower
-from homtower.deltacomplex import builtin
+from homtower.deltacomplex import DeltaComplex, builtin
 from homtower.growth import gap_consistency_check, l2_betti_trend, run_tower
 
 
@@ -214,6 +214,10 @@ def _tamper(data, damage):
         data["counts"][0] += 1
     elif damage == "torsion":
         data["torsion_orders"][0] = "0"
+    elif damage == "counts-false":
+        data["counts"][2] = False  # == 0, the count it replaces
+    elif damage == "degree-float":
+        data["degree"] = float(data["degree"])
 
 
 DAMAGE_WARNINGS = {
@@ -223,12 +227,18 @@ DAMAGE_WARNINGS = {
     "betti-and-fp-1": "Euler characteristic",
     "counts": "counts",
     "torsion": "torsion orders",
+    "counts-false": "counts",
+    "degree-float": "counts",
 }
 
 
 @pytest.mark.parametrize("damage", list(DAMAGE_WARNINGS))
 def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
-    tower = mod_power_tower(builtin("torus2"), 2, 2)
+    if damage == "counts-false":  # a circle as a 2-complex: its covers have no triangles
+        base = DeltaComplex((1, 1, 0), {1: [(0, 0)], 2: []})
+    else:
+        base = builtin("torus2")
+    tower = mod_power_tower(base, 2, 2)
     fresh = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
     entry = sorted(tmp_path.glob("level-*.json"))[0]
     text = entry.read_text(encoding="utf-8")
@@ -240,8 +250,9 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
         entry.write_text(json.dumps(data), encoding="utf-8")
     with pytest.warns(UserWarning, match=f"recomputing.*{DAMAGE_WARNINGS[damage]}"):
         again = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
-    assert again.to_json_dict() == fresh.to_json_dict()
-    assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(text)
+    # compared as text: False == 0 and 4.0 == 4, so parsed JSON would hide the damage
+    assert json.dumps(again.to_json_dict()) == json.dumps(fresh.to_json_dict())
+    assert entry.read_text(encoding="utf-8") == text
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in tmp_path.glob("level-*.json"))
 

@@ -27,7 +27,14 @@ from homtower.intlinalg import (
     soule_torsion_bound,
     verify_torsion_exactness_lemmas,
 )
-from oracles import dim_mod_p, homology_at, matrix_from_decimal_rows, rank_over_rationals
+from oracles import (
+    dim_mod_p,
+    homology_at,
+    identity_matrix,
+    matrix_from_decimal_rows,
+    rank_over_rationals,
+    smith_diagonal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +189,7 @@ def test_decimal_round_trip_is_exact():
 def test_smith_examples():
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).divisors == (2, 4)
     assert smith_normal_form(IntegerMatrix.zeros(0, 0)).divisors == ()
-    assert smith_normal_form(IntegerMatrix.identity(3)).divisors == (1, 1, 1)
+    assert smith_normal_form(identity_matrix(3)).divisors == (1, 1, 1)
     assert smith_normal_form(IntegerMatrix.zeros(4, 5)).divisors == ()
 
 
@@ -235,7 +242,7 @@ def assert_smith_certificate(a):
     U @ a @ V is the diagonal, |det U| = |det V| = 1 by Bareiss, and the
     divisors equal those of the call without transforms."""
     snf = smith_normal_form(a, "UV")
-    assert (snf.U @ a) @ snf.V == snf.diagonal(), a.to_rows()
+    assert (snf.U @ a) @ snf.V == smith_diagonal(snf), a.to_rows()
     for t in (snf.U, snf.V):
         assert abs(bareiss_det(t.to_rows())) == 1, a.to_rows()
     assert smith_normal_form(a).divisors == snf.divisors, a.to_rows()
@@ -374,7 +381,7 @@ def test_single_transform_equals_its_half_of_both():
 
 
 def test_keep_transforms_rejects_unknown_names():
-    a = IntegerMatrix.identity(2)
+    a = identity_matrix(2)
     for bad in ("X", "VU", "uv", 1, True):
         with pytest.raises(ValueError, match="keep_transforms"):
             smith_normal_form(a, bad)
@@ -453,7 +460,7 @@ def test_rank_mod_p_examples():
     a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
     assert rank_mod_p(a, 2) == 1
     assert rank_mod_p(a, 5) == 2
-    assert rank_mod_p(IntegerMatrix.identity(7), 3) == 7
+    assert rank_mod_p(identity_matrix(7), 3) == 7
     with pytest.raises(ValueError):
         rank_mod_p(a, 6)
     with pytest.raises(ValueError):
@@ -593,7 +600,7 @@ def test_homology_at_rejects_bad_input():
 def test_soule_bound_examples():
     a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
     assert abs(soule_torsion_bound(a) - math.log(6)) < 1e-12
-    assert soule_torsion_bound(IntegerMatrix.identity(2)) == 0.0
+    assert soule_torsion_bound(identity_matrix(2)) == 0.0
     b = IntegerMatrix.from_rows([[1, 1], [1, -1]])
     assert abs(soule_torsion_bound(b) - math.log(2)) < 1e-12
 
