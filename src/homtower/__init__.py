@@ -27,7 +27,6 @@ from .deltacomplex import (
     complex_to_json,
     homology_profile,
     orient,
-    orientation_double_cover,
     validate_complex,
 )
 from .covers import (
@@ -40,6 +39,7 @@ from .covers import (
     build_cover,
     edge_path_presentation,
     mod_power_tower,
+    orientation_double_cover,
     validate_action,
 )
 from .bounds import (

@@ -25,8 +25,8 @@ from .deltacomplex import (
     homology_profile,
     is_aspherical_builtin,
     orient,
-    orientation_double_cover,
 )
+from .covers import orientation_double_cover
 
 LOG_TOLERANCE = 1e-9
 
@@ -137,7 +137,7 @@ class BoundReport(_RecordReport):
         }
 
 
-def check_bounds(complex, primes=(2, 3, 5), name=None):
+def check_bounds(complex, primes=(2, 3, 5)):
     """Evaluate both bound families on a closed oriented pseudomanifold.
 
     Every record must pass; a violation raises BoundViolation.  Raises
@@ -149,7 +149,7 @@ def check_bounds(complex, primes=(2, 3, 5), name=None):
         raise NonOrientableError(
             "complex is non-orientable; route it through the orientation "
             "double cover")
-    label = name or complex.name or "complex"
+    label = complex.name or "complex"
     n = complex.dim
     k = cycle_support_size(complex, cycle)
     profile = homology_profile(complex, primes)
@@ -197,7 +197,7 @@ class Index2Report(_RecordReport):
         }
 
 
-def check_index2_reduction(complex, primes=(2, 3, 5), name=None):
+def check_index2_reduction(complex, primes=(2, 3, 5)):
     """Index-2 reduction inequalities through the orientation double cover.
 
     The inequalities are statements about group homology; they are exercised
@@ -207,7 +207,7 @@ def check_index2_reduction(complex, primes=(2, 3, 5), name=None):
     """
     if orient(complex) is not None:
         raise ValueError("index-2 reduction applies to non-orientable input only")
-    label = name or complex.name or "complex"
+    label = complex.name or "complex"
     cover, _ = orientation_double_cover(complex)
     base_profile = homology_profile(complex, primes)
     cover_profile = homology_profile(cover, primes)

@@ -12,14 +12,27 @@ i >= 1, while face 0, whose anchor is vertex 1, lives on the sheet reached
 through the [v0, v1] edge of s.  The relator condition is exactly what makes
 the lifted face maps close up into a complex.  An action is validated against
 the relators when a cover is built from it, and every constructed cover is
-recertified by validation and Euler characteristic multiplicativity.
+recertified by validation and Euler characteristic multiplicativity.  The
+orientation double cover is the cover of the orientation character.
 """
 
 import math
 import warnings
 from collections import deque
+from itertools import combinations
 
-from .deltacomplex import DeltaComplex, ValidationReport, _valid, validate_complex
+from .deltacomplex import (
+    DeltaComplex,
+    NotPseudomanifoldError,
+    ValidationReport,
+    _find,
+    _propagate_signs,
+    _subface,
+    _top_face_incidences,
+    _valid,
+    orient,
+    validate_complex,
+)
 from .intlinalg import IntegerMatrix, smith_normal_form
 
 
@@ -122,7 +135,11 @@ def _canonical_rotation(word):
     return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
 
 
-def proves_abelian(presentation, max_word_length=64):
+# the longest relator the abelianness prover expands before it gives up
+MAX_WORD_LENGTH = 64
+
+
+def proves_abelian(presentation):
     """Try to certify that the presented group is abelian.
 
     Tietze-eliminates generators that occur exactly once in some relator,
@@ -160,7 +177,7 @@ def proves_abelian(presentation, max_word_length=64):
                     else:
                         expanded.append((g, e))
                 reduced = _cyclic_reduce(expanded)
-                if len(reduced) > max_word_length:
+                if len(reduced) > MAX_WORD_LENGTH:
                     too_long = True
                     break
                 new_words.append(reduced)
@@ -300,14 +317,6 @@ def action_from_json(obj):
 # ---------------------------------------------------------------------------
 # Cover construction
 
-def _lead_edge(complex, k, simplex):
-    """The edge of a k-simplex joining vertex positions 0 and 1."""
-    cur = simplex
-    for d in range(k, 1, -1):
-        cur = complex.faces[d][cur][d]
-    return cur
-
-
 def build_cover(complex, action, presentation=None):
     """The covering complex described by a validated permutation action.
 
@@ -323,24 +332,11 @@ def build_cover(complex, action, presentation=None):
     d = action.degree
     counts = [c * d for c in complex.counts]
     faces = {}
-    if complex.dim >= 1:
-        rows = []
-        for e in range(complex.counts[1]):
-            v0, v1 = complex.edge_endpoints(e)
-            perm = action.edge_perms[e]
-            for s in range(d):
-                rows.append((v1 * d + perm[s], v0 * d + s))
-        faces[1] = rows
-    for k in range(2, complex.dim + 1):
-        rows = []
-        for simplex in range(complex.counts[k]):
-            base_faces = complex.faces[k][simplex]
-            lead_perm = action.edge_perms[_lead_edge(complex, k, simplex)]
-            for s in range(d):
-                row = [base_faces[0] * d + lead_perm[s]]
-                row.extend(base_faces[i] * d + s for i in range(1, k + 1))
-                rows.append(tuple(row))
-        faces[k] = rows
+    for k in range(1, complex.dim + 1):
+        rows = faces[k] = []
+        for simplex, (first, *rest) in enumerate(complex.faces[k]):
+            lead = action.edge_perms[_subface(complex, k, simplex, (0, 1))]
+            rows.extend(zip([first * d + s for s in lead], *(range(f * d, f * d + d) for f in rest)))
     cover = DeltaComplex(counts, faces)
     check = validate_complex(cover)
     if not check.ok:
@@ -348,6 +344,65 @@ def build_cover(complex, action, presentation=None):
     if cover.euler_characteristic() != d * complex.euler_characteristic():
         raise AssertionError("cover Euler characteristic is not multiplicative")
     return cover, d
+
+
+def orientation_double_cover(complex):
+    """The orientable connected double cover of a connected non-orientable
+    closed pseudomanifold: (cover, 2) from build_cover of the orientation
+    character, simplex (base, sheet) numbered base * 2 + sheet.  Corners
+    (t, u, p), vertex p of top simplex t on side u of its tentative sign,
+    are joined across each (n-1)-simplex (side u to u ^ eta) and along both
+    lifts of each tree edge in one top simplex through it.  The two lifts
+    of the tree must be the only classes left; an edge swaps the sheets iff
+    its ends lie in different ones, in every top simplex through it.  The
+    cover must be connected and orient."""
+    n = complex.dim
+    if n < 1:
+        raise ValueError("orientation double cover needs dimension >= 1")
+    if orient(complex) is not None:
+        raise ValueError("complex is already orientable; its orientation double cover "
+                         "would be the disconnected trivial cover")
+    if not complex.is_connected():
+        raise ValueError("orientation double cover needs a connected complex; this one "
+                         f"has {complex.component_count()} components")
+    incidences = _top_face_incidences(complex)
+    _, eta, _ = _propagate_signs(complex, incidences)
+    presentation = edge_path_presentation(complex)
+    width = n + 1  # corner (t, u, p) is number (2t + u) * width + p
+    parent = list(range(2 * complex.counts[n] * width))
+    for f, ((a, ia), (b, ib)) in enumerate(incidences):
+        sides = [p for p in range(width) if p != ia], [q for q in range(width) if q != ib]
+        for u in (0, 1):
+            for p, q in zip(*sides):
+                parent[_find(parent, (2 * a + u) * width + p)] = \
+                    _find(parent, (2 * b + (u ^ eta[f])) * width + q)
+    ends = [[] for _ in range(complex.counts[1])]  # each edge's end corners on side 0
+    for t in range(complex.counts[n]):
+        for p, q in combinations(range(width), 2):
+            ends[_subface(complex, n, t, (p, q))].append((2 * t * width + p, 2 * t * width + q))
+    for e in presentation.tree_edges:
+        for p, q in ends[e][:1]:
+            parent[_find(parent, p)] = _find(parent, q)
+            parent[_find(parent, p + width)] = _find(parent, q + width)
+    roots = {_find(parent, c) for c in range(len(parent))}
+    if len(roots) != 2 or _find(parent, 0) == _find(parent, width):
+        raise NotPseudomanifoldError(
+            f"double cover degenerates in dimension 0: classes of lifted corners: "
+            f"{len(roots)}, not the two lifts of a spanning tree")
+    perms = []
+    for e, pairs in enumerate(ends):
+        swaps = {_find(parent, p) != _find(parent, q) for p, q in pairs}
+        if len(swaps) != 1:  # no top simplex through e, or two that disagree
+            raise NotPseudomanifoldError(
+                f"double cover degenerates in dimension 1: the top simplices "
+                f"through edge {e} give it {len(swaps)} ways to lift")
+        perms.append((1, 0) if swaps.pop() else (0, 1))
+    cover, degree = build_cover(complex, PermutationAction(2, perms), presentation)
+    if not cover.is_connected():
+        raise AssertionError("orientation double cover came out disconnected")
+    if orient(cover) is None:
+        raise AssertionError("orientation double cover came out non-orientable")
+    return cover, degree
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +541,7 @@ def _verify_certificate(finer, coarser, sheet_map):
                     f"nesting certificate broken at edge {e}, sheet {s}")
 
 
-def mod_power_tower(complex, modulus, levels, name=None):
+def mod_power_tower(complex, modulus, levels):
     """Tower whose level i covers come from H_1 tensor Z/m^i.
 
     Levels with a stagnating quotient order truncate the tower with a
@@ -525,6 +580,5 @@ def mod_power_tower(complex, modulus, levels, name=None):
     torsion = snf.nontrivial_divisors()
     torsion_ok = all(_prime_factors(t) <= _prime_factors(modulus) for t in torsion)
     residual = abelian and torsion_ok
-    base_name = name if name is not None else complex.name
-    return Tower(complex, base_name, modulus, tower_levels, certificates,
+    return Tower(complex, complex.name, modulus, tower_levels, certificates,
                  residual, warning_list, presentation)

@@ -14,6 +14,7 @@ signed incidences and Euclidean norm at most k+1.
 """
 
 from collections import deque
+from collections.abc import Mapping
 
 from .intlinalg import (
     FgAbelianGroup,
@@ -42,19 +43,21 @@ class NonOrientableError(ValueError):
 
 
 class DeltaComplex:
-    """Immutable delta-complex.  The constructor only stores: counts as a
-    tuple, and `faces` (a mapping from k to the face lists of dimension k)
-    as faces[k], a tuple of tuples, None where a dimension is missing.
-    validate_complex makes every check; boundary_matrix, homology_profile,
-    orient and covers.edge_path_presentation, and so everything built on
-    them, raise ValueError through _valid before they read a face."""
+    """Immutable delta-complex.  The constructor only stores, and never
+    fails on the faces: counts as a tuple, and `faces` (a mapping from k to
+    the face lists of dimension k) as faces[k], a tuple of tuples, None
+    where a dimension is missing (face lists of another shape are kept as
+    given, and faces that is not a mapping as None).  validate_complex
+    makes every check; boundary_matrix, homology_profile, orient and
+    covers.edge_path_presentation, and so everything built on them, raise
+    ValueError through _valid before they read a face."""
 
     __slots__ = ("counts", "faces", "name", "_cache")
 
     def __init__(self, counts, faces, name=None):
         self.counts = tuple(counts)
-        rows = [faces.get(k) for k in range(1, len(self.counts))]
-        self.faces = ((),) + tuple(None if r is None else tuple(map(tuple, r)) for r in rows)
+        self.faces = (((),) + tuple(_stored(faces.get(k)) for k in range(1, len(self.counts)))
+                      if isinstance(faces, Mapping) else None)
         self.name = name
         self._cache = {}
 
@@ -73,20 +76,10 @@ class DeltaComplex:
     def component_count(self):
         if "components" not in self._cache:
             parent = list(range(self.counts[0]))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            if self.dim >= 1:
-                for e in range(self.counts[1]):
-                    a, b = self.edge_endpoints(e)
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-            self._cache["components"] = len({find(v) for v in range(self.counts[0])})
+            for e in range(self.counts[1]) if self.dim >= 1 else ():
+                a, b = self.edge_endpoints(e)
+                parent[_find(parent, a)] = _find(parent, b)
+            self._cache["components"] = len({_find(parent, v) for v in range(self.counts[0])})
         return self._cache["components"]
 
     def is_connected(self):
@@ -102,6 +95,23 @@ class DeltaComplex:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<DeltaComplex{label} dim={self.dim} counts={self.counts}>"
+
+
+def _find(parent, x):
+    """The root of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _stored(rows):
+    """One dimension's face lists as a tuple of tuples, or as given (None
+    when missing) when they are not a sequence of sequences."""
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        return rows
 
 
 class ValidationReport:
@@ -123,12 +133,12 @@ def validate_complex(complex):
     constructor stored and never raises.
 
     In order, it checks that the counts are a nonempty list of nonnegative
-    ints, that dimension k has counts[k] face lists, that each k-simplex
-    has k+1 entries, each an int in range, and then the face identities:
-    for i < j, face i of face j of a k-simplex must be face j-1 of its face
-    i (d_i d_j = d_{j-1} d_i).  These identities give d o d = 0 in the
-    boundary matrices, and the front and back faces, lead edges and double
-    covers rely on them too.  Returns a ValidationReport listing every
+    ints, that faces was a mapping, that dimension k has counts[k] face
+    lists, that each k-simplex has a face list of k+1 entries, each an int
+    in range, and then the face identities: for i < j, face i of face j of
+    a k-simplex must be face j-1 of its face i (d_i d_j = d_{j-1} d_i).
+    These identities give d o d = 0 in the boundary matrices, and _subface
+    relies on them too.  Returns a ValidationReport listing every
     shape and range problem, or else the first identity that fails, with
     the simplex and the two face slots that witness it.  The report is kept
     in the complex's cache, and _valid raises on it.
@@ -149,19 +159,28 @@ def _count_problems(counts):
 
 
 def _entry_problems(complex):
-    """Every missing dimension, wrong row count, wrong row length and
-    entry that is not an int in range, in one pass over the entries."""
+    """Every missing dimension, wrong row count, row that is not a
+    sequence, wrong row length and entry that is not an int in range, in
+    one pass over the entries."""
+    if complex.faces is None:
+        return ["faces must map each dimension k >= 1 to its face lists"]
     problems = []
     for k in range(1, complex.dim + 1):
         rows = complex.faces[k]
         if rows is None:
             problems.append(f"missing face lists for dimension {k}")
             continue
+        if not isinstance(rows, (list, tuple)):
+            problems.append(f"faces[{k}] = {rows!r} is not a list of face lists")
+            continue
         if len(rows) != complex.counts[k]:
             problems.append(
                 f"dimension {k}: {len(rows)} face lists for {complex.counts[k]} simplices")
         limit = complex.counts[k - 1]
         for j, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                problems.append(f"faces[{k}][{j}] = {row!r} is not a face list")
+                continue
             if len(row) != k + 1:
                 problems.append(
                     f"{k}-simplex {j}: face list has {len(row)} entries, expected {k + 1}")
@@ -195,6 +214,18 @@ def _face_identity_violation(complex):
                     return [f"face identity d_{i} d_{j} = d_{j - 1} d_{i} fails on "
                             f"{k}-simplex {s}: {below[row[j]][i]} != {below[row[i]][j - 1]}"]
     return []
+
+
+def _subface(complex, k, simplex, keep):
+    """The face of a k-simplex spanned by its vertex positions in `keep`.
+    The positions outside `keep` are dropped highest first, so each still
+    has its index when it is dropped; the face identities make the order
+    immaterial."""
+    for p in range(k, -1, -1):
+        if p not in keep:
+            simplex = complex.faces[k][simplex][p]
+            k -= 1
+    return simplex
 
 
 def boundary_matrix(complex, k):
@@ -444,135 +475,8 @@ def _orient(complex):
     return cycle
 
 
-def orientation_double_cover(complex):
-    """The orientable connected 2-sheeted cover of a non-orientable closed
-    pseudomanifold, returned as (cover, 2).
-
-    Top simplices of the cover are (top, local orientation) pairs; lower
-    simplices arise by gluing the lifted faces, matching sheets across each
-    (n-1)-simplex according to whether the tentative orientations of the two
-    sides agree.  The result is certified: simplex counts double, the cover
-    validates, is connected, and orients.
-    """
-    n = complex.dim
-    if n < 1:
-        raise ValueError("orientation double cover needs dimension >= 1")
-    if orient(complex) is not None:
-        raise ValueError(
-            "complex is already orientable; its orientation double cover "
-            "would be the disconnected trivial cover")
-    incidences = _top_face_incidences(complex)
-    _, eta, _ = _propagate_signs(complex, incidences)
-
-    parent = {}
-
-    def find(key):
-        root = key
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[key] != root:
-            parent[key], key = root, parent[key]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    all_positions = tuple(range(n + 1))
-    subsets = []
-    for mask in range(1, 1 << (n + 1)):
-        sel = tuple(p for p in all_positions if mask >> p & 1)
-        if len(sel) <= n:
-            subsets.append(sel)
-    for t in range(complex.counts[n]):
-        for u in (0, 1):
-            for sel in subsets:
-                find((t, u, sel))
-    for f, ((a, ia), (b, ib)) in enumerate(incidences):
-        pos_a = tuple(p for p in all_positions if p != ia)
-        pos_b = tuple(p for p in all_positions if p != ib)
-        for u in (0, 1):
-            u2 = u ^ eta[f]
-            for mask in range(1, 1 << n):
-                sel = tuple(i for i in range(n) if mask >> i & 1)
-                key_a = (a, u, tuple(pos_a[i] for i in sel))
-                key_b = (b, u2, tuple(pos_b[i] for i in sel))
-                union(key_a, key_b)
-
-    # enumerate classes per dimension, ordered by canonical representative
-    members = [{} for _ in range(n)]
-    for key in list(parent):
-        j = len(key[2]) - 1
-        root = find(key)
-        members[j].setdefault(root, []).append(key)
-    index_of = [{} for _ in range(n)]
-    counts = []
-    for j in range(n):
-        roots = sorted(members[j])
-        if len(roots) != 2 * complex.counts[j]:
-            raise NotPseudomanifoldError(
-                f"double cover degenerates in dimension {j}: "
-                f"{len(roots)} lifted simplices over {complex.counts[j]}")
-        for idx, root in enumerate(roots):
-            for key in members[j][root]:
-                index_of[j][key] = idx
-        counts.append(len(roots))
-    counts.append(2 * complex.counts[n])
-
-    faces = {}
-    for j in range(1, n):
-        rows = []
-        roots = sorted(members[j])
-        for root in roots:
-            t, u, sel = root
-            row = []
-            for i in range(j + 1):
-                sub = sel[:i] + sel[i + 1:]
-                row.append(index_of[j - 1][find((t, u, sub))])
-            rows.append(tuple(row))
-        faces[j] = rows
-    top_rows = []
-    for t in range(complex.counts[n]):
-        for u in (0, 1):
-            row = []
-            for i in range(n + 1):
-                sel = tuple(p for p in all_positions if p != i)
-                row.append(index_of[n - 1][find((t, u, sel))])
-            top_rows.append(tuple(row))
-    faces[n] = top_rows
-
-    cover = DeltaComplex(counts, faces)
-    report = validate_complex(cover)
-    if not report.ok:
-        raise AssertionError(f"double cover failed validation: {report.problems[0]}")
-    if not cover.is_connected():
-        raise AssertionError("orientation double cover came out disconnected")
-    if orient(cover) is None:
-        raise AssertionError("orientation double cover came out non-orientable")
-    return cover, 2
-
-
 # ---------------------------------------------------------------------------
 # Cap product duality
-
-def _front_face(complex, top, m):
-    """The face spanned by vertices 0..m of a top simplex."""
-    cur = top
-    for d in range(complex.dim, m, -1):
-        cur = complex.faces[d][cur][d]
-    return cur
-
-
-def _back_face(complex, top, l):
-    """The face spanned by the last l+1 vertices of a top simplex."""
-    cur = top
-    for d in range(complex.dim, l, -1):
-        cur = complex.faces[d][cur][0]
-    return cur
-
 
 class CapDualityRecord:
     __slots__ = ("degree", "source", "target", "isomorphism")
@@ -642,11 +546,12 @@ def cap_duality_check(complex, cycle):
         cocycles = kernel_basis(IntegerMatrix(
             d_up.cols, len(outside),
             {(j, outside[i]): v for (i, j), v in d_up.items() if i in outside}))
+        front, back = range(m + 1), range(m, n + 1)
         cap = {}
         for t, s in enumerate(cycle.signs):
-            a = outside.get(_front_face(complex, t, m))
+            a = outside.get(_subface(complex, n, t, front))
             if a is not None:
-                key = (_back_face(complex, t, k), a)
+                key = (_subface(complex, n, t, back), a)
                 cap[key] = cap.get(key, 0) + s
         images = IntegerMatrix(complex.counts[k], len(outside), cap) @ cocycles
         if not (_boundary_or_zero(complex, k) @ images).is_zero():

@@ -12,10 +12,8 @@ import math
 from homtower.covers import PermutationAction
 from homtower.deltacomplex import (
     FundamentalCycle,
-    _back_face,
     _boundary_or_zero,
     _boundary_smith,
-    _front_face,
     homology_profile,
 )
 from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, kernel_basis, smith_normal_form
@@ -121,11 +119,30 @@ def matrix_from_decimal_rows(rows):
     return IntegerMatrix.from_rows([[int(s) for s in row] for row in rows])
 
 
+def _front_face(complex, top, m):
+    """The face spanned by vertices 0..m of a top simplex: the last vertex
+    dropped until m+1 are left."""
+    cur = top
+    for d in range(complex.dim, m, -1):
+        cur = complex.faces[d][cur][d]
+    return cur
+
+
+def _back_face(complex, top, l):
+    """The face spanned by the last l+1 vertices of a top simplex: vertex 0
+    dropped until l+1 are left."""
+    cur = top
+    for d in range(complex.dim, l, -1):
+        cur = complex.faces[d][cur][0]
+    return cur
+
+
 def cap_duality_records_full_basis(complex, cycle):
     """(degree, source, target, isomorphism) per degree, with the cap map
     evaluated on a whole basis of the cocycle lattice ker d_{m+1}^T rather
-    than on the cocycles that vanish on the unit pivots of d_m; the onto test
-    and the groups are those of cap_duality_check."""
+    than on the cocycles that vanish on the unit pivots of d_m, and the
+    front and back faces found by walkers of its own; the onto test and the
+    groups are those of cap_duality_check."""
     n = complex.dim
     profile = homology_profile(complex, ())
     records = []
@@ -150,12 +167,13 @@ def projection_from_faces(base, cover, degree):
     """The base simplex under each cover simplex, per dimension, read off
     the faces alone.
 
-    Top simplex t lies over t // degree (build_cover and the orientation
-    double cover both number the lifts of top simplex b as b * degree +
-    sheet), and face i of a simplex over b lies over face i of b.  Asserts
-    that this gives every simplex exactly one base simplex, i.e. that the
-    face maps commute with the projection, and that each base simplex has
-    `degree` lifts.
+    Top simplex t lies over t // degree (build_cover numbers the lifts of
+    top simplex b as b * degree + sheet, and the orientation double cover
+    is build_cover of the orientation character), and face i of a simplex
+    over b lies over face i of b.  Asserts that this gives every simplex
+    exactly one base simplex, i.e. that the face maps commute with the
+    projection, and that each base simplex has `degree` lifts.  Lower
+    simplices are not assumed to be numbered base * degree + sheet.
     """
     n = base.dim
     projection = [None] * n + [[t // degree for t in range(cover.counts[n])]]

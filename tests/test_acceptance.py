@@ -103,13 +103,12 @@ def test_criterion_4_cycle_bounds_everywhere(torus_tower_run, surface_tower_run)
     for tower, _, _ in (torus_tower_run, surface_tower_run):
         for level in tower.levels:
             cover, _ = build_cover(tower.base, level.action, tower.presentation)
-            report = check_bounds(
-                cover, primes=(2,),
-                name=f"{tower.base_name}-cover-{level.degree}")
-            assert report.all_pass, report.name
+            label = f"{tower.base_name}-cover-{level.degree}"
+            report = check_bounds(cover, primes=(2,))
+            assert report.all_pass, label
             assert report.cycle_size == \
                 tower.base.counts[tower.base.dim] * level.degree
-            checked.append(report.name)
+            checked.append(label)
     elapsed = time.monotonic() - start
     _report(4, f"fundamental-cycle bounds on {len(checked)} complexes", elapsed)
 

@@ -104,7 +104,7 @@ def test_check_bounds_rejects_nonorientable():
 def test_check_bounds_on_covers():
     base = builtin("torus2")
     cover, _ = build_cover(base, abelianization_action(base, 2))
-    report = check_bounds(cover, primes=(2, 3), name="torus2-cover-4")
+    report = check_bounds(cover, primes=(2, 3))
     assert report.all_pass
     assert report.cycle_size == 2 * 4
 

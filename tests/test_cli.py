@@ -153,6 +153,21 @@ def test_aspherical_registry_ignores_the_file_name(tmp_path, capsys):
     assert report["caveat"] is not None
 
 
+def test_disconnected_non_orientable_input_is_a_usage_error(tmp_path, capsys):
+    # two disjoint Klein bottles have no connected orientation double cover;
+    # that is a problem with the input, not a failed internal check
+    klein = complex_to_json(builtin("klein_bottle"))["faces"]["2"]
+    two = {"dim": 2, "counts": [2, 6, 4],
+           "faces": {"1": [[0, 0]] * 3 + [[1, 1]] * 3,
+                     "2": klein + [[f + 3 for f in row] for row in klein]}}
+    path = tmp_path / "two_kleins.json"
+    path.write_text(json.dumps(two))
+    code, out, err = run(capsys, "bounds", str(path), "--via-double-cover")
+    assert (code, out) == (2, "")
+    assert err == ("homtower: orientation double cover needs a connected complex; "
+                   "this one has 2 components\n")
+
+
 def test_bounds_csv(capsys):
     code, out, _ = run(capsys, "bounds", "--builtin", "sphere2", "--format", "csv")
     assert code == 0

@@ -8,6 +8,7 @@ from homtower.covers import (
     build_cover,
     edge_path_presentation,
     mod_power_tower,
+    orientation_double_cover,
 )
 from homtower.deltacomplex import (
     AMENABLE_BUILTINS,
@@ -23,7 +24,6 @@ from homtower.deltacomplex import (
     complex_to_json,
     homology_profile,
     orient,
-    orientation_double_cover,
     validate_complex,
 )
 from homtower.intlinalg import (
@@ -120,8 +120,12 @@ def test_validate_reports_chain_violation():
     ((1, True), {1: [(0, 0)]}, "counts[1] = True is not a nonnegative integer"),
     ((), {}, "counts must list at least the vertex count"),
     ((1, 1, 0), {1: [(0, 0)]}, "missing face lists for dimension 2"),
+    ((1, 1), {1: [5]}, "faces[1][0] = 5 is not a face list"),
+    ((1, 1), {1: 5}, "faces[1] = 5 is not a list of face lists"),
+    ((1, 1), [None, [(0, 0)]], "faces must map each dimension k >= 1 to its face lists"),
 ], ids=["float", "str", "bool", "short-row", "long-row", "row-count", "negative-count",
-        "float-count", "bool-count", "no-counts", "missing-dimension"])
+        "float-count", "bool-count", "no-counts", "missing-dimension", "int-row", "int-rows",
+        "faces-list"])
 def test_validate_names_each_malformed_item(counts, faces, problem):
     # the constructor stores what it is given, so 0.7 and "0" stay what they
     # are, and validate_complex names the one bad item
@@ -295,6 +299,46 @@ def test_rp2_double_cover_is_sphere_like():
 def test_double_cover_rejects_orientable_input():
     with pytest.raises(ValueError, match="orientable"):
         orientation_double_cover(builtin("torus2"))
+
+
+def klein_cyclic_cover(degree):
+    """The cyclic cover of the Klein bottle that shifts the sheets by one
+    along edges 0 and 2; for odd degree it is a Klein bottle again."""
+    shift = [(s + 1) % degree for s in range(degree)]
+    action = PermutationAction(degree, [shift, list(range(degree)), shift])
+    return build_cover(builtin("klein_bottle"), action)[0]
+
+
+@pytest.mark.parametrize("degree", [3, 63])
+def test_odd_cyclic_klein_covers_are_double_covered_by_tori(degree):
+    base = klein_cyclic_cover(degree)
+    assert orient(base) is None
+    cover, two = orientation_double_cover(base)
+    assert two == 2
+    assert cover.counts == (2 * degree, 6 * degree, 4 * degree)
+    assert list(homology_profile(cover, PRIMES).groups) == [Z(1), Z(2), Z(1)]
+    projection_from_faces(base, cover, 2)
+    cycle = orient(cover)
+    assert cap_duality_check(cover, cycle).all_isomorphisms
+    assert [record[3] for record in cap_duality_records_full_basis(cover, cycle)] == [True] * 3
+
+
+def test_subface_does_not_depend_on_the_order_of_the_drops():
+    # _subface drops the positions outside `keep` highest first; dropping
+    # them lowest first, each at its index among the positions still
+    # there, must reach the same face on every valid complex
+    complexes = [make(name) for name in EXPECTED_HOMOLOGY]
+    complexes += [boundary_of_4_simplex(), suspension_of_rp2(), klein_cyclic_cover(3)]
+    complexes += [orientation_double_cover(builtin(name))[0] for name in ("klein_bottle", "rp2")]
+    for complex in complexes:
+        n = complex.dim
+        for t in range(complex.counts[n]):
+            for mask in range(1, 1 << (n + 1)):
+                keep = [p for p in range(n + 1) if mask >> p & 1]
+                face, k = t, n
+                for dropped, p in enumerate(q for q in range(n + 1) if q not in keep):
+                    face, k = complex.faces[k][face][p - dropped], k - 1
+                assert deltacomplex._subface(complex, n, t, keep) == face, (complex, t, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +606,11 @@ def test_unit_cocycle_caps_to_fundamental_cycle():
         complex = make(name)
         cycle = orient(complex)
         n = complex.dim
-        from homtower.deltacomplex import _back_face, _front_face
         out = [0] * complex.counts[n]
         for t, s in enumerate(cycle.signs):
-            front_vertex = _front_face(complex, t, 0)
+            front_vertex = deltacomplex._subface(complex, n, t, range(1))
             assert 0 <= front_vertex < complex.counts[0]
-            out[_back_face(complex, t, n)] += s * 1
+            out[deltacomplex._subface(complex, n, t, range(n + 1))] += s * 1
         assert tuple(out) == cycle.signs, name
 
 

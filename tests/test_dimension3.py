@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from homtower.bounds import check_bounds, duality_report
-from homtower.covers import build_cover, mod_power_tower
+from homtower.bounds import check_bounds, check_index2_reduction, duality_report
+from homtower.covers import build_cover, mod_power_tower, orientation_double_cover
 from homtower.deltacomplex import (
     BUILTIN_NAMES,
     DeltaComplex,
@@ -16,11 +16,10 @@ from homtower.deltacomplex import (
     cap_duality_check,
     homology_profile,
     orient,
-    orientation_double_cover,
     validate_complex,
 )
 from homtower.intlinalg import FgAbelianGroup
-from oracles import homology_at
+from oracles import homology_at, projection_from_faces
 
 Z = FgAbelianGroup
 
@@ -99,6 +98,98 @@ def suspension_of_rp2():
         (5, 6, 7, 1),         # L*S
     ]
     return DeltaComplex((4, 7, 8, 4), {1: edges, 2: triangles, 3: tets})
+
+
+def _chains(a, b):
+    """The strictly increasing chains in [a] x [b] that cover every row and
+    column: from (0, 0) to (a, b) by steps (1, 0), (0, 1) and (1, 1)."""
+    if (a, b) == (0, 0):
+        return [((0, 0),)]
+    return [chain + ((a, b),)
+            for da, db in ((1, 0), (0, 1), (1, 1)) if da <= a and db <= b
+            for chain in _chains(a - da, b - db)]
+
+
+def delta_product(x, y):
+    """The product of two delta-complexes.  A k-simplex is (sigma, tau,
+    chain): sigma an a-simplex of x, tau a b-simplex of y and chain one of
+    _chains(a, b) with k+1 points.  Face i drops the i-th point of the
+    chain; a row (column) that is left empty takes sigma (tau) to its face
+    there, and the rows (columns) above it move down by one."""
+    cells = [[] for _ in range(x.dim + y.dim + 1)]
+    for a in range(x.dim + 1):
+        for b in range(y.dim + 1):
+            for chain in _chains(a, b):
+                cells[len(chain) - 1] += [(a, s, b, t, chain)
+                                          for s in range(x.counts[a]) for t in range(y.counts[b])]
+    index = [{cell: j for j, cell in enumerate(level)} for level in cells]
+    faces = {}
+    for k in range(1, len(cells)):
+        rows = []
+        for a, s, b, t, chain in cells[k]:
+            row = []
+            for i, (ri, ci) in enumerate(chain):
+                face, rest = [a, s, b, t], chain[:i] + chain[i + 1:]
+                if all(r != ri for r, _ in rest):
+                    face[:2] = a - 1, x.faces[a][s][ri]
+                    rest = tuple((r - (r > ri), c) for r, c in rest)
+                if all(c != ci for _, c in rest):
+                    face[2:] = b - 1, y.faces[b][t][ci]
+                    rest = tuple((r, c - (c > ci)) for r, c in rest)
+                row.append(index[k - 1][(*face, rest)])
+            rows.append(tuple(row))
+        faces[k] = rows
+    return DeltaComplex([len(level) for level in cells], faces)
+
+
+@pytest.mark.parametrize("name, base_homology, cover_homology", [
+    ("rp2", [Z(1), Z(1, (2,)), Z(0, (2,)), Z(0)], [Z(1), Z(1), Z(1), Z(1)]),
+    ("klein_bottle", [Z(1), Z(2, (2,)), Z(1, (2,)), Z(0)], [Z(1), Z(3), Z(3), Z(1)]),
+])
+def test_double_cover_of_a_product_with_a_circle(name, base_homology, cover_homology):
+    # RP^2 x S^1 is covered by S^2 x S^1, and K x S^1 by the 3-torus
+    base = delta_product(builtin(name), builtin("circle"))
+    assert validate_complex(base).ok
+    assert list(homology_profile(base, (2, 3)).groups) == base_homology
+    assert orient(base) is None
+    cover, degree = orientation_double_cover(base)
+    assert degree == 2
+    assert cover.counts == tuple(2 * c for c in base.counts)
+    assert list(homology_profile(cover, (2, 3)).groups) == cover_homology
+    projection_from_faces(base, cover, degree)
+    assert cap_duality_check(cover, orient(cover)).all_isomorphisms
+    assert check_index2_reduction(base, (2,)).all_pass
+
+
+def identify_edges(complex, keep, drop):
+    """A 3-complex with edge `drop` glued onto edge `keep`, both loops at
+    its one vertex: the glued edge has a star of two components."""
+    index = [keep if e == drop else e - (e > drop) for e in range(complex.counts[1])]
+    faces = {1: [row for e, row in enumerate(complex.faces[1]) if e != drop],
+             2: [tuple(index[e] for e in row) for row in complex.faces[2]],
+             3: complex.faces[3]}
+    return DeltaComplex((1, complex.counts[1] - 1, *complex.counts[2:]), faces)
+
+
+def test_double_cover_of_two_loops_glued_together():
+    # On the one-vertex K x S^1, loop e swaps the two sheets of the double
+    # cover iff its lift from sheet 0 ends on sheet 1.  Two loops that lift
+    # alike glue into an edge that still lifts one way, and the cover is
+    # built and certified; two that do not leave the glued edge no lift.
+    product = delta_product(builtin("klein_bottle"), builtin("circle"))
+    assert product.counts[0] == 1
+    lifts = orientation_double_cover(product)[0].faces[1]
+    swaps = [lifts[2 * e][0] for e in range(product.counts[1])]
+    assert swaps[0] == swaps[2] != swaps[1]
+    alike = identify_edges(product, 0, 2)
+    assert validate_complex(alike).ok and orient(alike) is None
+    cover, degree = orientation_double_cover(alike)
+    assert cover.counts == tuple(2 * c for c in alike.counts)
+    projection_from_faces(alike, cover, degree)
+    clash = identify_edges(product, 0, 1)
+    assert validate_complex(clash).ok and orient(clash) is None
+    with pytest.raises(NotPseudomanifoldError, match="degenerates in dimension 1"):
+        orientation_double_cover(clash)
 
 
 def test_suspension_of_rp2_homology():

@@ -21,6 +21,7 @@ from homtower.covers import (
     build_cover,
     edge_path_presentation,
     mod_power_tower,
+    orientation_double_cover,
 )
 from homtower.deltacomplex import (
     DeltaComplex,
@@ -28,7 +29,6 @@ from homtower.deltacomplex import (
     builtin,
     homology_profile,
     orient,
-    orientation_double_cover,
     validate_complex,
 )
 from homtower.growth import run_tower

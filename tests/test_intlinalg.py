@@ -6,13 +6,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homtower.covers import build_cover, mod_power_tower
-from homtower.deltacomplex import (
-    BUILTIN_NAMES,
-    boundary_matrix,
-    builtin,
-    orientation_double_cover,
-)
+from homtower.covers import build_cover, mod_power_tower, orientation_double_cover
+from homtower.deltacomplex import BUILTIN_NAMES, boundary_matrix, builtin
 from homtower.intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
