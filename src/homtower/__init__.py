@@ -47,7 +47,6 @@ from .bounds import (
     BoundViolation,
     check_bounds,
     check_index2_reduction,
-    cycle_support_size,
     duality_report,
     rank_bound_value,
     torsion_bound_value,

@@ -49,13 +49,6 @@ def rank_bound_value(n, j, k):
     return math.comb(n + 1, j) * k
 
 
-def cycle_support_size(complex, cycle):
-    """Number of top simplices carrying the cycle."""
-    if len(cycle.signs) != complex.counts[complex.dim]:
-        raise ValueError("cycle does not match the complex")
-    return cycle.support_size()
-
-
 class BoundRecord:
     """One inequality instance: actual <= bound, margin = bound - actual."""
 
@@ -151,7 +144,7 @@ def check_bounds(complex, primes=(2, 3, 5)):
             "double cover")
     label = complex.name or "complex"
     n = complex.dim
-    k = cycle_support_size(complex, cycle)
+    k = len(cycle.signs)  # every coefficient is +-1
     profile = homology_profile(complex, primes)
     records = []
     for j in range(n + 1):
@@ -247,10 +240,8 @@ def duality_report(complex, primes=(2, 3, 5)):
     torsion_symmetric = all(
         profile.torsion_order(k) == profile.torsion_order(n - k - 1)
         for k in range(n))
-    cap = cap_duality_check(complex, cycle)
     return {
         "betti_symmetric": betti_symmetric,
         "torsion_symmetric": torsion_symmetric,
-        "cap_isomorphisms": cap.all_isomorphisms,
-        "cap_records": cap,
+        "cap_isomorphisms": cap_duality_check(complex, cycle).all_isomorphisms,
     }

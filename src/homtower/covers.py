@@ -26,9 +26,8 @@ from .deltacomplex import (
     NotPseudomanifoldError,
     ValidationReport,
     _find,
-    _propagate_signs,
+    _orientation,
     _subface,
-    _top_face_incidences,
     _valid,
     orient,
     validate_complex,
@@ -349,13 +348,14 @@ def build_cover(complex, action, presentation=None):
 def orientation_double_cover(complex):
     """The orientable connected double cover of a connected non-orientable
     closed pseudomanifold: (cover, 2) from build_cover of the orientation
-    character, simplex (base, sheet) numbered base * 2 + sheet.  Corners
-    (t, u, p), vertex p of top simplex t on side u of its tentative sign,
-    are joined across each (n-1)-simplex (side u to u ^ eta) and along both
-    lifts of each tree edge in one top simplex through it.  The two lifts
-    of the tree must be the only classes left; an edge swaps the sheets iff
-    its ends lie in different ones, in every top simplex through it.  The
-    cover must be connected and orient."""
+    character, simplex (base, sheet) numbered base * 2 + sheet.  It reads
+    the incidences and the clashes eta that the complex's orientation pass
+    found.  Corners (t, u, p), vertex p of top simplex t on side u of its
+    tentative sign, are joined across each (n-1)-simplex (side u to
+    u ^ eta) and along both lifts of each tree edge in one top simplex
+    through it.  The two lifts of the tree must be the only classes left;
+    an edge swaps the sheets iff its ends lie in different ones, in every
+    top simplex through it.  The cover must be connected and orient."""
     n = complex.dim
     if n < 1:
         raise ValueError("orientation double cover needs dimension >= 1")
@@ -365,8 +365,7 @@ def orientation_double_cover(complex):
     if not complex.is_connected():
         raise ValueError("orientation double cover needs a connected complex; this one "
                          f"has {complex.component_count()} components")
-    incidences = _top_face_incidences(complex)
-    _, eta, _ = _propagate_signs(complex, incidences)
+    incidences, eta = _orientation(complex)
     presentation = edge_path_presentation(complex)
     width = n + 1  # corner (t, u, p) is number (2t + u) * width + p
     parent = list(range(2 * complex.counts[n] * width))

@@ -229,14 +229,12 @@ def _subface(complex, k, simplex, keep):
 
 
 def boundary_matrix(complex, k):
-    """The k-th boundary matrix, counts[k-1] x counts[k]."""
+    """The k-th boundary matrix, counts[k-1] x counts[k], built on each call
+    and not cached."""
     _valid(complex)
     if not 1 <= k <= complex.dim:
         raise ValueError(f"boundary degree {k} out of range 1..{complex.dim}")
-    key = ("boundary", k)
-    if key not in complex._cache:
-        complex._cache[key] = _boundary_off_rows(complex, k, ())
-    return complex._cache[key]
+    return _boundary_off_rows(complex, k, ())
 
 
 def _boundary_off_rows(complex, k, dropped):
@@ -375,9 +373,6 @@ class FundamentalCycle:
             raise ValueError("fundamental cycle coefficients must be +-1")
         self.signs = signs
 
-    def support_size(self):
-        return sum(1 for s in self.signs if s)
-
     def __eq__(self, other):
         if not isinstance(other, FundamentalCycle):
             return NotImplemented
@@ -445,34 +440,37 @@ def orient(complex):
     dual graph meets a contradiction (the complex is non-orientable).
     Raises NotPseudomanifoldError when some (n-1)-simplex does not lie in
     exactly two top-simplex faces, or when the dual graph is disconnected
-    inside a connected complex.  The result is kept in the complex's cache,
-    so a complex is oriented once.
+    inside a connected complex.  It reads _orientation, so a complex is
+    oriented once.
     """
+    found = _orientation(complex)
+    return found if isinstance(found, FundamentalCycle) else None
+
+
+def _orientation(complex):
+    """The one orientation pass of a complex, kept in its cache: the
+    FundamentalCycle of an orientable complex, or (incidences, eta) of a
+    non-orientable one, which orientation_double_cover reads.  Each
+    (n-1)-simplex f has exactly two incidences, so eta[f] is 1 exactly where
+    the coefficient of f in the boundary of sum sign_t * t is nonzero, and
+    an eta of zeros certifies the cycle."""
     _valid(complex)
-    if "orientation" not in complex._cache:
-        complex._cache["orientation"] = _orient(complex)
-    return complex._cache["orientation"]
-
-
-def _orient(complex):
+    if "orientation" in complex._cache:
+        return complex._cache["orientation"]
     n = complex.dim
     if n == 0:
-        return FundamentalCycle((1,) * complex.counts[0])
-    if complex.counts[n] == 0:
+        found = FundamentalCycle((1,) * complex.counts[0])
+    elif complex.counts[n] == 0:
         raise NotPseudomanifoldError("no top-dimensional simplices to orient")
-    incidences = _top_face_incidences(complex)
-    signs, eta, components = _propagate_signs(complex, incidences)
-    if complex.is_connected() and components > 1:
-        raise NotPseudomanifoldError(
-            f"dual graph has {components} components inside a connected complex")
-    if any(eta):
-        return None
-    cycle = FundamentalCycle(signs)
-    column = IntegerMatrix(complex.counts[n], 1,
-                           {(t, 0): s for t, s in enumerate(signs)})
-    if not (boundary_matrix(complex, n) @ column).is_zero():
-        raise AssertionError("orientation produced a non-cycle; incidence data corrupt")
-    return cycle
+    else:
+        incidences = _top_face_incidences(complex)
+        signs, eta, components = _propagate_signs(complex, incidences)
+        if complex.is_connected() and components > 1:
+            raise NotPseudomanifoldError(
+                f"dual graph has {components} components inside a connected complex")
+        found = (incidences, eta) if any(eta) else FundamentalCycle(signs)
+    complex._cache["orientation"] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +529,10 @@ def cap_duality_check(complex, cycle):
     n = complex.dim
     if len(cycle.signs) != complex.counts[n]:
         raise ValueError("cycle has wrong number of coefficients")
+    d = [_boundary_or_zero(complex, k) for k in range(n + 2)]
     column = IntegerMatrix(complex.counts[n], 1,
                            {(t, 0): s for t, s in enumerate(cycle.signs)})
-    if n >= 1 and not (boundary_matrix(complex, n) @ column).is_zero():
+    if not (d[n] @ column).is_zero():
         raise ValueError("not a cycle: its boundary is nonzero")
     profile = homology_profile(complex, ())
     records = []
@@ -542,7 +541,7 @@ def cap_duality_check(complex, cycle):
         pivots = set(_boundary_smith(complex, m).unit_columns) if m else ()
         outside = {c: a for a, c in enumerate(
             c for c in range(complex.counts[m]) if c not in pivots)}
-        d_up = _boundary_or_zero(complex, m + 1)
+        d_up = d[m + 1]
         cocycles = kernel_basis(IntegerMatrix(
             d_up.cols, len(outside),
             {(j, outside[i]): v for (i, j), v in d_up.items() if i in outside}))
@@ -554,9 +553,9 @@ def cap_duality_check(complex, cycle):
                 key = (_subface(complex, n, t, back), a)
                 cap[key] = cap.get(key, 0) + s
         images = IntegerMatrix(complex.counts[k], len(outside), cap) @ cocycles
-        if not (_boundary_or_zero(complex, k) @ images).is_zero():
+        if not (d[k] @ images).is_zero():
             raise ValueError(f"not a cycle: a cap image in degree {k} has nonzero boundary")
-        span = smith_normal_form(_boundary_or_zero(complex, k + 1).hstack(images))
+        span = smith_normal_form(d[k + 1].hstack(images))
         cycle_rank = complex.counts[k] - (_boundary_smith(complex, k).rank if k else 0)
         surjective = span.rank == cycle_rank and not span.nontrivial_divisors()
         source, target = profile.cohomology(m), profile.group(k)

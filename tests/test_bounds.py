@@ -5,7 +5,6 @@ import pytest
 from homtower.bounds import (
     check_bounds,
     check_index2_reduction,
-    cycle_support_size,
     duality_report,
     rank_bound_value,
     torsion_bound_value,
@@ -16,7 +15,6 @@ from homtower.deltacomplex import (
     boundary_matrix,
     builtin,
     homology_profile,
-    orient,
 )
 from homtower.intlinalg import soule_torsion_bound
 
@@ -66,7 +64,7 @@ def test_bounds_monotone_in_k_and_binomial_symmetry():
 def test_cycle_support_sizes():
     for name, expected in (("torus2", 2), ("sphere2", 4), ("surface2", 6)):
         complex = make(name)
-        assert cycle_support_size(complex, orient(complex)) == expected, name
+        assert check_bounds(complex).cycle_size == expected, name
 
 
 # ---------------------------------------------------------------------------

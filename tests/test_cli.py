@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from homtower import deltacomplex
 from homtower.cli import main
 from homtower.deltacomplex import BUILTIN_NAMES, builtin, complex_to_json
+
+from test_deltacomplex import klein_cyclic_cover, torus_cover
 
 
 def run(capsys, *argv):
@@ -363,3 +366,36 @@ def test_internal_check_failure_exits_1(command, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("homtower: internal check failed: ")
     assert "universal coefficient check failed" in err
+
+
+GOLDEN_JSON_SHA256 = {
+    "homology --builtin klein_bottle":
+        "646fa6977b21db8bdd087cbebc8c31ab72832688980ae6993e0955b97f11fc46",
+    "bounds --builtin torus2":
+        "f34cf48b5383991b0ee8fec5087186950c68215790b53add5664d6f515759db3",
+    "bounds --builtin rp2 --via-double-cover":
+        "8f3bd578dd27a536f292ea6e062f634afd5a8a8036dcef5a278dae8231aa3d50",
+    "bounds torus_16.json":
+        "711fce9833372f40ac48d9d8e063d16bc3c921d7dc9887ed2af80863088a9fd5",
+    "bounds klein_63.json --via-double-cover":
+        "4ea6a7ab66f807858ddd1cd1227d2afc1b59e83a9004fb8d21eb4921e12a6cee",
+    "tower --builtin torus2 -m 2 -L 3 -p 2 3 5":
+        "0736326d045ce282b3d4052da7f14b39583d3ddb9217c6037a78ae4fbf8bafc2",
+    "verify --trials 20 --seed 3":
+        "0a9b9dbd22ebb3db92f172bfea0d56e75100496202fad0a1729a8461800e3b5d",
+}
+
+
+def test_json_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
+    # The --format json bytes of each command, pinned by their sha256; the
+    # file inputs go under fixed relative names, since the report echoes the
+    # input path and names the complex after the file.
+    monkeypatch.chdir(tmp_path)
+    for name, complex in (("torus_16.json", torus_cover(2)),
+                          ("klein_63.json", klein_cyclic_cover(63))):
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(complex_to_json(complex), fh)
+    for command, digest in GOLDEN_JSON_SHA256.items():
+        code, out, _ = run(capsys, *command.split(), "--format", "json")
+        assert code == 0, command
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from homtower import deltacomplex, intlinalg
+from homtower.bounds import check_index2_reduction
 from homtower.covers import (
     PermutationAction,
     build_cover,
@@ -225,24 +226,72 @@ def test_orient_torus_signs():
     assert cycle.signs == (1, -1)
 
 
-def test_orient_sphere_is_a_cycle():
-    sphere = builtin("sphere2")
-    cycle = orient(sphere)
-    assert cycle is not None
-    column = IntegerMatrix(4, 1, {(t, 0): s for t, s in enumerate(cycle.signs)})
-    assert (boundary_matrix(sphere, 2) @ column).is_zero()
+def double_cover_of(base):
+    return lambda: orientation_double_cover(base())[0]
+
+
+@pytest.mark.parametrize("make_complex, orientable", [
+    pytest.param(lambda: builtin("circle"), True, id="circle"),
+    pytest.param(lambda: builtin("sphere2"), True, id="sphere2"),
+    pytest.param(lambda: builtin("torus2"), True, id="torus2"),
+    *(pytest.param(lambda g=g: builtin("surface", genus=g), True, id=f"surface_{g}")
+      for g in (1, 2, 3)),
+    pytest.param(lambda: torus_cover(2), True, id="torus-cover-16"),
+    pytest.param(lambda: builtin("klein_bottle"), False, id="klein_bottle"),
+    pytest.param(lambda: builtin("rp2"), False, id="rp2"),
+    *(pytest.param(double_cover_of(lambda name=name: builtin(name)), True,
+                   id=f"{name}-double-cover") for name in ("klein_bottle", "rp2")),
+    *(pytest.param(double_cover_of(lambda d=d: klein_cyclic_cover(d)), True,
+                   id=f"klein-cyclic-{d}-double-cover") for d in (3, 63)),
+])
+def test_orient_finds_a_cycle_or_none(make_complex, orientable):
+    # orient certifies its cycle by the clashes it marks, not by d_n; this
+    # multiplies out d_n against the signs.  The cache keeps the cycle of an
+    # orientable complex and no incidences, and orienting leaves no boundary.
+    complex = make_complex()
+    cycle = orient(complex)
+    n = complex.dim
+    assert not any(("boundary", k) in complex._cache for k in range(1, n + 1))
+    if not orientable:
+        assert cycle is None
+        incidences, eta = complex._cache["orientation"]
+        assert len(incidences) == len(eta) == complex.counts[n - 1] and any(eta)
+        return
+    assert complex._cache["orientation"] is cycle
+    column = IntegerMatrix(complex.counts[n], 1, {(t, 0): s for t, s in enumerate(cycle.signs)})
+    assert (boundary_matrix(complex, n) @ column).is_zero()
+
+
+def test_one_sign_pass_per_complex_and_no_boundary_to_orient(monkeypatch):
+    # The double cover reads the orientation pass of its base: the index-2
+    # check runs the sign pass once on the base and once on the cover, and
+    # no boundary matrix is built to orient.
+    passes, builds = [], []
+    real_signs, real_boundary = deltacomplex._propagate_signs, deltacomplex._boundary_off_rows
+
+    def counting_signs(complex, incidences):
+        passes.append(complex.counts)
+        return real_signs(complex, incidences)
+
+    def counting_boundary(complex, k, dropped):
+        builds.append(k)
+        return real_boundary(complex, k, dropped)
+
+    monkeypatch.setattr(deltacomplex, "_propagate_signs", counting_signs)
+    monkeypatch.setattr(deltacomplex, "_boundary_off_rows", counting_boundary)
+    orient(builtin("torus2"))
+    orientation_double_cover(klein_cyclic_cover(3))
+    assert builds == []
+    passes.clear()
+    assert check_index2_reduction(builtin("klein_bottle")).all_pass
+    assert passes == [(1, 3, 2), (2, 6, 4)]
 
 
 def test_orient_surfaces():
     for g in (1, 2, 3):
         cycle = orient(builtin("surface", genus=g))
         assert cycle is not None
-        assert cycle.support_size() == 4 * g - 2
-
-
-def test_orient_detects_nonorientable():
-    assert orient(builtin("klein_bottle")) is None
-    assert orient(builtin("rp2")) is None
+        assert len(cycle.signs) == 4 * g - 2
 
 
 def test_orient_rejects_open_complex():

@@ -54,7 +54,7 @@ def test_three_sphere_homology_and_orientation():
     assert list(profile.groups) == [Z(1), Z(0), Z(0), Z(1)]
     cycle = orient(sphere)
     assert cycle is not None
-    assert cycle.support_size() == 5
+    assert len(cycle.signs) == 5
 
 
 def test_three_sphere_duality_and_bounds():
