@@ -146,20 +146,13 @@ def check_bounds(complex, primes=(2, 3, 5)):
     n = complex.dim
     k = len(cycle.signs)  # every coefficient is +-1
     profile = homology_profile(complex, primes)
-    records = []
-    for j in range(n + 1):
-        rec = BoundRecord("torsion", None, j,
-                          profile.log_torsion(j), torsion_bound_value(n, j, k))
-        records.append(rec)
+    records = [BoundRecord("torsion", None, j, profile.log_torsion(j), torsion_bound_value(n, j, k))
+               for j in range(n + 1)]
+    records += [BoundRecord("rank", p, j, profile.fp_dim(j, p), rank_bound_value(n, j, k))
+                for p in primes for j in range(n + 1)]
+    for rec in records:
         if not rec.passed:
             raise BoundViolation(rec, label)
-    for p in primes:
-        for j in range(n + 1):
-            rec = BoundRecord("rank", p, j,
-                              profile.fp_dim(j, p), rank_bound_value(n, j, k))
-            records.append(rec)
-            if not rec.passed:
-                raise BoundViolation(rec, label)
     return BoundReport(label, n, k, primes, records)
 
 

@@ -42,6 +42,7 @@ from .intlinalg import (
     ExactnessViolation,
     _random_matrix,
     cokernel_structure,
+    to_decimal,
     soule_torsion_bound,
     verify_torsion_exactness_lemmas,
 )
@@ -171,7 +172,7 @@ def _config_echo(args, keys):
 
 def _group_json(group):
     return {"free_rank": group.free_rank,
-            "torsion": [str(t) for t in group.torsion],
+            "torsion": [to_decimal(t) for t in group.torsion],
             "pretty": group.pretty()}
 
 

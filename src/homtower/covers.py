@@ -32,7 +32,7 @@ from .deltacomplex import (
     orient,
     validate_complex,
 )
-from .intlinalg import IntegerMatrix, smith_normal_form
+from .intlinalg import IntegerMatrix, cokernel_structure, smith_normal_form
 
 
 class Presentation:
@@ -61,7 +61,6 @@ class Presentation:
         return IntegerMatrix(self.generator_count, len(self.relators), entries)
 
     def abelianization(self):
-        from .intlinalg import cokernel_structure
         return cokernel_structure(self.relator_matrix())
 
 
@@ -75,8 +74,7 @@ def edge_path_presentation(complex):
         raise ValueError("edge-path presentation needs a connected complex")
     n_vertices = complex.counts[0]
     incident = [[] for _ in range(n_vertices)]
-    for e in range(complex.counts[1]):
-        a, b = complex.edge_endpoints(e)
+    for e, (b, a) in enumerate(complex.faces[1]):  # edge e runs from a to b
         incident[a].append((e, b))
         if a != b:
             incident[b].append((e, a))
@@ -201,17 +199,11 @@ def proves_abelian(presentation):
     return True
 
 
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+def _divides_a_power_of(t, m):
+    """Whether every prime factor of t divides m."""
+    while (g := math.gcd(t, m)) > 1:
+        t //= g
+    return t == 1
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +569,7 @@ def mod_power_tower(complex, modulus, levels):
         certificates.append(sheet_map)
     abelian = proves_abelian(presentation)
     torsion = snf.nontrivial_divisors()
-    torsion_ok = all(_prime_factors(t) <= _prime_factors(modulus) for t in torsion)
+    torsion_ok = all(_divides_a_power_of(t, modulus) for t in torsion)
     residual = abelian and torsion_ok
     return Tower(complex, complex.name, modulus, tower_levels, certificates,
                  residual, warning_list, presentation)

@@ -19,6 +19,7 @@ from collections.abc import Mapping
 from .intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
+    SmithDecomposition,
     _ranks_and_unit_columns,
     kernel_basis,
     smith_normal_form,
@@ -68,19 +69,8 @@ class DeltaComplex:
     def euler_characteristic(self):
         return sum(c if k % 2 == 0 else -c for k, c in enumerate(self.counts))
 
-    def edge_endpoints(self, e):
-        """(start, end) of edge e; the boundary of e is end - start."""
-        opp0, opp1 = self.faces[1][e]
-        return opp1, opp0
-
     def component_count(self):
-        if "components" not in self._cache:
-            parent = list(range(self.counts[0]))
-            for e in range(self.counts[1]) if self.dim >= 1 else ():
-                a, b = self.edge_endpoints(e)
-                parent[_find(parent, a)] = _find(parent, b)
-            self._cache["components"] = len({_find(parent, v) for v in range(self.counts[0])})
-        return self._cache["components"]
+        return self.counts[0] - len(_spanning_forest(self))
 
     def is_connected(self):
         return self.component_count() <= 1
@@ -103,6 +93,22 @@ def _find(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _spanning_forest(complex):
+    """The edges that join two components as the 1-skeleton grows in edge
+    order, in that order, from one cached union-find: S_0, the unit columns
+    of d_1.  If e joins components A and B, chi_B (1 on B) has coboundary
+    +-1 at e and 0 at each earlier forest edge, inside one component."""
+    if "forest" not in complex._cache:
+        parent, forest = list(range(complex.counts[0])), []
+        for e, (u, v) in enumerate(complex.faces[1] if complex.dim >= 1 else ()):
+            u, v = _find(parent, u), _find(parent, v)
+            if u != v:
+                parent[u] = v
+                forest.append(e)
+        complex._cache["forest"] = tuple(forest)
+    return complex._cache["forest"]
 
 
 def _stored(rows):
@@ -238,14 +244,15 @@ def boundary_matrix(complex, k):
 
 
 def _boundary_off_rows(complex, k, dropped):
-    """d_k of a validated complex (so unchecked by the IntegerMatrix
+    """d_k of a validated complex (unchecked by the IntegerMatrix
     constructor), rows in `dropped` left empty and row indices kept; each
     elimination builds its own and keeps none.  When `dropped` is the
-    unit-pivot columns S of an elimination of d_{k-1}, the rank and
-    invariant factors over Z and every F_p are d_k's: each pivot row was a
-    coboundary with a unit at its column and 0 at every earlier pivot, so
-    with the e^c, c not in S, they span the (k-1)-cochains; row c of d_k is
-    the coboundary of e^c, and dd = 0."""
+    unit-pivot columns S of an elimination of d_{k-1} (S_0 over Z is the
+    spanning forest in the order found), d_k keeps its rank and invariant
+    factors over Z and every F_p: each pivot row was a coboundary with a
+    unit at its column and 0 at every earlier pivot (chi_B for S_0), so with
+    the e^c, c not in S, they span the (k-1)-cochains; row c of d_k is the
+    coboundary of e^c, and dd = 0."""
     dropped = set(dropped)
     entries = {}
     for j, row in enumerate(complex.faces[k]):
@@ -260,11 +267,18 @@ def _boundary_off_rows(complex, k, dropped):
 def _boundary_smith(complex, k):
     """The divisor-only Smith form of d_k, kept in the complex's cache so
     each boundary is eliminated once over Z; d_k goes without the rows that
-    are unit_columns of the one of d_{k-1} (see _boundary_off_rows)."""
+    are unit_columns of the one of d_{k-1} (see _boundary_off_rows).  d_1,
+    the signed incidence matrix of the 1-skeleton, is not eliminated: its
+    S_0 is _spanning_forest, with divisor 1 at each edge (never a loop)."""
     key = ("smith", k)
     if key not in complex._cache:
-        dropped = _boundary_smith(complex, k - 1).unit_columns if k > 1 else ()
-        complex._cache[key] = smith_normal_form(_boundary_off_rows(complex, k, dropped))
+        if k == 1:
+            forest = _spanning_forest(complex)
+            complex._cache[key] = SmithDecomposition(
+                (1,) * len(forest), complex.counts[0], complex.counts[1], unit_columns=forest)
+        else:
+            complex._cache[key] = smith_normal_form(_boundary_off_rows(
+                complex, k, _boundary_smith(complex, k - 1).unit_columns))
     return complex._cache[key]
 
 
@@ -314,11 +328,12 @@ class HomologyProfile:
 def homology_profile(complex, primes=(2, 3, 5)):
     """Integral homology in every degree together with dim_{F_p} H_k.
 
-    Each boundary is eliminated over Z once (its cached Smith form) and once
-    over Z/N for all the primes together (ranks_mod_primes), a pass skipped
-    when there are none.  Both go bottom-up, and each eliminates d_k without
-    the rows that are the unit-pivot columns of its own elimination of
-    d_{k-1} (see _boundary_off_rows), so the two stay independent.  The
+    Each boundary but d_1, whose Smith form _spanning_forest gives, is
+    eliminated over Z once (the cached Smith form), and each once over Z/N
+    for all the primes together (ranks_mod_primes), skipped when there are
+    none.  Both go bottom-up without the rows of d_k that are unit-pivot
+    columns of their own pass over d_{k-1} (see _boundary_off_rows), so the
+    two stay independent.  The
     universal coefficient identity
         dim_{F_p} H_k = b_k + #{p | t : t in tors H_k} + #{p | t : t in tors H_{k-1}}
     is asserted internally for every degree and prime; a violation would mean
@@ -507,24 +522,25 @@ def cap_duality_check(complex, cycle):
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
     i.e. the cap product with the fundamental cycle.  With m = n-k, let S be
-    the pivot columns of the +-1 pass in the cached Smith form of d_m (which
-    leaves out the unit-pivot rows of d_{m-1}, see _boundary_smith).  When
+    the pivot columns of the +-1 pass in the cached Smith form of d_m (see
+    _boundary_smith; S_0 is the spanning forest in the order found).  When
     such a pivot was found, its row of the partly reduced d_m was the
     coboundary of an (m-1)-cochain with +-1 at the pivot and 0 at every
-    earlier pivot, so subtracting these coboundaries in pivot order makes
-    any cocycle vanish on S.  Hence H^m is generated by the cocycles that
-    vanish on S, the integer kernel of d_{m+1}^T restricted to the columns
-    outside S, and the map is evaluated on a basis of that kernel only; the
-    images must be cycles.  A dropped cocycle differs from a kept one by a
-    coboundary delta c, and cap(delta c) = +-d cap(c) is a boundary, so
-    L = B_k + (span of the images) is the lattice the whole cocycle lattice
-    would give.  L lies in Z_k, and Z^{c_k}/Z_k embeds in C_{k-1}, so the
-    map is onto (L = Z_k) iff one Smith form shows [d_{k+1} | images] of
-    rank c_k - rank d_k with a torsion-free cokernel.  The groups come from
-    the cached homology: H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal
-    coefficients.  The verdict is "isomorphism" iff the groups agree and the
-    map is onto (a surjection between isomorphic finitely generated abelian
-    groups is automatically injective).
+    earlier pivot (chi_B at a forest edge joining A and B), so subtracting
+    these coboundaries in pivot order makes any cocycle vanish on S.  Hence
+    H^m is generated by the cocycles that vanish on S, the integer kernel of
+    d_{m+1}^T restricted to the columns outside S, and the map is evaluated
+    on a basis of that kernel only; the images must be cycles.  A dropped
+    cocycle differs from a kept one by a coboundary delta c, and
+    cap(delta c) = +-d cap(c) is a boundary, so L = B_k + (span of the
+    images) is the lattice the whole cocycle lattice would give.  L lies in
+    Z_k, and Z^{c_k}/Z_k embeds in C_{k-1}, so the map is onto (L = Z_k)
+    iff one Smith form shows [d_{k+1} | images] of rank c_k - rank d_k with
+    a torsion-free cokernel.  The groups come from the cached homology:
+    H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal coefficients.  The
+    verdict is "isomorphism" iff the groups agree and the map is onto (a
+    surjection between isomorphic finitely generated abelian groups is
+    automatically injective).
     """
     n = complex.dim
     if len(cycle.signs) != complex.counts[n]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .covers import action_to_json, build_cover
 from .deltacomplex import AMENABLE_BUILTINS, builtin_name, complex_to_json, homology_profile
+from .intlinalg import from_decimal, to_decimal
 
 
 class LevelStats:
@@ -118,7 +119,7 @@ class GrowthReport:
                 "counts": list(level.counts),
                 "betti_q": list(level.betti_q),
                 "betti_p": {str(p): list(level.fp_dims[p]) for p in self.primes},
-                "torsion_order": [str(t) for t in level.torsion_orders],
+                "torsion_order": [to_decimal(t) for t in level.torsion_orders],
                 "log_torsion": [level.log_torsion(k) for k in range(self.dim + 1)],
                 "normalized": normalized,
             })
@@ -196,15 +197,15 @@ def _cache_entry_problem(data, base, degree, primes):
             return f"a mod-{p} dimension is below the Betti number"
     orders = data["torsion_orders"]
     if not (isinstance(orders, list) and len(orders) == n and all(
-            isinstance(t, str) and t.isdecimal() and int(t) > 0 for t in orders)):
+            isinstance(t, str) and t.isdecimal() and from_decimal(t) > 0 for t in orders)):
         return "the torsion orders are not positive integers"
     return None
 
 
 def _load_cached_level(path, base, degree, primes):
-    """The data of a cached level, or None when there is no entry; an entry
-    that does not parse or fails `_cache_entry_problem` is ignored with a
-    warning."""
+    """The data of a cached level, its torsion orders as ints, or None when
+    there is no entry; an entry that does not parse or fails
+    `_cache_entry_problem` is ignored with a warning."""
     if not os.path.exists(path):
         return None
     try:
@@ -217,7 +218,7 @@ def _load_cached_level(path, base, degree, primes):
     if problem is not None:
         warnings.warn(f"recomputing cache entry {path}: {problem}")
         return None
-    return data
+    return dict(data, torsion_orders=[from_decimal(t) for t in data["torsion_orders"]])
 
 
 def _compute_level(base, level, primes, presentation):
@@ -229,7 +230,7 @@ def _compute_level(base, level, primes, presentation):
         "counts": list(cover.counts),
         "betti_q": [profile.betti(k) for k in range(dim + 1)],
         "fp_dims": {str(p): [profile.fp_dim(k, p) for k in range(dim + 1)] for p in primes},
-        "torsion_orders": [str(profile.torsion_order(k)) for k in range(dim + 1)],
+        "torsion_orders": [profile.torsion_order(k) for k in range(dim + 1)],
     }
 
 
@@ -267,14 +268,15 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
                 raise TowerLevelError(f"tower level {idx} failed: {exc}") from exc
             if cache_path is not None:
                 tmp_path = f"{cache_path}.{os.getpid()}.tmp"
+                entry = dict(data, torsion_orders=[to_decimal(t) for t in data["torsion_orders"]])
                 with open(tmp_path, "w", encoding="utf-8") as fh:
-                    json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+                    json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
                 os.replace(tmp_path, cache_path)
         stats = LevelStats(
             idx, level.modulus, data["degree"],
             data["betti_q"],
             {p: data["fp_dims"][str(p)] for p in primes},
-            [int(t) for t in data["torsion_orders"]],
+            data["torsion_orders"],
             data["counts"])
         levels.append(stats)
     return GrowthReport(tower.base_name or "custom", tower.base.dim, tower.modulus,

@@ -19,6 +19,7 @@ entries small on the incidence-like matrices that dominate our workload.
 import heapq
 import math
 import random
+from decimal import Decimal
 
 
 class IntegerMatrix:
@@ -146,6 +147,16 @@ class IntegerMatrix:
         return f"<IntegerMatrix {self.rows}x{self.cols}, {len(self._data)} nonzero>"
 
 
+def to_decimal(n):
+    """str(n) past CPython's int/str digit limit (4300 by default), via Decimal."""
+    return str(Decimal(n))
+
+
+def from_decimal(text):
+    """int(text) for a string of decimal digits past that limit, likewise."""
+    return int(Decimal(text))
+
+
 class FgAbelianGroup:
     """A finitely generated abelian group Z^r (+) Z/t_1 (+) ... (+) Z/t_s.
 
@@ -192,7 +203,7 @@ class FgAbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
+        parts.extend(f"Z/{to_decimal(t)}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):

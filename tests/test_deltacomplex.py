@@ -161,6 +161,9 @@ def test_single_vertex_complex_is_ok():
     assert validate_complex(point).ok
     assert point.dim == 0
     assert point.is_connected()
+    points = DeltaComplex((3,), {})  # no edges: an empty forest and three components
+    assert deltacomplex._spanning_forest(points) == ()
+    assert points.component_count() == 3 and not points.is_connected()
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +511,9 @@ def test_face_identities_are_stronger_than_the_chain_condition():
 
 
 def test_smith_forms_are_shared_with_the_homology(monkeypatch):
-    # each boundary is eliminated once over Z, whatever the primes, and the
-    # cap check adds a cocycle basis and one onto test per degree
+    # each boundary but d_1 is eliminated once over Z, whatever the primes
+    # (d_1's Smith form is the spanning forest), and the cap check adds a
+    # cocycle basis and one onto test per degree
     calls = []
     real = intlinalg.smith_normal_form
 
@@ -523,7 +527,7 @@ def test_smith_forms_are_shared_with_the_homology(monkeypatch):
         complex = make(name)
         homology_profile(complex, (2,))
         homology_profile(complex, (3,))
-        assert len(calls) == complex.dim, name
+        assert len(calls) == complex.dim - 1, name
         calls.clear()
         cap_duality_check(complex, orient(complex))
         assert len(calls) <= 2 * (complex.dim + 1), name
@@ -647,6 +651,138 @@ def test_dropping_a_row_outside_the_unit_pivots_changes_some_answer():
             mod_units = _ranks_and_unit_columns(without_rows(d, set(mod_units)), PRIMES)[1]
     assert smith_changed and ranks_changed
     assert ("sphere2", 2) in {(name, k) for name, k, _ in smith_changed}
+
+
+def disjoint_union(*parts):
+    """The disjoint union of complexes, as one of the largest dimension."""
+    dim = max(c.dim for c in parts)
+    counts, faces = [0] * (dim + 1), {k: [] for k in range(1, dim + 1)}
+    for c in parts:
+        for k in range(1, c.dim + 1):
+            faces[k] += [tuple(f + counts[k - 1] for f in row) for row in c.faces[k]]
+        for k in range(c.dim + 1):
+            counts[k] += c.counts[k]
+    return DeltaComplex(counts, faces)
+
+
+def forest_inputs():
+    """(name, complex) for the spanning-forest tests: the restriction
+    inputs as complexes, two torus covers, and hand-made complexes with
+    loops, parallel edges and several components."""
+    complexes = [(name, builtin(name)) for name in BUILTIN_NAMES if name != "surface"]
+    complexes += [(f"surface_{g}", builtin("surface", genus=g)) for g in (2, 3)]
+    complexes += [(f"{name} double cover", orientation_double_cover(builtin(name))[0])
+                  for name in ("klein_bottle", "rp2")]
+    complexes += [("suspension of rp2", suspension_of_rp2()),
+                  ("degree-16 torus cover", torus_cover(2)),
+                  ("degree-64 torus cover", torus_cover(3))]
+    loops_and_parallels = DeltaComplex(
+        (3, 5), {1: [(0, 0), (1, 0), (1, 0), (2, 2), (0, 1)]})
+    return complexes + [
+        ("loops and parallel edges, 2 components", loops_and_parallels),
+        ("rp2 + interval", disjoint_union(builtin("rp2"), builtin("interval"))),
+        ("torus2 + sphere2 + circle",
+         disjoint_union(builtin("torus2"), builtin("sphere2"), builtin("circle"))),
+        ("klein_bottle + loops and parallel edges",
+         disjoint_union(builtin("klein_bottle"), loops_and_parallels)),
+    ]
+
+
+def components_by_search(complex, edges):
+    """The vertex sets of the components of the graph on `edges`."""
+    neighbours = [set() for _ in range(complex.counts[0])]
+    for e in edges:
+        u, v = complex.faces[1][e]
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, components = set(), []
+    for root in range(complex.counts[0]):
+        if root not in seen:
+            component, stack = {root}, [root]
+            while stack:
+                for w in neighbours[stack.pop()] - component:
+                    component.add(w)
+                    stack.append(w)
+            seen |= component
+            components.append(component)
+    return components
+
+
+def test_spanning_forest_is_the_smith_form_of_d1():
+    # d_1's Smith form and the component count both come from the one
+    # cached union-find, and agree with a full elimination and a search;
+    # d_2 without the forest rows keeps its divisors
+    seen_loop = seen_parallel = seen_three = False
+    for name, c in forest_inputs():
+        assert validate_complex(c).ok, name
+        forest = deltacomplex._spanning_forest(c)
+        assert c._cache["forest"] is forest
+        snf = deltacomplex._boundary_smith(c, 1)
+        assert snf.divisors == smith_normal_form(boundary_matrix(c, 1)).divisors, name
+        assert snf.unit_columns == forest, name
+        assert c.component_count() == c.counts[0] - snf.rank, name
+        assert c.component_count() == len(components_by_search(c, range(c.counts[1]))), name
+        if c.dim >= 2:
+            assert (deltacomplex._boundary_smith(c, 2).divisors
+                    == smith_normal_form(boundary_matrix(c, 2)).divisors), name
+        edges = c.faces[1]
+        seen_loop |= any(u == v for u, v in edges)
+        seen_parallel |= len(set(map(frozenset, edges))) < len(edges)
+        seen_three |= c.component_count() == 3
+    assert seen_loop and seen_parallel and seen_three
+
+
+def test_forest_edges_are_unit_columns_of_d1():
+    # When forest edge e joins components A and B of the forest before it,
+    # the indicator cochain chi_B has coboundary +-1 at e and 0 at every
+    # earlier forest edge; no loop enters the forest.
+    for name, c in forest_inputs():
+        d1 = boundary_matrix(c, 1)
+        forest = deltacomplex._spanning_forest(c)
+        for i, e in enumerate(forest):
+            end, start = c.faces[1][e]
+            (component_b,) = [b for b in components_by_search(c, forest[:i]) if end in b]
+            assert start not in component_b, (name, e)
+            coboundary = IntegerMatrix(1, c.counts[0], dict.fromkeys(
+                ((0, v) for v in component_b), 1)) @ d1
+            assert coboundary[0, e] in (1, -1), (name, e)
+            assert all(coboundary[0, f] == 0 for f in forest[:i]), (name, e)
+
+
+def test_dropping_a_row_outside_the_forest_changes_some_answer():
+    # Negative control for the forest: one more row of d_2, not a forest
+    # edge, changes its Smith divisors on some input.
+    changed = set()
+    for name, c in forest_inputs():
+        if c.dim < 2 or "torus cover" in name:
+            continue
+        d2 = boundary_matrix(c, 2)
+        full = smith_normal_form(d2).divisors
+        forest = set(deltacomplex._spanning_forest(c))
+        if any(smith_normal_form(without_rows(d2, forest | {r})).divisors != full
+               for r in sorted(nonzero_rows(d2) - forest)):
+            changed.add(name)
+    assert "sphere2" in changed
+
+
+def test_integral_side_builds_no_d1(monkeypatch):
+    # Over Z, d_1 is never built or eliminated; the mod-N engine still
+    # eliminates it, so the universal-coefficient cross-check compares two
+    # independent computations.
+    built = []
+    real = deltacomplex._boundary_off_rows
+
+    def counting(complex, k, dropped):
+        built.append(k)
+        return real(complex, k, dropped)
+
+    monkeypatch.setattr(deltacomplex, "_boundary_off_rows", counting)
+    cover = torus_cover(2)
+    homology_profile(cover, ())
+    assert built == [2]
+    profile = homology_profile(cover, (2, 3))
+    assert built == [2, 1, 2]
+    assert profile.fp_dims == {2: (1, 2, 1), 3: (1, 2, 1)}
 
 
 def test_unit_cocycle_caps_to_fundamental_cycle():

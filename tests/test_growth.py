@@ -1,13 +1,15 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from homtower import growth
+from homtower import cli, growth
 from homtower.bounds import rank_bound_value, torsion_bound_value
 from homtower.covers import mod_power_tower
 from homtower.deltacomplex import DeltaComplex, builtin
 from homtower.growth import gap_consistency_check, l2_betti_trend, run_tower
+from homtower.intlinalg import FgAbelianGroup, from_decimal, to_decimal
 
 
 def torus_report(levels=4, primes=(2,)):
@@ -255,6 +257,61 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     assert entry.read_text(encoding="utf-8") == text
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in tmp_path.glob("level-*.json"))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int/str digit limit (4300), where the interpreter
+    has one (3.11, and 3.10 from 3.10.7)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield False
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield True
+    sys.set_int_max_str_digits(old)
+
+
+def test_decimal_conversions_match_str_and_int_under_the_limit(default_digit_limit):
+    for n in (0, 1, 2, 10 ** 20 - 1, 7 ** 5000, 10 ** 4299):
+        assert to_decimal(n) == str(n)
+        assert from_decimal(str(n)) == n
+    assert from_decimal("000123") == 123
+
+
+def test_torsion_past_the_digit_limit(tmp_path, monkeypatch, default_digit_limit):
+    # A torsion order of 4401 digits goes through every output and the level
+    # cache; str() and int() on it would raise under the digit limit.
+    big = 10 ** 4400 + 7
+    text = "1" + "0" * 4399 + "7"
+    if default_digit_limit:
+        with pytest.raises(ValueError):
+            str(big)
+    assert from_decimal(text) == big and to_decimal(big) == text
+    group = FgAbelianGroup(1, (big,))
+    assert group.pretty() == "Z + Z/" + text
+    assert cli._group_json(group) == {"free_rank": 1, "torsion": [text],
+                                      "pretty": "Z + Z/" + text}
+    real = growth._compute_level
+
+    def with_big_torsion(*args):
+        data = real(*args)
+        data["torsion_orders"][1] = big
+        return data
+
+    tower = mod_power_tower(builtin("torus2"), 2, 1)
+    monkeypatch.setattr(growth, "_compute_level", with_big_torsion)
+    first = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    (entry,) = tmp_path.glob("level-*.json")
+    assert json.loads(entry.read_text(encoding="utf-8"))["torsion_orders"] == ["1", text, "1"]
+    monkeypatch.setattr(growth, "_compute_level", None)  # the cache must answer
+    second = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    for report in (first, second):
+        assert report.levels[0].torsion_orders == (1, big, 1)
+        level = report.to_json_dict()["levels"][0]
+        assert level["torsion_order"] == ["1", text, "1"]
+        assert level["log_torsion"][1] == pytest.approx(4400 * 2.302585092994046)
+    assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
 
 def test_report_json_shape():
