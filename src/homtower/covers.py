@@ -1,9 +1,9 @@
 """Edge-path group presentations and finite regular covers.
 
 The fundamental group of a connected complex is presented on one generator
-per non-tree edge (spanning tree by breadth-first search from vertex 0) with
-one relator per 2-simplex: reading the triangle boundary as the edge path
-(face 2)(face 0)(face 1)^-1 and dropping tree edges.
+per edge outside the spanning tree _spanning_forest (the unit columns of
+d_1's Smith form) with one relator per 2-simplex: reading the triangle
+boundary as the edge path (face 2)(face 0)(face 1)^-1 and dropping tree edges.
 
 A cover of degree d is described by one sheet permutation per edge (identity
 on tree edges) satisfying every relator.  Lifted simplices are anchored at
@@ -18,7 +18,6 @@ orientation double cover is the cover of the orientation character.
 
 import math
 import warnings
-from collections import deque
 from itertools import combinations
 
 from .deltacomplex import (
@@ -27,6 +26,7 @@ from .deltacomplex import (
     ValidationReport,
     _find,
     _orientation,
+    _spanning_forest,
     _subface,
     _valid,
     orient,
@@ -72,23 +72,7 @@ def edge_path_presentation(complex):
         raise ValueError("edge-path presentation needs dimension >= 1")
     if not complex.is_connected():
         raise ValueError("edge-path presentation needs a connected complex")
-    n_vertices = complex.counts[0]
-    incident = [[] for _ in range(n_vertices)]
-    for e, (b, a) in enumerate(complex.faces[1]):  # edge e runs from a to b
-        incident[a].append((e, b))
-        if a != b:
-            incident[b].append((e, a))
-    tree = set()
-    seen = [False] * n_vertices
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for e, w in sorted(incident[u]):
-            if not seen[w]:
-                seen[w] = True
-                tree.add(e)
-                queue.append(w)
+    tree = set(_spanning_forest(complex))
     generator_edges = [e for e in range(complex.counts[1]) if e not in tree]
     gen_of = {e: g for g, e in enumerate(generator_edges)}
     relators = []
@@ -134,6 +118,8 @@ def _canonical_rotation(word):
 
 # the longest relator the abelianness prover expands before it gives up
 MAX_WORD_LENGTH = 64
+# the most simplices a tower level's cover may have
+MAX_COVER_SIMPLICES = 2 ** 24
 
 
 def proves_abelian(presentation):
@@ -308,16 +294,14 @@ def action_from_json(obj):
 # ---------------------------------------------------------------------------
 # Cover construction
 
-def build_cover(complex, action, presentation=None):
+def build_cover(complex, action):
     """The covering complex described by a validated permutation action.
 
     Returns (cover, degree); cover simplex (base, sheet) has index
     base * degree + sheet.  The construction is recertified: the cover
     validates and its Euler characteristic is degree times the base one.
     """
-    if presentation is None:
-        presentation = edge_path_presentation(complex)
-    report = validate_action(presentation, action)
+    report = validate_action(edge_path_presentation(complex), action)
     if not report.ok:
         raise ValueError(f"invalid action: {report.problems[0]}")
     d = action.degree
@@ -358,7 +342,6 @@ def orientation_double_cover(complex):
         raise ValueError("orientation double cover needs a connected complex; this one "
                          f"has {complex.component_count()} components")
     incidences, eta = _orientation(complex)
-    presentation = edge_path_presentation(complex)
     width = n + 1  # corner (t, u, p) is number (2t + u) * width + p
     parent = list(range(2 * complex.counts[n] * width))
     for f, ((a, ia), (b, ib)) in enumerate(incidences):
@@ -371,7 +354,7 @@ def orientation_double_cover(complex):
     for t in range(complex.counts[n]):
         for p, q in combinations(range(width), 2):
             ends[_subface(complex, n, t, (p, q))].append((2 * t * width + p, 2 * t * width + q))
-    for e in presentation.tree_edges:
+    for e in _spanning_forest(complex):
         for p, q in ends[e][:1]:
             parent[_find(parent, p)] = _find(parent, q)
             parent[_find(parent, p + width)] = _find(parent, q + width)
@@ -388,7 +371,7 @@ def orientation_double_cover(complex):
                 f"double cover degenerates in dimension 1: the top simplices "
                 f"through edge {e} give it {len(swaps)} ways to lift")
         perms.append((1, 0) if swaps.pop() else (0, 1))
-    cover, degree = build_cover(complex, PermutationAction(2, perms), presentation)
+    cover, degree = build_cover(complex, PermutationAction(2, perms))
     if not cover.is_connected():
         raise AssertionError("orientation double cover came out disconnected")
     if orient(cover) is None:
@@ -467,14 +450,12 @@ def _radix_product(tables):
     return out
 
 
-def _presentation_smith(complex, presentation=None):
-    if presentation is None:
-        presentation = edge_path_presentation(complex)
-    snf = smith_normal_form(presentation.relator_matrix(), "U")
-    return presentation, snf
+def _presentation_smith(complex):
+    presentation = edge_path_presentation(complex)
+    return presentation, smith_normal_form(presentation.relator_matrix(), "U")
 
 
-def abelianization_action(complex, modulus, presentation=None):
+def abelianization_action(complex, modulus):
     """The regular action of pi_1 on H_1(X) tensor Z/m by translation.
 
     Degree is the order of the quotient; tree edges act trivially by
@@ -483,7 +464,7 @@ def abelianization_action(complex, modulus, presentation=None):
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    presentation, snf = _presentation_smith(complex, presentation)
+    presentation, snf = _presentation_smith(complex)
     quotient = AbelianQuotient(presentation, snf, modulus)
     if quotient.size == 1:
         warnings.warn("abelianization quotient is trivial; cover equals base")
@@ -504,19 +485,15 @@ class Tower:
     """A nested family of finite regular covers from mod-m^i abelianization
     quotients, with verified reduction certificates between levels."""
 
-    __slots__ = ("base", "base_name", "modulus", "levels", "certificates",
-                 "residual", "warnings", "presentation")
+    __slots__ = ("base", "modulus", "levels", "certificates", "residual", "warnings")
 
-    def __init__(self, base, base_name, modulus, levels, certificates,
-                 residual, warning_list, presentation):
+    def __init__(self, base, modulus, levels, certificates, residual, warning_list):
         self.base = base
-        self.base_name = base_name
         self.modulus = modulus
         self.levels = tuple(levels)
         self.certificates = tuple(certificates)
         self.residual = residual
         self.warnings = tuple(warning_list)
-        self.presentation = presentation
 
     @property
     def degrees(self):
@@ -536,12 +513,13 @@ def mod_power_tower(complex, modulus, levels):
     """Tower whose level i covers come from H_1 tensor Z/m^i.
 
     Levels with a stagnating quotient order truncate the tower with a
-    warning.  Level actions are not validated here: build_cover validates an
-    action against the relators when it builds the level's cover.  The
-    residual flag is set only when the presentation provably gives an
-    abelian group and every torsion coefficient of H_1 has all its prime
-    factors dividing m; in that case the kernels of pi_1 -> H_1 tensor Z/m^i
-    really do intersect trivially.
+    warning; one whose cover would have more than MAX_COVER_SIMPLICES
+    simplices is refused with ValueError.  Level actions are not validated
+    here: build_cover validates an action against the relators when it
+    builds the level's cover.  The residual flag is set only when the
+    presentation provably gives an abelian group and every torsion
+    coefficient of H_1 has all its prime factors dividing m; in that case the
+    kernels of pi_1 -> H_1 tensor Z/m^i really do intersect trivially.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -560,6 +538,9 @@ def mod_power_tower(complex, modulus, levels):
         if q.size == 1:
             warning_list.append("level 1 quotient is trivial; tower is empty")
             break
+        if (simplices := q.size * sum(complex.counts)) > MAX_COVER_SIMPLICES:
+            raise ValueError(f"tower level {i} has degree {q.size}: its cover would have "
+                             f"{simplices} simplices, more than {MAX_COVER_SIMPLICES}")
         quotients.append(q)
     tower_levels = [TowerLevel(q.modulus, q.action(), q) for q in quotients]
     certificates = []
@@ -571,5 +552,4 @@ def mod_power_tower(complex, modulus, levels):
     torsion = snf.nontrivial_divisors()
     torsion_ok = all(_divides_a_power_of(t, modulus) for t in torsion)
     residual = abelian and torsion_ok
-    return Tower(complex, complex.name, modulus, tower_levels, certificates,
-                 residual, warning_list, presentation)
+    return Tower(complex, modulus, tower_levels, certificates, residual, warning_list)

@@ -73,7 +73,7 @@ class DeltaComplex:
         return self.counts[0] - len(_spanning_forest(self))
 
     def is_connected(self):
-        return self.component_count() <= 1
+        return self.component_count() == 1
 
     def __eq__(self, other):
         if not isinstance(other, DeltaComplex):

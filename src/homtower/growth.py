@@ -221,8 +221,8 @@ def _load_cached_level(path, base, degree, primes):
     return dict(data, torsion_orders=[from_decimal(t) for t in data["torsion_orders"]])
 
 
-def _compute_level(base, level, primes, presentation):
-    cover, _ = build_cover(base, level.action, presentation)
+def _compute_level(base, level, primes):
+    cover, _ = build_cover(base, level.action)
     profile = homology_profile(cover, primes)
     dim = base.dim
     return {
@@ -263,7 +263,7 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
             data = _load_cached_level(cache_path, tower.base, level.degree, primes)
         if data is None:
             try:
-                data = _compute_level(tower.base, level, primes, tower.presentation)
+                data = _compute_level(tower.base, level, primes)
             except Exception as exc:
                 raise TowerLevelError(f"tower level {idx} failed: {exc}") from exc
             if cache_path is not None:
@@ -279,7 +279,7 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
             data["torsion_orders"],
             data["counts"])
         levels.append(stats)
-    return GrowthReport(tower.base_name or "custom", tower.base.dim, tower.modulus,
+    return GrowthReport(tower.base.name or "custom", tower.base.dim, tower.modulus,
                         primes, tower.residual, tower.warnings, levels,
                         builtin_name(tower.base) in AMENABLE_BUILTINS)
 

@@ -479,8 +479,9 @@ def is_prime(p):
 
 
 def rank_mod_p(matrix, p):
-    """Rank over F_p, as ranks_mod_primes(matrix, (p,))[p]; kept apart from
-    the Smith form code because it is the universal-coefficient cross-check."""
+    """Rank over F_p, as ranks_mod_primes(matrix, (p,))[p].  The program
+    calls ranks_mod_primes, its universal-coefficient cross-check; this
+    one-prime form is kept for callers that name it."""
     return ranks_mod_primes(matrix, (p,))[p]
 
 

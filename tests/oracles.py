@@ -75,6 +75,12 @@ def homology_at(d_out, d_in):
     return FgAbelianGroup(nullity - snf_in.rank, snf_in.nontrivial_divisors())
 
 
+def chain_h1(complex):
+    """H_1 from the full boundary matrices d_1 and d_2 (empty past the top
+    dimension), with no forest rows dropped."""
+    return homology_at(_boundary_or_zero(complex, 1), _boundary_or_zero(complex, 2))
+
+
 def dim_mod_p(group, p):
     """dim over F_p of (group) tensor F_p."""
     return group.free_rank + sum(1 for t in group.torsion if t % p == 0)

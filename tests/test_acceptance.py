@@ -102,8 +102,8 @@ def test_criterion_4_cycle_bounds_everywhere(torus_tower_run, surface_tower_run)
         checked.append(report.name)
     for tower, _, _ in (torus_tower_run, surface_tower_run):
         for level in tower.levels:
-            cover, _ = build_cover(tower.base, level.action, tower.presentation)
-            label = f"{tower.base_name}-cover-{level.degree}"
+            cover, _ = build_cover(tower.base, level.action)
+            label = f"{tower.base.name}-cover-{level.degree}"
             report = check_bounds(cover, primes=(2,))
             assert report.all_pass, label
             assert report.cycle_size == \

@@ -1,6 +1,8 @@
 import pytest
 
+from homtower.cli import main
 from homtower.covers import (
+    MAX_COVER_SIMPLICES,
     PermutationAction,
     _verify_certificate,
     abelianization_action,
@@ -16,6 +18,7 @@ from homtower.deltacomplex import builtin, homology_profile, orient, validate_co
 from homtower.intlinalg import FgAbelianGroup
 from oracles import (
     action_by_decoding,
+    chain_h1,
     is_transitive,
     projection_from_faces,
     reduction_by_decoding,
@@ -60,21 +63,27 @@ def test_generator_count_formula():
 
 
 def test_presentation_abelianization_matches_chain_h1():
-    # two independent routes to H_1: relator matrix vs boundary matrices
+    # the relator matrix is d_2 off the forest rows, whose Smith form the
+    # profile reads too, so H_1 is checked against the full-basis oracle
     names = ("circle", "interval", "sphere2", "torus2", "klein_bottle", "rp2")
     for name in names:
         complex = builtin(name)
         p = edge_path_presentation(complex)
-        assert p.abelianization() == homology_profile(complex, (2,)).group(1), name
+        assert p.abelianization() == chain_h1(complex), name
     s2 = surface2()
     assert edge_path_presentation(s2).abelianization() == Z(4)
 
 
-def test_presentation_needs_connected_complex():
+def test_presentation_needs_connected_complex(tmp_path, capsys):
     from homtower.deltacomplex import DeltaComplex
-    two_points = DeltaComplex((2, 0), {1: []})
-    with pytest.raises(ValueError, match="connected"):
-        edge_path_presentation(two_points)
+    for empty_or_two_points in (DeltaComplex((2, 0), {1: []}), DeltaComplex((0, 0), {1: []})):
+        with pytest.raises(ValueError, match="connected"):
+            edge_path_presentation(empty_or_two_points)
+    # no vertex at all: refused with exit 2, not an empty tower or a traceback
+    path = tmp_path / "empty.json"
+    path.write_text('{"dim": 1, "counts": [0, 0], "faces": {"1": []}}')
+    assert main(["tower", str(path)]) == 2
+    assert "needs a connected complex" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +325,8 @@ def test_tower_functoriality_exhaustive():
     hi = tower.levels[1]
     lo = tower.levels[0]
     phi = tower.certificates[0]
-    hi_cover, _ = build_cover(base, hi.action, tower.presentation)
-    lo_cover, _ = build_cover(base, lo.action, tower.presentation)
+    hi_cover, _ = build_cover(base, hi.action)
+    lo_cover, _ = build_cover(base, lo.action)
     d_hi, d_lo = hi.degree, lo.degree
 
     def push(k, idx):
@@ -370,6 +379,15 @@ def test_nesting_certificate_rejects_swapped_sheets():
     sheet_map[0], sheet_map[other] = sheet_map[other], sheet_map[0]
     with pytest.raises(AssertionError, match="nesting certificate broken"):
         _verify_certificate(finer, coarser, sheet_map)
+
+
+def test_tower_refuses_covers_too_large_to_build():
+    # H_1 of the genus-17 surface is Z^34: level 1 of its mod-2 tower has
+    # 2^34 sheets, refused before any sheet permutation is built
+    with pytest.raises(ValueError, match=r"tower level 1 has degree 17179869184: "
+                                         r"its cover would have \d+ simplices"):
+        mod_power_tower(builtin("surface", genus=17), 2, 1)
+    assert MAX_COVER_SIMPLICES >= 4 ** 8 * sum(builtin("torus2").counts)
 
 
 def test_tower_rejects_bad_parameters():

@@ -549,7 +549,7 @@ def test_one_modular_elimination_per_boundary(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_ranks_and_unit_columns", counting)
     monkeypatch.setattr(deltacomplex, "_ranks_and_unit_columns", counting)
-    cover, _ = build_cover(torus, tower.levels[-1].action, tower.presentation)
+    cover, _ = build_cover(torus, tower.levels[-1].action)
     assert cover.counts == (16, 48, 32)
     homology_profile(cover, ())
     assert calls == []
@@ -709,9 +709,10 @@ def components_by_search(complex, edges):
 
 
 def test_spanning_forest_is_the_smith_form_of_d1():
-    # d_1's Smith form and the component count both come from the one
-    # cached union-find, and agree with a full elimination and a search;
-    # d_2 without the forest rows keeps its divisors
+    # d_1's Smith form, the component count and the tree of the edge-path
+    # presentation all come from the one cached union-find, and agree with a
+    # full elimination and a search; d_2 without the forest rows keeps its
+    # divisors and is the relator matrix
     seen_loop = seen_parallel = seen_three = False
     for name, c in forest_inputs():
         assert validate_complex(c).ok, name
@@ -725,6 +726,14 @@ def test_spanning_forest_is_the_smith_form_of_d1():
         if c.dim >= 2:
             assert (deltacomplex._boundary_smith(c, 2).divisors
                     == smith_normal_form(boundary_matrix(c, 2)).divisors), name
+        if c.is_connected() and c.dim >= 1:
+            p = edge_path_presentation(c)
+            assert p.tree_edges == set(forest), name
+            if c.dim >= 2:
+                off = deltacomplex._boundary_off_rows(c, 2, forest)
+                assert p.relator_matrix() == IntegerMatrix(
+                    p.generator_count, c.counts[2],
+                    {(p.generator_of_edge[e], t): v for (e, t), v in off.items()}), name
         edges = c.faces[1]
         seen_loop |= any(u == v for u, v in edges)
         seen_parallel |= len(set(map(frozenset, edges))) < len(edges)

@@ -140,12 +140,11 @@ def test_gap_check_fails_above_threshold():
 
 
 def test_level_failure_carries_level_index():
-    from homtower.covers import PermutationAction, Tower, TowerLevel, edge_path_presentation
+    from homtower.covers import PermutationAction, Tower, TowerLevel
     base = builtin("torus2")
-    p = edge_path_presentation(base)
     # a permutation assignment violating the commutator relators
     bad = PermutationAction(3, [(1, 2, 0), (1, 0, 2), (0, 1, 2)])
-    tower = Tower(base, "torus2", 2, [TowerLevel(2, bad, None)], [], False, [], p)
+    tower = Tower(base, 2, [TowerLevel(2, bad, None)], [], False, [])
     with pytest.raises(RuntimeError, match="tower level 1"):
         run_tower(tower, primes=(2,))
 
@@ -173,9 +172,8 @@ def test_corrupted_level_action_is_rejected():
     # a transposition commutes with no nontrivial translation of the sheets
     perms[0] = (1, 0) + tuple(range(2, level.degree))
     bad = TowerLevel(level.modulus, PermutationAction(level.degree, perms), level.quotient)
-    corrupted = Tower(tower.base, tower.base_name, tower.modulus,
-                      [tower.levels[0], bad], tower.certificates, tower.residual,
-                      tower.warnings, tower.presentation)
+    corrupted = Tower(tower.base, tower.modulus, [tower.levels[0], bad],
+                      tower.certificates, tower.residual, tower.warnings)
     with pytest.raises(RuntimeError,
                        match=r"tower level 2 failed: invalid action: relator \d+ "):
         run_tower(corrupted, primes=(2,))

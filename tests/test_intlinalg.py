@@ -211,7 +211,7 @@ def cover_boundaries():
     """Boundary matrices of the degree-16 torus cover and of surface g=2."""
     torus = builtin("torus2")
     tower = mod_power_tower(torus, 4, 1)
-    cover, _ = build_cover(torus, tower.levels[0].action, tower.presentation)
+    cover, _ = build_cover(torus, tower.levels[0].action)
     assert cover.counts == (16, 48, 32)
     return [boundary_matrix(c, k) for c in (cover, builtin("surface", genus=2))
             for k in (1, 2)]
