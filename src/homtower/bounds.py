@@ -219,14 +219,14 @@ def check_index2_reduction(complex, primes=(2, 3, 5)):
     return Index2Report(label, aspherical, caveat, records, cover.counts)
 
 
-def duality_report(complex, primes=(2, 3, 5)):
+def duality_report(complex):
     """Poincare duality diagnostics for an oriented closed pseudomanifold:
     numeric symmetry of Betti numbers and torsion plus the cap product
-    isomorphism check."""
+    isomorphism check, all read from the integral homology."""
     cycle = orient(complex)
     if cycle is None:
         raise NonOrientableError("duality check needs an orientable complex")
-    profile = homology_profile(complex, primes)
+    profile = homology_profile(complex, ())
     n = complex.dim
     betti_symmetric = all(profile.betti(k) == profile.betti(n - k)
                           for k in range(n + 1))

@@ -137,6 +137,8 @@ def _resolve_complex(args):
             EXIT_PARSE,
             f"{args.input}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise _CliError(EXIT_PARSE, f"{args.input}: JSON parse error: {exc}") from exc
     try:
         name = os.path.splitext(os.path.basename(args.input))[0]
         complex = complex_from_json(obj, name=name)
@@ -214,17 +216,13 @@ def cmd_bounds(args):
     primes = tuple(args.primes)
     try:
         report = check_bounds(complex, primes)
-        duality = duality_report(complex, primes)
+        duality = duality_report(complex)
         payload = {
             "command": "bounds",
             "config": _config_echo(args, ("builtin", "genus", "input", "primes",
                                           "seed", "via_double_cover")),
             "report": report.to_json_dict(),
-            "duality": {
-                "betti_symmetric": duality["betti_symmetric"],
-                "torsion_symmetric": duality["torsion_symmetric"],
-                "cap_isomorphisms": duality["cap_isomorphisms"],
-            },
+            "duality": duality,
         }
         lines = [f"complex {report.name}  dim {report.dim}  cycle size {report.cycle_size}"]
         for r in report.records:
@@ -275,9 +273,7 @@ def cmd_tower(args):
     primes = tuple(args.primes)
     tower = mod_power_tower(complex, args.modulus, args.levels)
     report = run_tower(tower, primes, cache_dir=args.cache)
-    gap = gap_consistency_check(report, args.gap_threshold) if report.levels else {
-        "status": "not-applicable", "threshold": args.gap_threshold,
-        "level": 0, "base": report.base_name, "series": {}}
+    gap = gap_consistency_check(report, args.gap_threshold)
     payload = {
         "command": "tower",
         "config": _config_echo(args, ("builtin", "genus", "input", "primes", "seed",
@@ -328,7 +324,7 @@ def _soule_suite(trials, seed, size_cap=5):
 def _duality_suite():
     failures = []
     for name in ("torus2", "sphere2"):
-        result = duality_report(builtin(name), (2, 3, 5))
+        result = duality_report(builtin(name))
         if not (result["betti_symmetric"] and result["torsion_symmetric"]
                 and result["cap_isomorphisms"]):
             failures.append({"complex": name,

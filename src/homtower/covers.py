@@ -12,8 +12,8 @@ i >= 1, while face 0, whose anchor is vertex 1, lives on the sheet reached
 through the [v0, v1] edge of s.  The relator condition is exactly what makes
 the lifted face maps close up into a complex.  An action is validated against
 the relators when a cover is built from it, and every constructed cover is
-recertified by validation and Euler characteristic multiplicativity.  The
-orientation double cover is the cover of the orientation character.
+certified by its face identities.  The orientation double cover is the cover
+of the orientation character.
 """
 
 import math
@@ -21,16 +21,17 @@ import warnings
 from itertools import combinations
 
 from .deltacomplex import (
+    MAX_SIMPLICES,
     DeltaComplex,
     NotPseudomanifoldError,
     ValidationReport,
+    _face_identity_violation,
     _find,
     _orientation,
     _spanning_forest,
     _subface,
     _valid,
     orient,
-    validate_complex,
 )
 from .intlinalg import IntegerMatrix, cokernel_structure, smith_normal_form
 
@@ -118,8 +119,6 @@ def _canonical_rotation(word):
 
 # the longest relator the abelianness prover expands before it gives up
 MAX_WORD_LENGTH = 64
-# the most simplices a tower level's cover may have
-MAX_COVER_SIMPLICES = 2 ** 24
 
 
 def proves_abelian(presentation):
@@ -298,8 +297,8 @@ def build_cover(complex, action):
     """The covering complex described by a validated permutation action.
 
     Returns (cover, degree); cover simplex (base, sheet) has index
-    base * degree + sheet.  The construction is recertified: the cover
-    validates and its Euler characteristic is degree times the base one.
+    base * degree + sheet.  The cover's face identities certify it and are
+    cached as its validation; a valid base and action fix every index's range.
     """
     report = validate_action(edge_path_presentation(complex), action)
     if not report.ok:
@@ -313,11 +312,9 @@ def build_cover(complex, action):
             lead = action.edge_perms[_subface(complex, k, simplex, (0, 1))]
             rows.extend(zip([first * d + s for s in lead], *(range(f * d, f * d + d) for f in rest)))
     cover = DeltaComplex(counts, faces)
-    check = validate_complex(cover)
+    check = cover._cache["validation"] = ValidationReport(_face_identity_violation(cover))
     if not check.ok:
         raise AssertionError(f"constructed cover failed validation: {check.problems[0]}")
-    if cover.euler_characteristic() != d * complex.euler_characteristic():
-        raise AssertionError("cover Euler characteristic is not multiplicative")
     return cover, d
 
 
@@ -513,7 +510,7 @@ def mod_power_tower(complex, modulus, levels):
     """Tower whose level i covers come from H_1 tensor Z/m^i.
 
     Levels with a stagnating quotient order truncate the tower with a
-    warning; one whose cover would have more than MAX_COVER_SIMPLICES
+    warning; one whose cover would have more than MAX_SIMPLICES
     simplices is refused with ValueError.  Level actions are not validated
     here: build_cover validates an action against the relators when it
     builds the level's cover.  The residual flag is set only when the
@@ -538,9 +535,9 @@ def mod_power_tower(complex, modulus, levels):
         if q.size == 1:
             warning_list.append("level 1 quotient is trivial; tower is empty")
             break
-        if (simplices := q.size * sum(complex.counts)) > MAX_COVER_SIMPLICES:
+        if (simplices := q.size * sum(complex.counts)) > MAX_SIMPLICES:
             raise ValueError(f"tower level {i} has degree {q.size}: its cover would have "
-                             f"{simplices} simplices, more than {MAX_COVER_SIMPLICES}")
+                             f"{simplices} simplices, more than {MAX_SIMPLICES}")
         quotients.append(q)
     tower_levels = [TowerLevel(q.modulus, q.action(), q) for q in quotients]
     certificates = []

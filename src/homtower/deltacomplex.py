@@ -120,6 +120,11 @@ def _stored(rows):
         return rows
 
 
+# the most simplices a complex (and so a tower level's cover) may have: no
+# face data backs the vertex count, which a few bytes could set to anything
+MAX_SIMPLICES = 2 ** 24
+
+
 class ValidationReport:
     __slots__ = ("ok", "problems")
 
@@ -138,16 +143,16 @@ def validate_complex(complex):
     """The one check of a delta-complex, made once: it runs on any data the
     constructor stored and never raises.
 
-    In order, it checks that the counts are a nonempty list of nonnegative
-    ints, that faces was a mapping, that dimension k has counts[k] face
-    lists, that each k-simplex has a face list of k+1 entries, each an int
-    in range, and then the face identities: for i < j, face i of face j of
-    a k-simplex must be face j-1 of its face i (d_i d_j = d_{j-1} d_i).
-    These identities give d o d = 0 in the boundary matrices, and _subface
-    relies on them too.  Returns a ValidationReport listing every
-    shape and range problem, or else the first identity that fails, with
-    the simplex and the two face slots that witness it.  The report is kept
-    in the complex's cache, and _valid raises on it.
+    The shape pass, the gate for outside data, checks that the counts are
+    a nonempty list of nonnegative ints totalling at most MAX_SIMPLICES,
+    that faces was a mapping, that dimension k has counts[k] face lists and
+    that each k-simplex has k+1 faces, each an int in range.  Then come the
+    face identities, all that build_cover checks on a cover it made: for
+    i < j, face i of face j of a k-simplex is face j-1 of its face i
+    (d_i d_j = d_{j-1} d_i), which gives d o d = 0 and which _subface relies
+    on.  Returns a ValidationReport listing every shape and range problem,
+    or else the first identity that fails, with the simplex and the two face
+    slots that witness it; it is cached, and _valid raises on it.
     """
     if "validation" in complex._cache:
         return complex._cache["validation"]
@@ -160,8 +165,11 @@ def validate_complex(complex):
 def _count_problems(counts):
     if not counts:
         return ["counts must list at least the vertex count"]
-    return [f"counts[{k}] = {c!r} is not a nonnegative integer"
-            for k, c in enumerate(counts) if type(c) is not int or c < 0]
+    problems = [f"counts[{k}] = {c!r} is not a nonnegative integer"
+                for k, c in enumerate(counts) if type(c) is not int or c < 0]
+    if not problems and (total := sum(counts)) > MAX_SIMPLICES:
+        problems.append(f"counts total {total} simplices, more than {MAX_SIMPLICES}")
+    return problems
 
 
 def _entry_problems(complex):

@@ -211,7 +211,7 @@ def _load_cached_level(path, base, degree, primes):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         warnings.warn(f"recomputing unreadable cache entry {path}: {exc}")
         return None
     problem = _cache_entry_problem(data, base, degree, primes)
@@ -301,36 +301,28 @@ def l2_betti_trend(report):
     return records
 
 
-def gap_consistency_check(report, threshold, level=None):
+def gap_consistency_check(report, threshold):
     """Check the vanishing trend over a base with amenable fundamental group.
 
-    Verdict is `pass` iff at the chosen level (default: final) every
-    normalized mod-p Betti and log-torsion series sits below the threshold
-    and has not increased since the previous level.  Bases that builtin()
-    did not make under a name in the explicit amenable registry get verdict
-    `not-applicable`; the series are reported either way.
+    Verdict is `pass` iff at the final level every normalized mod-p Betti
+    and log-torsion series sits below the threshold and has not increased
+    since the previous level.  An empty tower (level 0, no series) and a
+    base that builtin() did not make under a name in the explicit amenable
+    registry get verdict `not-applicable`; the series are reported either way.
     """
+    level = len(report.levels)
     series_map = {key: series for key, series in report._series_map().items()
-                  if not key.startswith("betti_q")}
-    if level is None:
-        level = len(report.levels)
-    if not 1 <= level <= len(report.levels):
-        raise ValueError(f"level {level} out of range 1..{len(report.levels)}")
+                  if not key.startswith("betti_q")} if level else {}
     result = {
         "threshold": threshold,
         "level": level,
         "base": report.base_name,
         "series": series_map,
     }
-    if not report.amenable:
+    if not (level and report.amenable):
         result["status"] = "not-applicable"
         return result
-    ok = True
-    for values in series_map.values():
-        v = values[level - 1]
-        if not v < threshold:
-            ok = False
-        if level >= 2 and v > values[level - 2] + 1e-12:
-            ok = False
+    ok = all(values[-1] < threshold and (level < 2 or values[-1] <= values[-2] + 1e-12)
+             for values in series_map.values())
     result["status"] = "pass" if ok else "fail"
     return result

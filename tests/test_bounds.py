@@ -151,7 +151,7 @@ def test_index2_rp2_passes_with_caveat():
 
 def test_duality_report_on_oriented_examples():
     for name in ("torus2", "sphere2", "surface2", "circle"):
-        report = duality_report(make(name), primes=(2,))
+        report = duality_report(make(name))
         assert report["betti_symmetric"], name
         assert report["torsion_symmetric"], name
         assert report["cap_isomorphisms"], name

@@ -304,13 +304,24 @@ def test_json_outputs_are_byte_identical(capsys):
 # ---------------------------------------------------------------------------
 # every input ends in a documented exit code
 
-DISCONNECTED = '{"dim": 1, "counts": [2, 0], "faces": {"1": []}}'
+# input files of the sweep, with the exit code and the start of the error
+# line each must give (None: any documented code)
+TOO_MANY = "invalid complex: counts total 1000000000000001 simplices, more than 16777216"
+FILE_SOURCES = {
+    "disconnected": ('{"dim": 1, "counts": [2, 0], "faces": {"1": []}}', None, None),
+    # 61 bytes asking for 10^15 vertices, which no face data backs
+    "huge-counts": ('{"dim":1,"counts":[1000000000000000,1],"faces":{"1":[[0,1]]}}', 2, TOO_MANY),
+    "huge-vertex-count": ('{"dim":0,"counts":[1000000000000001],"faces":{}}', 2, TOO_MANY),
+    "deep-nesting": ("[" * 200000, 4, "JSON parse error: maximum recursion depth exceeded"),
+    "not-utf8": (b'{"dim": 0, "counts": [1], "faces": {}}\xff', 4,
+                 "JSON parse error: 'utf-8' codec can't decode byte 0xff"),
+}
 SUBCOMMANDS = ("homology", "bounds", "bounds --via-double-cover", "tower -L 2")
 
 
 def _sweep_cases():
     for command in SUBCOMMANDS:
-        for name in BUILTIN_NAMES + ("disconnected",):
+        for name in BUILTIN_NAMES + tuple(FILE_SOURCES):
             yield pytest.param(f"{command} -p 2", name, id=f"{command}-{name}")
         yield pytest.param(f"{command} -p 2 3 2", "torus2", id=f"{command}-repeated-prime")
     for value in ("nan", "inf", "-inf", "0", "-1"):
@@ -322,9 +333,11 @@ def _sweep_cases():
 @pytest.mark.parametrize("command, source", _sweep_cases())
 def test_every_input_exits_with_a_documented_code(command, source, tmp_path, capsys):
     argv = command.split()
-    if source == "disconnected":
-        path = tmp_path / "disconnected.json"
-        path.write_text(DISCONNECTED)
+    expected = None
+    if source in FILE_SOURCES:
+        text, expected, message = FILE_SOURCES[source]
+        path = tmp_path / f"{source}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
         argv.insert(1, str(path))  # before -p, which takes every number after it
     elif source:
         argv += ["--builtin", source] + (["--g", "2"] if source == "surface" else [])
@@ -332,6 +345,9 @@ def test_every_input_exits_with_a_documented_code(command, source, tmp_path, cap
     assert code in range(6)
     if code:
         assert any(line.startswith("homtower: ") for line in err.splitlines())
+    if expected is not None:
+        assert code == expected
+        assert err.startswith(f"homtower: {path}: {message}")
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -1,8 +1,8 @@
 import pytest
 
+from homtower import covers, deltacomplex
 from homtower.cli import main
 from homtower.covers import (
-    MAX_COVER_SIMPLICES,
     PermutationAction,
     _verify_certificate,
     abelianization_action,
@@ -11,10 +11,20 @@ from homtower.covers import (
     build_cover,
     edge_path_presentation,
     mod_power_tower,
+    orientation_double_cover,
     proves_abelian,
     validate_action,
 )
-from homtower.deltacomplex import builtin, homology_profile, orient, validate_complex
+from homtower.deltacomplex import (
+    MAX_SIMPLICES,
+    DeltaComplex,
+    ValidationReport,
+    builtin,
+    homology_profile,
+    orient,
+    validate_complex,
+)
+from homtower.growth import run_tower
 from homtower.intlinalg import FgAbelianGroup
 from oracles import (
     action_by_decoding,
@@ -257,6 +267,47 @@ def test_cover_validation_report_is_cached():
     assert validate_complex(cover) is first
 
 
+def test_every_cover_passes_the_full_gate_on_a_fresh_copy():
+    # build_cover certifies a cover by its face identities alone; the shape
+    # pass of validate_complex must pass a copy that shares no cache
+    from test_deltacomplex import klein_cyclic_cover
+    made = [(base, build_cover(base, level.action))
+            for base, modulus, levels in ((builtin("torus2"), 2, 3), (surface2(), 2, 1),
+                                          (builtin("klein_bottle"), 2, 1),
+                                          (builtin("rp2"), 2, 1), (builtin("circle"), 5, 1))
+            for level in mod_power_tower(base, modulus, levels).levels]
+    made += [(builtin("klein_bottle"), (klein_cyclic_cover(d), d)) for d in (3, 63)]
+    made += [(builtin(name), orientation_double_cover(builtin(name)))
+             for name in ("klein_bottle", "rp2")]
+    assert [d for _, (_, d) in made] == [4, 16, 64, 16, 4, 2, 5, 3, 63, 2, 2]
+    for base, (cover, degree) in made:
+        fresh = DeltaComplex(cover.counts, {k: [list(row) for row in cover.faces[k]]
+                                            for k in range(1, cover.dim + 1)})
+        assert validate_complex(fresh).ok, cover
+        assert fresh == cover
+        assert cover.counts == tuple(c * degree for c in base.counts)
+
+
+def test_cover_certificate_catches_a_bad_construction(monkeypatch):
+    # with the relator check out of the way, an action that breaks the
+    # torus relator d_0 d_1 = d_0 d_0 still fails the cover's face identities
+    monkeypatch.setattr(covers, "validate_action", lambda *_: ValidationReport([]))
+    bad = PermutationAction(3, [(1, 0, 2), (0, 2, 1), (0, 1, 2)])
+    with pytest.raises(AssertionError, match=r"constructed cover failed validation: face "
+                                             r"identity d_0 d_1 = d_0 d_0 fails on 2-simplex 0"):
+        build_cover(builtin("torus2"), bad)
+
+
+def test_tower_covers_skip_the_shape_pass(monkeypatch):
+    tower = mod_power_tower(builtin("torus2"), 2, 3)
+    calls = []
+    entry_problems = deltacomplex._entry_problems
+    monkeypatch.setattr(deltacomplex, "_entry_problems",
+                        lambda complex: calls.append(complex) or entry_problems(complex))
+    assert run_tower(tower).degrees == (4, 16, 64)
+    assert calls == []
+
+
 def test_cover_simplex_counts_multiply():
     for name in ("torus2", "klein_bottle", "rp2"):
         base = builtin(name)
@@ -387,7 +438,7 @@ def test_tower_refuses_covers_too_large_to_build():
     with pytest.raises(ValueError, match=r"tower level 1 has degree 17179869184: "
                                          r"its cover would have \d+ simplices"):
         mod_power_tower(builtin("surface", genus=17), 2, 1)
-    assert MAX_COVER_SIMPLICES >= 4 ** 8 * sum(builtin("torus2").counts)
+    assert MAX_SIMPLICES >= 4 ** 8 * sum(builtin("torus2").counts)
 
 
 def test_tower_rejects_bad_parameters():

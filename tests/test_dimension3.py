@@ -59,7 +59,7 @@ def test_three_sphere_homology_and_orientation():
 
 def test_three_sphere_duality_and_bounds():
     sphere = boundary_of_4_simplex()
-    report = duality_report(sphere, (2,))
+    report = duality_report(sphere)
     assert report["betti_symmetric"] and report["torsion_symmetric"]
     assert report["cap_isomorphisms"]
     cap = cap_duality_check(sphere, orient(sphere))

@@ -78,7 +78,7 @@ def test_grid_torus_homology_and_duality():
     assert list(profile.groups) == [Z(1), Z(2), Z(1)]
     cycle = orient(torus)
     assert cycle is not None and len(cycle.signs) == 18
-    report = duality_report(torus, (2,))
+    report = duality_report(torus)
     assert report["betti_symmetric"] and report["cap_isomorphisms"]
     assert check_bounds(torus, (2, 3)).all_pass
     assert edge_path_presentation(torus).abelianization() == Z(2)

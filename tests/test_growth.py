@@ -134,9 +134,17 @@ def test_gap_check_surface_not_applicable():
 
 
 def test_gap_check_fails_above_threshold():
-    report = torus_report(levels=2)
-    verdict = gap_consistency_check(report, 0.05, level=1)
+    report = torus_report(levels=1)
+    verdict = gap_consistency_check(report, 0.05)
     assert verdict["status"] == "fail"  # 1/2 is not below 0.05
+
+
+def test_gap_check_on_an_empty_tower():
+    report = run_tower(mod_power_tower(builtin("rp2"), 3, 3), primes=(2,))
+    assert report.levels == ()
+    assert gap_consistency_check(report, 0.05) == {
+        "status": "not-applicable", "threshold": 0.05, "level": 0, "base": "rp2",
+        "series": {}}
 
 
 def test_level_failure_carries_level_index():
@@ -222,6 +230,7 @@ def _tamper(data, damage):
 
 DAMAGE_WARNINGS = {
     "truncate": "unreadable",
+    "nest": "unreadable",
     "drop-key": "a key is missing",
     "betti-999": "Euler characteristic",
     "betti-and-fp-1": "Euler characteristic",
@@ -244,6 +253,8 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     text = entry.read_text(encoding="utf-8")
     if damage == "truncate":
         entry.write_text(text[:len(text) // 2], encoding="utf-8")
+    elif damage == "nest":  # the JSON decoder runs out of recursion depth
+        entry.write_text("[" * 200000, encoding="utf-8")
     else:
         data = json.loads(text)
         _tamper(data, damage)
