@@ -127,7 +127,10 @@ def proves_abelian(presentation):
     Tietze-eliminates generators that occur exactly once in some relator,
     then declares success iff at most one generator survives or the relator
     set contains the commutator of every surviving pair (up to rotation and
-    inversion).  Returns False whenever unsure; never returns a wrong True.
+    inversion).  Each step re-expands and re-reduces only the relators that
+    contain the eliminated generator; the others are cyclically reduced
+    already.  Gives up (False) once any relator is longer than
+    MAX_WORD_LENGTH.  Returns False whenever unsure; never a wrong True.
     """
     words = [_cyclic_reduce(w) for w in presentation.relators]
     live = set(range(presentation.generator_count))
@@ -148,23 +151,20 @@ def proves_abelian(presentation):
             if exp == -1:
                 replacement = _invert(replacement)
             new_words = []
-            too_long = False
             for j, other in enumerate(words):
                 if j == idx:
                     continue
-                expanded = []
-                for g, e in other:
-                    if g == target:
-                        expanded.extend(replacement if e == 1 else _invert(replacement))
-                    else:
-                        expanded.append((g, e))
-                reduced = _cyclic_reduce(expanded)
-                if len(reduced) > MAX_WORD_LENGTH:
-                    too_long = True
-                    break
-                new_words.append(reduced)
-            if too_long:
-                return False
+                if (target, 1) in other or (target, -1) in other:
+                    expanded = []
+                    for g, e in other:
+                        if g == target:
+                            expanded.extend(replacement if e == 1 else _invert(replacement))
+                        else:
+                            expanded.append((g, e))
+                    other = _cyclic_reduce(expanded)
+                if len(other) > MAX_WORD_LENGTH:
+                    return False
+                new_words.append(other)
             words = new_words
             live.discard(target)
             changed = True

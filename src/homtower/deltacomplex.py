@@ -95,6 +95,19 @@ def _find(parent, x):
     return x
 
 
+def _find_signed(parent, rel, x):
+    """The root of x and the sign of x relative to it, where rel[y] is the
+    sign of y relative to parent[y]; halves the path, carrying the signs."""
+    sign = 1
+    while parent[x] != x:
+        p = parent[x]
+        rel[x] *= rel[p]
+        parent[x] = parent[p]
+        sign *= rel[x]
+        x = parent[x]
+    return x, sign
+
+
 def _spanning_forest(complex):
     """The edges that join two components as the 1-skeleton grows in edge
     order, in that order, from one cached union-find: S_0, the unit columns
@@ -274,20 +287,60 @@ def _boundary_off_rows(complex, k, dropped):
 
 def _boundary_smith(complex, k):
     """The divisor-only Smith form of d_k, kept in the complex's cache so
-    each boundary is eliminated once over Z; d_k goes without the rows that
-    are unit_columns of the one of d_{k-1} (see _boundary_off_rows).  d_1,
-    the signed incidence matrix of the 1-skeleton, is not eliminated: its
-    S_0 is _spanning_forest, with divisor 1 at each edge (never a loop)."""
+    each boundary is eliminated over Z at most once; d_k goes without the
+    rows that are unit_columns of the one of d_{k-1} (see
+    _boundary_off_rows).  Not eliminated are d_1, whose S_0 is
+    _spanning_forest (divisor 1 at each edge, never a loop), and the top
+    d_n, n >= 2, when _dual_forest gives the Smith form of the whole d_n,
+    which has the divisors of the restricted one by the same lemma."""
     key = ("smith", k)
     if key not in complex._cache:
         if k == 1:
             forest = _spanning_forest(complex)
             complex._cache[key] = SmithDecomposition(
                 (1,) * len(forest), complex.counts[0], complex.counts[1], unit_columns=forest)
-        else:
+        elif k < complex.dim or (found := _dual_forest(complex)) is None:
             complex._cache[key] = smith_normal_form(_boundary_off_rows(
                 complex, k, _boundary_smith(complex, k - 1).unit_columns))
+        else:
+            complex._cache[key] = found
     return complex._cache[key]
+
+
+def _dual_forest(complex):
+    """The Smith form of the whole top boundary d_n from one signed
+    union-find over the top simplices, or None when some (n-1)-simplex lies
+    in three or more top faces.  Row f of d_n is s_a e^a + s_b e^b for its
+    incidences (a, i) with s = (-1)^i: within a tree the rows span the
+    vectors with sum_t sign_t v_t = 0, where sign_b = -s_a s_b sign_a along
+    each tree row.  A row that joins two trees is a unit pivot at the root
+    it absorbs; with the tree rows it telescopes to +-e^ra +- e^rb, 0 at
+    every earlier pivot (a non-root).  A row on one incidence (a half-edge)
+    makes its final tree's root a unit pivot, appended last, as its
+    telescoped row +-e^root is 0 at every other; a row within a tree whose
+    sum is +-2 (a sign clash) leaves Z/2 on a tree with no half-edge."""
+    n = complex.dim
+    parent, rel = list(range(complex.counts[n])), [1] * complex.counts[n]
+    flags, units = [0] * complex.counts[n], []  # flag 1: half-edge, 2: clash
+    for pairs in _top_face_incidences(complex):
+        if len(pairs) == 2:
+            (a, i), (b, j) = pairs
+            (ra, sa), (rb, sb) = _find_signed(parent, rel, a), _find_signed(parent, rel, b)
+            want = 1 if (i + j) % 2 else -1  # sign_b / sign_a
+            if ra != rb:
+                parent[ra], rel[ra] = rb, sa * sb * want
+                flags[rb] |= flags[ra]
+                units.append(ra)
+            elif sa * sb != want:
+                flags[ra] |= 2
+        elif len(pairs) == 1:
+            flags[_find_signed(parent, rel, pairs[0][0])[0]] |= 1
+        elif pairs:
+            return None
+    roots = [t for t in range(complex.counts[n]) if parent[t] == t]
+    units += [t for t in roots if flags[t] & 1]
+    return SmithDecomposition((1,) * len(units) + (2,) * sum(flags[t] == 2 for t in roots),
+                              complex.counts[n - 1], complex.counts[n], unit_columns=units)
 
 
 def _boundary_or_zero(complex, k):
@@ -336,13 +389,15 @@ class HomologyProfile:
 def homology_profile(complex, primes=(2, 3, 5)):
     """Integral homology in every degree together with dim_{F_p} H_k.
 
-    Each boundary but d_1, whose Smith form _spanning_forest gives, is
-    eliminated over Z once (the cached Smith form), and each once over Z/N
-    for all the primes together (ranks_mod_primes), skipped when there are
-    none.  Both go bottom-up without the rows of d_k that are unit-pivot
-    columns of their own pass over d_{k-1} (see _boundary_off_rows), so the
-    two stay independent.  The
-    universal coefficient identity
+    Over Z each boundary has one cached Smith form (_boundary_smith): d_1's
+    is _spanning_forest, the top boundary's of a pseudomanifold (no
+    (n-1)-simplex in three top faces) is _dual_forest, and the others are
+    eliminated once.  Over Z/N each boundary is eliminated once for all the
+    primes together (ranks_mod_primes), skipped when there are none.  Both
+    go bottom-up without the rows of d_k that are unit-pivot columns of
+    their own pass over d_{k-1} (see _boundary_off_rows), so the two stay
+    independent: on a closed surface the cross-check compares two
+    union-finds against eliminations.  The universal coefficient identity
         dim_{F_p} H_k = b_k + #{p | t : t in tors H_k} + #{p | t : t in tors H_{k-1}}
     is asserted internally for every degree and prime; a violation would mean
     the integral and mod-p eliminations disagree and aborts loudly.
@@ -408,20 +463,12 @@ class FundamentalCycle:
 
 
 def _top_face_incidences(complex):
-    """For each (n-1)-simplex, the list of (top simplex, face slot) hitting it.
-
-    Raises NotPseudomanifoldError unless every (n-1)-simplex is hit exactly
-    twice (counting multiplicity)."""
-    n = complex.dim
-    incidences = [[] for _ in range(complex.counts[n - 1])]
-    for t, row in enumerate(complex.faces[n]):
+    """For each (n-1)-simplex, the list of (top simplex, face slot) hitting
+    it, counting multiplicity, in top-simplex order."""
+    incidences = [[] for _ in range(complex.counts[complex.dim - 1])]
+    for t, row in enumerate(complex.faces[complex.dim]):
         for i, f in enumerate(row):
             incidences[f].append((t, i))
-    for f, pairs in enumerate(incidences):
-        if len(pairs) != 2:
-            raise NotPseudomanifoldError(
-                f"not a closed pseudomanifold: {n - 1}-simplex {f} has "
-                f"{len(pairs)} top-simplex face incidences, expected 2")
     return incidences
 
 
@@ -487,6 +534,11 @@ def _orientation(complex):
         raise NotPseudomanifoldError("no top-dimensional simplices to orient")
     else:
         incidences = _top_face_incidences(complex)
+        for f, pairs in enumerate(incidences):
+            if len(pairs) != 2:
+                raise NotPseudomanifoldError(
+                    f"not a closed pseudomanifold: {n - 1}-simplex {f} has "
+                    f"{len(pairs)} top-simplex face incidences, expected 2")
         signs, eta, components = _propagate_signs(complex, incidences)
         if complex.is_connected() and components > 1:
             raise NotPseudomanifoldError(
@@ -530,11 +582,12 @@ def cap_duality_check(complex, cycle):
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
     i.e. the cap product with the fundamental cycle.  With m = n-k, let S be
-    the pivot columns of the +-1 pass in the cached Smith form of d_m (see
-    _boundary_smith; S_0 is the spanning forest in the order found).  When
-    such a pivot was found, its row of the partly reduced d_m was the
-    coboundary of an (m-1)-cochain with +-1 at the pivot and 0 at every
-    earlier pivot (chi_B at a forest edge joining A and B), so subtracting
+    the unit_columns of the cached Smith form of d_m (see _boundary_smith:
+    the pivot columns of the +-1 pass, the spanning forest for m = 1 and the
+    absorbed roots of the dual forest, then its half-edge roots, for m = n).
+    Each was found with a coboundary of an (m-1)-cochain that is +-1 at the
+    pivot and 0 at every earlier pivot (chi_B at a forest edge joining A
+    and B, the telescoped tree rows at a dual-forest root), so subtracting
     these coboundaries in pivot order makes any cocycle vanish on S.  Hence
     H^m is generated by the cocycles that vanish on S, the integer kernel of
     d_{m+1}^T restricted to the columns outside S, and the map is evaluated

@@ -9,7 +9,13 @@ itself never needs.
 
 import math
 
-from homtower.covers import PermutationAction
+from homtower.covers import (
+    MAX_WORD_LENGTH,
+    PermutationAction,
+    _canonical_rotation,
+    _cyclic_reduce,
+    _invert,
+)
 from homtower.deltacomplex import (
     FundamentalCycle,
     _boundary_or_zero,
@@ -232,3 +238,52 @@ def reduction_by_decoding(finer, coarser):
     positions = [finer.coords.index(c) for c in coarser.coords]
     return tuple(encode(tuple(decode(s)[p] % q for p, q in zip(positions, coarser.moduli)))
                  for s in range(finer.size))
+
+
+def proves_abelian_reexpanding_every_relator(presentation):
+    """covers.proves_abelian as it was before each Tietze step left alone
+    the relators without the eliminated generator: every other relator is
+    expanded and cyclically reduced again at every step."""
+    words = [_cyclic_reduce(w) for w in presentation.relators]
+    live = set(range(presentation.generator_count))
+    changed = True
+    while changed:
+        changed = False
+        for idx, word in enumerate(words):
+            counts = {}
+            for g, _ in word:
+                counts[g] = counts.get(g, 0) + 1
+            target = next((g for g in counts if counts[g] == 1), None)
+            if target is None:
+                continue
+            pos = next(i for i, (g, _) in enumerate(word) if g == target)
+            replacement = _invert(word[:pos]) + _invert(word[pos + 1:])
+            if word[pos][1] == -1:
+                replacement = _invert(replacement)
+            new_words = []
+            for j, other in enumerate(words):
+                if j == idx:
+                    continue
+                expanded = []
+                for g, e in other:
+                    if g == target:
+                        expanded.extend(replacement if e == 1 else _invert(replacement))
+                    else:
+                        expanded.append((g, e))
+                reduced = _cyclic_reduce(expanded)
+                if len(reduced) > MAX_WORD_LENGTH:
+                    return False
+                new_words.append(reduced)
+            words = new_words
+            live.discard(target)
+            changed = True
+            break
+    if len(live) <= 1:
+        return True
+    canon_words = {_canonical_rotation(w) for w in words if w}
+    for a, g in enumerate(sorted(live)):
+        for h in sorted(live)[a + 1:]:
+            comm = ((g, 1), (h, 1), (g, -1), (h, -1))
+            if not {_canonical_rotation(comm), _canonical_rotation(_invert(comm))} & canon_words:
+                return False
+    return True

@@ -3,6 +3,8 @@ import pytest
 from homtower import covers, deltacomplex
 from homtower.cli import main
 from homtower.covers import (
+    MAX_WORD_LENGTH,
+    Presentation,
     PermutationAction,
     _verify_certificate,
     abelianization_action,
@@ -16,6 +18,7 @@ from homtower.covers import (
     validate_action,
 )
 from homtower.deltacomplex import (
+    BUILTIN_NAMES,
     MAX_SIMPLICES,
     DeltaComplex,
     ValidationReport,
@@ -31,6 +34,7 @@ from oracles import (
     chain_h1,
     is_transitive,
     projection_from_faces,
+    proves_abelian_reexpanding_every_relator,
     reduction_by_decoding,
 )
 
@@ -111,6 +115,37 @@ def test_proves_abelian_on_library():
         p = edge_path_presentation(builtin(name))
         assert proves_abelian(p) is expected, name
     assert proves_abelian(edge_path_presentation(surface2())) is False
+
+
+def cyclic_klein_cover(degree):
+    shift = [(i + 1) % degree for i in range(degree)]
+    action = PermutationAction(degree, [shift, list(range(degree)), shift])
+    return build_cover(builtin("klein_bottle"), action)[0]
+
+
+def test_proves_abelian_verdict_does_not_depend_on_untouched_relators():
+    # A Tietze step leaves alone the relators without the eliminated
+    # generator; the verdict is that of re-expanding every relator, on
+    # one-vertex and many-vertex presentations alike
+    complexes = [builtin(name) for name in BUILTIN_NAMES if name not in ("surface", "interval")]
+    complexes += [builtin("surface", genus=g) for g in (1, 2, 3)]
+    complexes += [cyclic_klein_cover(d) for d in (3, 63)]
+    torus = builtin("torus2")
+    complexes += [build_cover(torus, level.action)[0]
+                  for level in mod_power_tower(torus, 2, 2).levels]
+    verdicts = []
+    for c in complexes:
+        p = edge_path_presentation(c)
+        verdicts.append(proves_abelian(p))
+        assert verdicts[-1] is proves_abelian_reexpanding_every_relator(p), c
+    assert True in verdicts and False in verdicts
+    # a relator longer than MAX_WORD_LENGTH that no step touches still ends
+    # the search, as it did when every relator was expanded again
+    long_word = ((1, 1), (2, 1)) * MAX_WORD_LENGTH
+    p = Presentation(3, (), range(3), [((0, 1),), long_word])
+    assert proves_abelian(p) is proves_abelian_reexpanding_every_relator(p) is False
+    p = Presentation(3, (), range(3), [((0, 1),), ((1, 1), (2, 1), (1, -1), (2, -1))])
+    assert proves_abelian(p) is proves_abelian_reexpanding_every_relator(p) is True
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from homtower.intlinalg import (
     smith_normal_form,
 )
 from oracles import cap_duality_records_full_basis, negated_cycle, projection_from_faces
-from test_dimension3 import boundary_of_4_simplex, suspension_of_rp2
+from test_dimension3 import boundary_of_4_simplex, delta_product, sol, suspension_of_rp2
 from test_intlinalg import cover_boundaries
 
 Z = FgAbelianGroup
@@ -511,9 +511,10 @@ def test_face_identities_are_stronger_than_the_chain_condition():
 
 
 def test_smith_forms_are_shared_with_the_homology(monkeypatch):
-    # each boundary but d_1 is eliminated once over Z, whatever the primes
-    # (d_1's Smith form is the spanning forest), and the cap check adds a
-    # cocycle basis and one onto test per degree
+    # no boundary of these closed surfaces is eliminated over Z, whatever
+    # the primes (d_1's Smith form is the spanning forest, d_2's the dual
+    # one), and the cap check adds a cocycle basis and one onto test per
+    # degree
     calls = []
     real = intlinalg.smith_normal_form
 
@@ -527,7 +528,7 @@ def test_smith_forms_are_shared_with_the_homology(monkeypatch):
         complex = make(name)
         homology_profile(complex, (2,))
         homology_profile(complex, (3,))
-        assert len(calls) == complex.dim - 1, name
+        assert len(calls) == 0, name
         calls.clear()
         cap_duality_check(complex, orient(complex))
         assert len(calls) <= 2 * (complex.dim + 1), name
@@ -775,9 +776,10 @@ def test_dropping_a_row_outside_the_forest_changes_some_answer():
 
 
 def test_integral_side_builds_no_d1(monkeypatch):
-    # Over Z, d_1 is never built or eliminated; the mod-N engine still
-    # eliminates it, so the universal-coefficient cross-check compares two
-    # independent computations.
+    # Over Z, neither d_1 nor the top boundary d_2 of a closed surface is
+    # built or eliminated; the mod-N engine still eliminates both, so the
+    # universal-coefficient cross-check compares two independent
+    # computations.
     built = []
     real = deltacomplex._boundary_off_rows
 
@@ -788,10 +790,154 @@ def test_integral_side_builds_no_d1(monkeypatch):
     monkeypatch.setattr(deltacomplex, "_boundary_off_rows", counting)
     cover = torus_cover(2)
     homology_profile(cover, ())
-    assert built == [2]
+    assert built == []
     profile = homology_profile(cover, (2, 3))
-    assert built == [2, 1, 2]
+    assert built == [1, 2]
     assert profile.fp_dims == {2: (1, 2, 1), 3: (1, 2, 1)}
+
+
+def lone_triangle():
+    return DeltaComplex((3, 3, 1), {1: [(2, 1), (2, 0), (1, 0)], 2: [(0, 1, 2)]})
+
+
+def two_triangle_disk():
+    """The square [0, 1, 2, 3] cut along its diagonal 02: edges 01, 02,
+    03, 12, 23 and triangles 012, 023, so only edge 02 is interior."""
+    return DeltaComplex((4, 5, 2), {1: [(1, 0), (2, 0), (3, 0), (2, 1), (3, 2)],
+                                    2: [(3, 1, 0), (4, 2, 1)]})
+
+
+def dunce_hat():
+    # one edge, and one triangle with the edge on all three sides (a, a, a^-1)
+    return DeltaComplex((1, 1, 1), {1: [(0, 0)], 2: [(0, 0, 0)]})
+
+
+def without_top_simplex(complex, t):
+    """The complex with top simplex t removed: its faces become half-edges."""
+    n = complex.dim
+    faces = {k: complex.faces[k] for k in range(1, n)}
+    faces[n] = complex.faces[n][:t] + complex.faces[n][t + 1:]
+    return DeltaComplex(complex.counts[:n] + (complex.counts[n] - 1,), faces)
+
+
+def dual_forest_inputs():
+    """(name, complex) pairs: every built-in, surfaces of genus 2 and 3,
+    the mod-2 covers of the torus, Klein bottle and RP^2 and the cyclic
+    Klein covers of degree 3 and 5 (with the double covers of the
+    non-orientable ones), the 3-torus, the suspension of RP^2
+    (a 2 in d_3), the 3-sphere, Sol and two of its covers, and the same
+    with a top simplex taken out, plus the two half-edge disks."""
+    out = [(name, make(name)) for name in BUILTIN_NAMES if name != "surface"]
+    out += [(f"surface{g}", builtin("surface", genus=g)) for g in (2, 3)]
+    for name in ("torus2", "klein_bottle", "rp2"):
+        base = builtin(name)
+        covers = [build_cover(base, level.action)[0]
+                  for level in mod_power_tower(base, 2, 2).levels]
+        for i, cover in enumerate([base] + covers):
+            out.append((f"{name} cover {i}", cover))
+            if orient(cover) is None:
+                out.append((f"{name} cover {i} double", orientation_double_cover(cover)[0]))
+    for d in (3, 5):
+        shift = [(i + 1) % d for i in range(d)]
+        action = PermutationAction(d, [shift, list(range(d)), shift])
+        cover = build_cover(builtin("klein_bottle"), action)[0]
+        out += [(f"cyclic klein cover {d}", cover),
+                (f"cyclic klein cover {d} double", orientation_double_cover(cover)[0])]
+    bundle = sol()
+    out += [("sol", bundle)] + [(f"sol cover {level.degree}", build_cover(bundle, level.action)[0])
+                                for level in mod_power_tower(bundle, 2, 2).levels]
+    out += [("torus3", delta_product(builtin("torus2"), builtin("circle"))),
+            ("suspension of rp2", suspension_of_rp2()), ("sphere3", boundary_of_4_simplex())]
+    out += [(f"{name} minus a top simplex", without_top_simplex(c, c.counts[c.dim] // 2))
+            for name, c in list(out) if c.dim >= 2]
+    return out + [("lone triangle", lone_triangle()), ("two-triangle disk", two_triangle_disk())]
+
+
+def test_dual_forest_is_the_smith_form_of_the_top_boundary():
+    # The signed union-find over the top simplices gives the divisors of a
+    # full elimination of d_n, and _boundary_smith takes it for every
+    # complex here, closed or with half-edges
+    seen_two = seen_half = False
+    for name, c in dual_forest_inputs():
+        assert validate_complex(c).ok, name
+        n = c.dim
+        forest = deltacomplex._dual_forest(c)
+        full = smith_normal_form(boundary_matrix(c, n))
+        assert forest.divisors == full.divisors, name
+        assert (forest.rows, forest.cols) == (full.rows, full.cols), name
+        assert len(set(forest.unit_columns)) == forest.divisors.count(1), name
+        if n >= 2:
+            cached = deltacomplex._boundary_smith(c, n)
+            assert (cached.divisors, cached.unit_columns) == (
+                forest.divisors, forest.unit_columns), name
+        seen_two |= 2 in forest.divisors and n == 3
+        seen_half |= any(len(pairs) == 1 for pairs in deltacomplex._top_face_incidences(c))
+    assert seen_two and seen_half
+
+
+def test_dual_forest_on_half_edges():
+    for c, divisors in ((lone_triangle(), (1,)), (two_triangle_disk(), (1, 1))):
+        assert validate_complex(c).ok
+        assert deltacomplex._dual_forest(c).divisors == divisors
+        assert list(homology_profile(c, PRIMES).groups) == [Z(1), Z(0), Z(0)]
+    # the join at edge 02 absorbs the root 0, then the root 1 of the one
+    # tree that has half-edges comes last
+    assert deltacomplex._dual_forest(two_triangle_disk()).unit_columns == (0, 1)
+
+
+def test_dunce_hat_falls_back_to_elimination(monkeypatch):
+    hat = dunce_hat()
+    assert validate_complex(hat).ok
+    assert [len(pairs) for pairs in deltacomplex._top_face_incidences(hat)] == [3]
+    assert deltacomplex._dual_forest(hat) is None
+    calls = []
+    real = deltacomplex.smith_normal_form
+    monkeypatch.setattr(deltacomplex, "smith_normal_form",
+                        lambda matrix: calls.append(matrix) or real(matrix))
+    assert list(homology_profile(hat, PRIMES).groups) == [Z(1), Z(0), Z(0)]
+    assert len(calls) == 1 and calls[0].rows == calls[0].cols == 1
+
+
+def test_dual_forest_unit_columns_are_cap_duality_pivots():
+    # Cap duality needs, for each pivot, a coboundary that is +-1 there and
+    # 0 at every earlier pivot: the columns of d_n on each prefix of the
+    # unit columns have full rank and every divisor 1
+    for name, c in dual_forest_inputs():
+        if sum(c.counts) > 200:
+            continue
+        d = boundary_matrix(c, c.dim)
+        pivots = deltacomplex._dual_forest(c).unit_columns
+        for i in range(1, len(pivots) + 1):
+            prefix = smith_normal_form(IntegerMatrix(
+                d.rows, i, {(r, pivots.index(t)): v for (r, t), v in d.items()
+                            if t in pivots[:i]}))
+            assert prefix.divisors == (1,) * i, (name, i)
+
+
+def documented_unit_columns(complex):
+    """The unit columns in the order _dual_forest documents, from component
+    labels instead of a union-find: a row joining two components pivots on
+    the label of its first incidence's, which takes the label of the
+    second's; then the final labels of the components with a half-edge, in
+    increasing order."""
+    label = list(range(complex.counts[complex.dim]))
+    joins, half = [], set()
+    for pairs in deltacomplex._top_face_incidences(complex):
+        if len(pairs) == 1:
+            half.add(pairs[0][0])
+        elif len(pairs) == 2:
+            a, b = label[pairs[0][0]], label[pairs[1][0]]
+            if a != b:
+                joins.append(a)
+                label = [b if x == a else x for x in label]
+    return tuple(joins + sorted({label[t] for t in half}))
+
+
+def test_dual_forest_joins_come_before_the_half_edge_roots():
+    # A half-edge root's telescoped row is +-1 at the root alone, so it may
+    # follow the joins; the joins keep the order in which they were found
+    for name, c in dual_forest_inputs():
+        assert deltacomplex._dual_forest(c).unit_columns == documented_unit_columns(c), name
 
 
 def test_unit_cocycle_caps_to_fundamental_cycle():

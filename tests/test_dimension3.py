@@ -18,7 +18,7 @@ from homtower.deltacomplex import (
     orient,
     validate_complex,
 )
-from homtower.intlinalg import FgAbelianGroup
+from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, smith_normal_form
 from oracles import homology_at, projection_from_faces
 
 Z = FgAbelianGroup
@@ -231,3 +231,56 @@ def test_cohomology_by_universal_coefficients():
             assert profile.cohomology(m) == direct, (complex, m)
     # the suspension of RP^2 has H_2 = Z/2, so its H^3 is all torsion
     assert homology_profile(suspension_of_rp2(), ()).cohomology(3) == Z(0, (2,))
+
+
+# The Sol bundle M_A, A = [[2, 1], [1, 1]], on one vertex: T^2 x I as the
+# delta-product of torus2 and an interval, two flip tetrahedra taking the top
+# torus T_0 = {a, b, a+b} to A.T_0, and A.T_0 glued onto T_0 x 0 by A.
+SOL_COUNTS = (1, 9, 16, 8)
+SOL_FACES = {
+    1: [(0, 0)] * 9,
+    2: [(2, 6, 0), (4, 7, 0), (1, 8, 0), (0, 6, 1), (0, 7, 3), (0, 8, 5), (1, 5, 3), (2, 1, 4),
+        (3, 5, 1), (4, 1, 2), (2, 8, 7), (4, 8, 6), (6, 8, 3), (7, 8, 1), (1, 3, 4), (4, 3, 1)],
+    3: [(7, 10, 2, 1), (9, 11, 2, 0), (0, 10, 12, 4), (1, 11, 13, 3), (3, 5, 12, 6),
+        (4, 5, 13, 8), (9, 15, 14, 7), (14, 6, 8, 15)],
+}
+SOL_MONODROMY = ((2, 1), (1, 1))
+
+
+def sol():
+    return DeltaComplex(SOL_COUNTS, SOL_FACES, name="sol")
+
+
+def monodromy_torsion(n):
+    """The invariant factors of coker(A^n - I), from one 2 x 2 Smith form:
+    tors H_1 of the degree-n cyclic cover of the Sol bundle."""
+    power = ((1, 0), (0, 1))
+    for _ in range(n):
+        power = tuple(tuple(sum(power[i][k] * SOL_MONODROMY[k][j] for k in range(2))
+                            for j in range(2)) for i in range(2))
+    shifted = {(i, j): power[i][j] - (i == j) for i in range(2) for j in range(2)}
+    return smith_normal_form(IntegerMatrix(2, 2, {pos: v for pos, v in shifted.items() if v}))
+
+
+def test_sol_bundle_homology():
+    bundle = sol()
+    assert validate_complex(bundle).ok
+    assert list(homology_profile(bundle, (2, 3)).groups) == [Z(1), Z(1), Z(1), Z(1)]
+    assert orient(bundle) is not None
+
+
+def test_sol_tower_matches_the_monodromy():
+    # H_1 of the degree-n cyclic cover is Z + coker(A^n - I), an oracle that
+    # never builds the cover; every level is a closed 3-manifold whose top
+    # boundary goes through the dual forest, and primes (2, 3) run the
+    # universal-coefficient cross-check against the mod-N elimination
+    bundle = sol()
+    tower = mod_power_tower(bundle, 2, 7)
+    assert [level.degree for level in tower.levels] == [2 ** i for i in range(1, 8)]
+    for level in tower.levels:
+        cover, degree = build_cover(bundle, level.action)
+        profile = homology_profile(cover, (2, 3))
+        assert [profile.betti(k) for k in range(4)] == [1, 1, 1, 1], degree
+        torsion = monodromy_torsion(degree)
+        assert torsion.rank == 2
+        assert profile.group(1) == Z(1, torsion.nontrivial_divisors()), degree
