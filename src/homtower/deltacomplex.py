@@ -13,7 +13,6 @@ sum over i of (-1)^i [faces[k][c][i] == r], so every column has at most k+1
 signed incidences and Euclidean norm at most k+1.
 """
 
-from collections import deque
 from collections.abc import Mapping
 
 from .intlinalg import (
@@ -299,7 +298,7 @@ def _boundary_smith(complex, k):
             forest = _spanning_forest(complex)
             complex._cache[key] = SmithDecomposition(
                 (1,) * len(forest), complex.counts[0], complex.counts[1], unit_columns=forest)
-        elif k < complex.dim or (found := _dual_forest(complex)) is None:
+        elif k < complex.dim or (found := _dual_forest(complex)[3]) is None:
             complex._cache[key] = smith_normal_form(_boundary_off_rows(
                 complex, k, _boundary_smith(complex, k - 1).unit_columns))
         else:
@@ -308,21 +307,30 @@ def _boundary_smith(complex, k):
 
 
 def _dual_forest(complex):
-    """The Smith form of the whole top boundary d_n from one signed
-    union-find over the top simplices, or None when some (n-1)-simplex lies
-    in three or more top faces.  Row f of d_n is s_a e^a + s_b e^b for its
-    incidences (a, i) with s = (-1)^i: within a tree the rows span the
-    vectors with sum_t sign_t v_t = 0, where sign_b = -s_a s_b sign_a along
-    each tree row.  A row that joins two trees is a unit pivot at the root
-    it absorbs; with the tree rows it telescopes to +-e^ra +- e^rb, 0 at
-    every earlier pivot (a non-root).  A row on one incidence (a half-edge)
-    makes its final tree's root a unit pivot, appended last, as its
-    telescoped row +-e^root is 0 at every other; a row within a tree whose
-    sum is +-2 (a sign clash) leaves Z/2 on a tree with no half-edge."""
+    """The one walk of the dual graph, kept in the complex's cache for
+    _orientation and _boundary_smith: (incidences, parent, rel, smith) of
+    _top_face_incidences, a signed union-find over the top simplices
+    (_find_signed(parent, rel, t) is t's root and sign relative to it) and
+    the Smith form of the whole top boundary d_n; or (incidences, None,
+    None, None) when some (n-1)-simplex lies in three top faces or more.
+    Row f of d_n is s_a e^a + s_b e^b for its incidences (a, i) with
+    s = (-1)^i: within a tree the rows span the vectors with
+    sum_t sign_t v_t = 0, where sign_b = -s_a s_b sign_a along each tree
+    row.  A row that joins two trees is a unit pivot at the root it
+    absorbs; with the tree rows it telescopes to +-e^ra +- e^rb, 0 at every
+    earlier pivot (a non-root).  A row on one incidence (a half-edge) makes
+    its final tree's root a unit pivot, appended last, as its telescoped
+    row +-e^root is 0 at every other; a row within a tree whose sum is +-2
+    (a sign clash) leaves Z/2 on a tree with no half-edge."""
+    if "dual_forest" in complex._cache:
+        return complex._cache["dual_forest"]
     n = complex.dim
+    incidences = _top_face_incidences(complex)
+    if any(len(pairs) > 2 for pairs in incidences):
+        return complex._cache.setdefault("dual_forest", (incidences, None, None, None))
     parent, rel = list(range(complex.counts[n])), [1] * complex.counts[n]
     flags, units = [0] * complex.counts[n], []  # flag 1: half-edge, 2: clash
-    for pairs in _top_face_incidences(complex):
+    for pairs in incidences:
         if len(pairs) == 2:
             (a, i), (b, j) = pairs
             (ra, sa), (rb, sb) = _find_signed(parent, rel, a), _find_signed(parent, rel, b)
@@ -333,14 +341,13 @@ def _dual_forest(complex):
                 units.append(ra)
             elif sa * sb != want:
                 flags[ra] |= 2
-        elif len(pairs) == 1:
-            flags[_find_signed(parent, rel, pairs[0][0])[0]] |= 1
         elif pairs:
-            return None
+            flags[_find_signed(parent, rel, pairs[0][0])[0]] |= 1
     roots = [t for t in range(complex.counts[n]) if parent[t] == t]
     units += [t for t in roots if flags[t] & 1]
-    return SmithDecomposition((1,) * len(units) + (2,) * sum(flags[t] == 2 for t in roots),
-                              complex.counts[n - 1], complex.counts[n], unit_columns=units)
+    return complex._cache.setdefault("dual_forest", (incidences, parent, rel, SmithDecomposition(
+        (1,) * len(units) + (2,) * sum(flags[t] == 2 for t in roots),
+        complex.counts[n - 1], complex.counts[n], unit_columns=units)))
 
 
 def _boundary_or_zero(complex, k):
@@ -472,46 +479,15 @@ def _top_face_incidences(complex):
     return incidences
 
 
-def _propagate_signs(complex, incidences):
-    """BFS over the dual graph from each unvisited top simplex (lowest index
-    first, starting sign +1).  Returns (signs, eta, component_count) where
-    eta marks the (n-1)-simplices across which the tentative signs clash."""
-    n = complex.dim
-    signs = [0] * complex.counts[n]
-    components = 0
-    for seed in range(complex.counts[n]):
-        if signs[seed]:
-            continue
-        components += 1
-        signs[seed] = 1
-        queue = deque([seed])
-        while queue:
-            t = queue.popleft()
-            for f in complex.faces[n][t]:
-                (a, ia), (b, ib) = incidences[f]
-                if a == b:
-                    continue  # both sides on the same top simplex
-                other = b if a == t else a
-                want = signs[t] * (1 if (ia + ib) % 2 else -1)
-                if signs[other] == 0:
-                    signs[other] = want
-                    queue.append(other)
-    eta = []
-    for f, ((a, ia), (b, ib)) in enumerate(incidences):
-        balanced = signs[a] * (-1) ** ia + signs[b] * (-1) ** ib == 0
-        eta.append(0 if balanced else 1)
-    return signs, eta, components
-
-
 def orient(complex):
     """Coherent orientation of a closed pseudomanifold.
 
-    Returns a FundamentalCycle, or None when sign propagation across the
-    dual graph meets a contradiction (the complex is non-orientable).
-    Raises NotPseudomanifoldError when some (n-1)-simplex does not lie in
-    exactly two top-simplex faces, or when the dual graph is disconnected
-    inside a connected complex.  It reads _orientation, so a complex is
-    oriented once.
+    Returns a FundamentalCycle, or None when the signs across the dual
+    graph contradict each other (the complex is non-orientable).  Raises
+    NotPseudomanifoldError when there is no top simplex, when some
+    (n-1)-simplex does not lie in exactly two top-simplex faces, or when
+    the dual graph is disconnected inside a connected complex.  It reads
+    _orientation, so a complex is oriented once.
     """
     found = _orientation(complex)
     return found if isinstance(found, FundamentalCycle) else None
@@ -520,29 +496,36 @@ def orient(complex):
 def _orientation(complex):
     """The one orientation pass of a complex, kept in its cache: the
     FundamentalCycle of an orientable complex, or (incidences, eta) of a
-    non-orientable one, which orientation_double_cover reads.  Each
-    (n-1)-simplex f has exactly two incidences, so eta[f] is 1 exactly where
-    the coefficient of f in the boundary of sum sign_t * t is nonzero, and
-    an eta of zeros certifies the cycle."""
+    non-orientable one, which orientation_double_cover reads.  Each top
+    simplex takes its sign in _dual_forest relative to the lowest top
+    simplex of its dual tree, which gets +1.  Each (n-1)-simplex f has
+    exactly two incidences, so eta[f] is 1 exactly where the coefficient of
+    f in the boundary of sum sign_t * t is nonzero, and an eta of zeros
+    certifies the cycle."""
     _valid(complex)
     if "orientation" in complex._cache:
         return complex._cache["orientation"]
     n = complex.dim
+    if complex.counts[n] == 0:
+        raise NotPseudomanifoldError("no top-dimensional simplices to orient")
     if n == 0:
         found = FundamentalCycle((1,) * complex.counts[0])
-    elif complex.counts[n] == 0:
-        raise NotPseudomanifoldError("no top-dimensional simplices to orient")
     else:
-        incidences = _top_face_incidences(complex)
+        incidences, parent, rel, _ = _dual_forest(complex)
         for f, pairs in enumerate(incidences):
             if len(pairs) != 2:
                 raise NotPseudomanifoldError(
                     f"not a closed pseudomanifold: {n - 1}-simplex {f} has "
                     f"{len(pairs)} top-simplex face incidences, expected 2")
-        signs, eta, components = _propagate_signs(complex, incidences)
-        if complex.is_connected() and components > 1:
+        first, signs = {}, []
+        for t in range(complex.counts[n]):
+            root, s = _find_signed(parent, rel, t)
+            signs.append(s * first.setdefault(root, s))
+        if complex.is_connected() and len(first) > 1:
             raise NotPseudomanifoldError(
-                f"dual graph has {components} components inside a connected complex")
+                f"dual graph has {len(first)} components inside a connected complex")
+        eta = [0 if signs[a] * (-1) ** ia + signs[b] * (-1) ** ib == 0 else 1
+               for (a, ia), (b, ib) in incidences]
         found = (incidences, eta) if any(eta) else FundamentalCycle(signs)
     complex._cache["orientation"] = found
     return found

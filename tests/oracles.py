@@ -2,12 +2,13 @@
 
 Each one is an independent route to a quantity the program computes another
 way (Bareiss rank, homology from two boundaries, the cap duality check on a
-whole cocycle basis, translation actions decoded sheet by sheet, the
-projection of a cover read off its faces), or a small reader the program
-itself never needs.
+whole cocycle basis, orientation signs by a breadth-first search, translation
+actions decoded sheet by sheet, the projection of a cover read off its
+faces), or a small reader the program itself never needs.
 """
 
 import math
+from collections import deque
 
 from homtower.covers import (
     MAX_WORD_LENGTH,
@@ -173,6 +174,41 @@ def cap_duality_records_full_basis(complex, cycle):
         source, target = profile.cohomology(m), profile.group(k)
         records.append((k, source, target, surjective and source == target))
     return records
+
+
+def orientation_by_search(complex):
+    """The orientation pass by breadth-first search over the dual graph of
+    a complex whose every (n-1)-simplex lies in exactly two top faces: from
+    each unvisited top simplex, lowest index first, with sign +1.  Returns
+    (incidences, signs, eta, component_count): incidences[f] lists the
+    (top simplex, face slot) pairs on f in top-simplex order, and eta marks
+    the (n-1)-simplices across which the signs clash."""
+    n = complex.dim
+    incidences = [[] for _ in range(complex.counts[n - 1])]
+    for t, row in enumerate(complex.faces[n]):
+        for i, f in enumerate(row):
+            incidences[f].append((t, i))
+    signs = [0] * complex.counts[n]
+    components = 0
+    for seed in range(complex.counts[n]):
+        if signs[seed]:
+            continue
+        components += 1
+        signs[seed] = 1
+        queue = deque([seed])
+        while queue:
+            t = queue.popleft()
+            for f in complex.faces[n][t]:
+                (a, ia), (b, ib) = incidences[f]
+                if a == b:
+                    continue  # both sides on the same top simplex
+                other = b if a == t else a
+                if signs[other] == 0:
+                    signs[other] = signs[t] * (1 if (ia + ib) % 2 else -1)
+                    queue.append(other)
+    eta = [0 if signs[a] * (-1) ** ia + signs[b] * (-1) ** ib == 0 else 1
+           for (a, ia), (b, ib) in incidences]
+    return incidences, signs, eta, components
 
 
 def projection_from_faces(base, cover, degree):

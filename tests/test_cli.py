@@ -171,6 +171,16 @@ def test_disconnected_non_orientable_input_is_a_usage_error(tmp_path, capsys):
                    "this one has 2 components\n")
 
 
+def test_bounds_refuses_the_empty_complex_before_any_cycle(tmp_path, capsys):
+    # A complex with no top simplex, in dimension 0 too, has no fundamental
+    # cycle, so bounds refuses it before any bound formula sees a cycle size
+    path = tmp_path / "empty.json"
+    path.write_text('{"dim": 0, "counts": [0], "faces": {}}')
+    code, out, err = run(capsys, "bounds", str(path))
+    assert (code, out) == (2, "")
+    assert err == "homtower: no top-dimensional simplices to orient\n"
+
+
 def test_bounds_csv(capsys):
     code, out, _ = run(capsys, "bounds", "--builtin", "sphere2", "--format", "csv")
     assert code == 0

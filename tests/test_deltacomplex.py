@@ -3,7 +3,7 @@ import json
 import pytest
 
 from homtower import deltacomplex, intlinalg
-from homtower.bounds import check_index2_reduction
+from homtower.bounds import check_bounds, check_index2_reduction, duality_report
 from homtower.covers import (
     PermutationAction,
     build_cover,
@@ -34,7 +34,12 @@ from homtower.intlinalg import (
     ranks_mod_primes,
     smith_normal_form,
 )
-from oracles import cap_duality_records_full_basis, negated_cycle, projection_from_faces
+from oracles import (
+    cap_duality_records_full_basis,
+    negated_cycle,
+    orientation_by_search,
+    projection_from_faces,
+)
 from test_dimension3 import boundary_of_4_simplex, delta_product, sol, suspension_of_rp2
 from test_intlinalg import cover_boundaries
 
@@ -266,26 +271,37 @@ def test_orient_finds_a_cycle_or_none(make_complex, orientable):
 
 
 def test_one_sign_pass_per_complex_and_no_boundary_to_orient(monkeypatch):
-    # The double cover reads the orientation pass of its base: the index-2
-    # check runs the sign pass once on the base and once on the cover, and
-    # no boundary matrix is built to orient.
+    # One cached signed union-find gives the orientation and the Smith form
+    # of d_n, so bounds and the duality report build the top-face
+    # incidences once per complex, whether orientation or homology comes
+    # first.  The double cover reads the orientation pass of its base:
+    # the index-2 check builds them once on the base and once on the cover,
+    # and no boundary matrix is built to orient.
     passes, builds = [], []
-    real_signs, real_boundary = deltacomplex._propagate_signs, deltacomplex._boundary_off_rows
+    real_incidences = deltacomplex._top_face_incidences
+    real_boundary = deltacomplex._boundary_off_rows
 
-    def counting_signs(complex, incidences):
+    def counting_incidences(complex):
         passes.append(complex.counts)
-        return real_signs(complex, incidences)
+        return real_incidences(complex)
 
     def counting_boundary(complex, k, dropped):
         builds.append(k)
         return real_boundary(complex, k, dropped)
 
-    monkeypatch.setattr(deltacomplex, "_propagate_signs", counting_signs)
+    monkeypatch.setattr(deltacomplex, "_top_face_incidences", counting_incidences)
     monkeypatch.setattr(deltacomplex, "_boundary_off_rows", counting_boundary)
     orient(builtin("torus2"))
     orientation_double_cover(klein_cyclic_cover(3))
     assert builds == []
     passes.clear()
+    for first in (orient, homology_profile):
+        torus = builtin("torus2")
+        first(torus)
+        assert check_bounds(torus).all_pass
+        assert all(duality_report(torus).values())
+        assert passes == [(1, 3, 2)], first
+        passes.clear()
     assert check_index2_reduction(builtin("klein_bottle")).all_pass
     assert passes == [(1, 3, 2), (2, 6, 4)]
 
@@ -302,13 +318,17 @@ def test_orient_rejects_open_complex():
         orient(builtin("interval"))
 
 
-def test_orient_rejects_disconnected_dual_graph():
+def torus_wedge():
     # two one-vertex tori wedged at the vertex: connected complex,
     # disconnected dual graph
-    wedge = DeltaComplex((1, 6, 4), {
+    return DeltaComplex((1, 6, 4), {
         1: [(0, 0)] * 6,
         2: [(0, 2, 1), (1, 2, 0), (3, 5, 4), (4, 5, 3)],
     })
+
+
+def test_orient_rejects_disconnected_dual_graph():
+    wedge = torus_wedge()
     assert validate_complex(wedge).ok
     with pytest.raises(NotPseudomanifoldError, match="dual graph"):
         orient(wedge)
@@ -853,21 +873,29 @@ def dual_forest_inputs():
     return out + [("lone triangle", lone_triangle()), ("two-triangle disk", two_triangle_disk())]
 
 
+def dual_forest_smith(complex):
+    """The Smith form of d_n from _dual_forest, on a complex with no
+    (n-1)-simplex in three top faces."""
+    smith = deltacomplex._dual_forest(complex)[3]
+    assert smith is not None
+    return smith
+
+
 def test_dual_forest_is_the_smith_form_of_the_top_boundary():
     # The signed union-find over the top simplices gives the divisors of a
     # full elimination of d_n, and _boundary_smith takes it for every
-    # complex here, closed or with half-edges
+    # complex here of dimension at least 2, closed or with half-edges
     seen_two = seen_half = False
     for name, c in dual_forest_inputs():
         assert validate_complex(c).ok, name
         n = c.dim
-        forest = deltacomplex._dual_forest(c)
+        forest = dual_forest_smith(c)
         full = smith_normal_form(boundary_matrix(c, n))
         assert forest.divisors == full.divisors, name
         assert (forest.rows, forest.cols) == (full.rows, full.cols), name
         assert len(set(forest.unit_columns)) == forest.divisors.count(1), name
-        if n >= 2:
-            cached = deltacomplex._boundary_smith(c, n)
+        if n >= 2:  # on a fresh copy, which has no dual forest cached
+            cached = deltacomplex._boundary_smith(complex_from_json(complex_to_json(c)), n)
             assert (cached.divisors, cached.unit_columns) == (
                 forest.divisors, forest.unit_columns), name
         seen_two |= 2 in forest.divisors and n == 3
@@ -878,18 +906,19 @@ def test_dual_forest_is_the_smith_form_of_the_top_boundary():
 def test_dual_forest_on_half_edges():
     for c, divisors in ((lone_triangle(), (1,)), (two_triangle_disk(), (1, 1))):
         assert validate_complex(c).ok
-        assert deltacomplex._dual_forest(c).divisors == divisors
+        assert dual_forest_smith(c).divisors == divisors
         assert list(homology_profile(c, PRIMES).groups) == [Z(1), Z(0), Z(0)]
     # the join at edge 02 absorbs the root 0, then the root 1 of the one
     # tree that has half-edges comes last
-    assert deltacomplex._dual_forest(two_triangle_disk()).unit_columns == (0, 1)
+    assert dual_forest_smith(two_triangle_disk()).unit_columns == (0, 1)
 
 
 def test_dunce_hat_falls_back_to_elimination(monkeypatch):
     hat = dunce_hat()
     assert validate_complex(hat).ok
     assert [len(pairs) for pairs in deltacomplex._top_face_incidences(hat)] == [3]
-    assert deltacomplex._dual_forest(hat) is None
+    assert deltacomplex._dual_forest(hat)[1:] == (None, None, None)
+    assert ("smith", 2) not in hat._cache
     calls = []
     real = deltacomplex.smith_normal_form
     monkeypatch.setattr(deltacomplex, "smith_normal_form",
@@ -906,7 +935,7 @@ def test_dual_forest_unit_columns_are_cap_duality_pivots():
         if sum(c.counts) > 200:
             continue
         d = boundary_matrix(c, c.dim)
-        pivots = deltacomplex._dual_forest(c).unit_columns
+        pivots = dual_forest_smith(c).unit_columns
         for i in range(1, len(pivots) + 1):
             prefix = smith_normal_form(IntegerMatrix(
                 d.rows, i, {(r, pivots.index(t)): v for (r, t), v in d.items()
@@ -937,7 +966,57 @@ def test_dual_forest_joins_come_before_the_half_edge_roots():
     # A half-edge root's telescoped row is +-1 at the root alone, so it may
     # follow the joins; the joins keep the order in which they were found
     for name, c in dual_forest_inputs():
-        assert deltacomplex._dual_forest(c).unit_columns == documented_unit_columns(c), name
+        assert dual_forest_smith(c).unit_columns == documented_unit_columns(c), name
+
+
+def double_cover_or_refusal(complex):
+    try:
+        return orientation_double_cover(complex)[0].faces
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_orientation_matches_the_search_oracle():
+    # The signed dual forest gives the signs of a breadth-first search from
+    # the lowest top simplex of each dual component, the same component
+    # count, and clashes from which the double cover gets the same faces as
+    # from the search's clashes (an edge swaps the sheets or not whatever
+    # the tentative signs), or the same refusal.
+    disjoint = {"two tori": [(0, 2, 1), (1, 2, 0), (3, 5, 4), (4, 5, 3)],
+                "a torus and a Klein bottle": [(0, 2, 1), (1, 2, 0), (3, 5, 4), (4, 3, 5)]}
+    inputs = dual_forest_inputs() + [
+        *((f"cyclic klein cover {d}", klein_cyclic_cover(d)) for d in (7, 63, 255)),
+        ("wedge of two tori", torus_wedge()),
+        *((name, DeltaComplex((2, 6, 4), {1: [(0, 0)] * 3 + [(1, 1)] * 3, 2: triangles}))
+          for name, triangles in disjoint.items())]
+    seen = {"open": 0, "split": 0, "oriented": 0, "clash": 0}
+    for name, complex in inputs:
+        c = complex_from_json(complex_to_json(complex))  # nothing cached
+        assert validate_complex(c).ok, name
+        if any(len(pairs) != 2 for pairs in deltacomplex._top_face_incidences(c)):
+            with pytest.raises(NotPseudomanifoldError, match="not a closed pseudomanifold"):
+                orient(c)
+            seen["open"] += 1
+            continue
+        incidences, signs, eta, components = orientation_by_search(c)
+        if c.is_connected() and components > 1:
+            with pytest.raises(NotPseudomanifoldError,
+                               match=f"dual graph has {components} components"):
+                orient(c)
+            seen["split"] += 1
+            continue
+        cycle = orient(c)
+        if not any(eta):
+            assert cycle.signs == tuple(signs), name
+            seen["oriented"] += 1
+            continue
+        assert cycle is None, name
+        searched = complex_from_json(complex_to_json(c))
+        assert validate_complex(searched).ok
+        searched._cache["orientation"] = (incidences, eta)
+        assert double_cover_or_refusal(c) == double_cover_or_refusal(searched), name
+        seen["clash"] += 1
+    assert min(seen.values()) >= 1, seen
 
 
 def test_unit_cocycle_caps_to_fundamental_cycle():
