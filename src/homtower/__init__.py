@@ -33,8 +33,6 @@ from .covers import (
     PermutationAction,
     Presentation,
     Tower,
-    abelianization_action,
-    action_from_json,
     action_to_json,
     build_cover,
     edge_path_presentation,

@@ -166,12 +166,6 @@ class Index2Report(_RecordReport):
         self.records = tuple(records)
         self.cover_counts = tuple(cover_counts)
 
-    def record(self, kind, degree, prime=None):
-        for r in self.records:
-            if (r.kind, r.degree, r.prime) == (kind, degree, prime):
-                return r
-        raise KeyError((kind, degree, prime))
-
     def to_json_dict(self):
         return {
             "complex": self.name,

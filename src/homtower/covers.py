@@ -17,7 +17,6 @@ of the orientation character.
 """
 
 import math
-import warnings
 from itertools import combinations
 
 from .deltacomplex import (
@@ -33,7 +32,7 @@ from .deltacomplex import (
     _valid,
     orient,
 )
-from .intlinalg import IntegerMatrix, cokernel_structure, smith_normal_form
+from .intlinalg import IntegerMatrix, smith_normal_form
 
 
 class Presentation:
@@ -60,9 +59,6 @@ class Presentation:
             for g, e in word:
                 entries[g, j] = entries.get((g, j), 0) + e
         return IntegerMatrix(self.generator_count, len(self.relators), entries)
-
-    def abelianization(self):
-        return cokernel_structure(self.relator_matrix())
 
 
 def edge_path_presentation(complex):
@@ -270,26 +266,6 @@ def action_to_json(action):
             "edge_perms": [list(p) for p in action.edge_perms]}
 
 
-def action_from_json(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("permutation action: expected a JSON object")
-    if "degree" not in obj or "edge_perms" not in obj:
-        raise ValueError("permutation action: keys 'degree' and 'edge_perms' required")
-    degree = obj["degree"]
-    if type(degree) is not int or degree < 1:  # a JSON true is a bool
-        raise ValueError("permutation action: degree must be a positive integer")
-    perms = obj["edge_perms"]
-    if not isinstance(perms, list):
-        raise ValueError("permutation action: edge_perms must be a list")
-    for e, perm in enumerate(perms):
-        if (not isinstance(perm, list) or any(type(s) is not int for s in perm)
-                or sorted(perm) != list(range(degree))):
-            raise ValueError(
-                f"permutation action: edge_perms[{e}] is not a permutation "
-                f"of 0..{degree - 1}")
-    return PermutationAction(degree, perms)
-
-
 # ---------------------------------------------------------------------------
 # Cover construction
 
@@ -382,12 +358,15 @@ def orientation_double_cover(complex):
 class AbelianQuotient:
     """H_1(X; Z) tensor Z/m in explicit coordinates.
 
-    Coordinates come from one Smith transform U of the relator matrix,
+    Coordinates come from one Smith transform of the relator matrix A,
     shared across all moduli, so the reduction maps between the quotients
-    for m^i and m^{i+1} are literally componentwise.  Sheet s is the element
-    whose coordinates are the digits of s in the mixed radix of `moduli`,
-    the first most significant; the sheet maps act digit by digit, so they
-    are built as mixed-radix products (_radix_product), decoding no sheet.
+    for m^i and m^{i+1} are literally componentwise.  It is V_t of A^T:
+    U_t A^T V_t = D gives V_t^T A U_t^T = D^T, so V_t^T is a U for A, and
+    coordinate i of generator g is entry (g, i) of V_t.  Sheet s is the
+    element whose coordinates are the digits of s in the mixed radix of
+    `moduli`, the first most significant; the sheet maps act digit by digit,
+    so they are built as mixed-radix products (_radix_product), decoding no
+    sheet.
     """
 
     __slots__ = ("modulus", "coords", "moduli", "size", "_strides", "_shifts")
@@ -413,7 +392,7 @@ class AbelianQuotient:
             if g is None:
                 images.append((0,) * len(self.coords))
             else:
-                images.append(tuple(snf.U.entry(i, g) % q
+                images.append(tuple(snf.V.entry(g, i) % q
                                     for i, q in zip(self.coords, self.moduli)))
         self._shifts = tuple(images)
 
@@ -448,24 +427,10 @@ def _radix_product(tables):
 
 
 def _presentation_smith(complex):
+    """The presentation and the Smith form, V tracked, of its transposed
+    relator matrix (see AbelianQuotient)."""
     presentation = edge_path_presentation(complex)
-    return presentation, smith_normal_form(presentation.relator_matrix(), "U")
-
-
-def abelianization_action(complex, modulus):
-    """The regular action of pi_1 on H_1(X) tensor Z/m by translation.
-
-    Degree is the order of the quotient; tree edges act trivially by
-    construction.  A trivial quotient yields the degree-1 identity action
-    (the cover equals the base) with a warning.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    presentation, snf = _presentation_smith(complex)
-    quotient = AbelianQuotient(presentation, snf, modulus)
-    if quotient.size == 1:
-        warnings.warn("abelianization quotient is trivial; cover equals base")
-    return quotient.action()
+    return presentation, smith_normal_form(presentation.relator_matrix().transpose(), True)
 
 
 class TowerLevel:
@@ -480,15 +445,15 @@ class TowerLevel:
 
 class Tower:
     """A nested family of finite regular covers from mod-m^i abelianization
-    quotients, with verified reduction certificates between levels."""
+    quotients, whose reduction certificates between levels were verified
+    when it was built."""
 
-    __slots__ = ("base", "modulus", "levels", "certificates", "residual", "warnings")
+    __slots__ = ("base", "modulus", "levels", "residual", "warnings")
 
-    def __init__(self, base, modulus, levels, certificates, residual, warning_list):
+    def __init__(self, base, modulus, levels, residual, warning_list):
         self.base = base
         self.modulus = modulus
         self.levels = tuple(levels)
-        self.certificates = tuple(certificates)
         self.residual = residual
         self.warnings = tuple(warning_list)
 
@@ -540,13 +505,10 @@ def mod_power_tower(complex, modulus, levels):
                              f"{simplices} simplices, more than {MAX_SIMPLICES}")
         quotients.append(q)
     tower_levels = [TowerLevel(q.modulus, q.action(), q) for q in quotients]
-    certificates = []
     for finer, coarser in zip(tower_levels[1:], tower_levels[:-1]):
-        sheet_map = finer.quotient.reduction_to(coarser.quotient)
-        _verify_certificate(finer, coarser, sheet_map)
-        certificates.append(sheet_map)
+        _verify_certificate(finer, coarser, finer.quotient.reduction_to(coarser.quotient))
     abelian = proves_abelian(presentation)
     torsion = snf.nontrivial_divisors()
     torsion_ok = all(_divides_a_power_of(t, modulus) for t in torsion)
     residual = abelian and torsion_ok
-    return Tower(complex, modulus, tower_levels, certificates, residual, warning_list)
+    return Tower(complex, modulus, tower_levels, residual, warning_list)

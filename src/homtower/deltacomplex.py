@@ -554,9 +554,6 @@ class CapDualityReport:
     def all_isomorphisms(self):
         return all(r.isomorphism for r in self.records)
 
-    def record(self, k):
-        return self.records[k]
-
 
 def cap_duality_check(complex, cycle):
     """Check that capping with the fundamental cycle induces isomorphisms

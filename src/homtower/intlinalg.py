@@ -5,10 +5,10 @@ fixed-width fast path, so torsion orders are never silently corrupted by
 overflow.  Matrices are stored sparsely but behave like ordinary dense
 integer matrices (out-of-range access is an error, never an implicit zero).
 
-The Smith normal form is one elimination, with or without transforms, and
-rows and columns never move: each finished pivot is recorded and its row and
-column emptied.  It first eliminates the +-1 pivots (each a divisor 1) in the
-order of a row-length heap, as sparse integer Smith-form codes do; on
+The Smith normal form is one elimination, with or without the transform V,
+and rows and columns never move: each finished pivot is recorded and its row
+and column emptied.  It first eliminates the +-1 pivots (each a divisor 1) in
+the order of a row-length heap, as sparse integer Smith-form codes do; on
 boundary maps of covers that usually leaves nothing.  The core of non-unit
 entries left over uses a fixed pivot strategy: among the remaining entries,
 pick one of minimal absolute value, breaking ties by lowest row then lowest
@@ -49,19 +49,6 @@ class IntegerMatrix:
         self = object.__new__(cls)
         self.rows, self.cols, self._data = rows, cols, data
         return self
-
-    @classmethod
-    def from_rows(cls, row_lists):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(row_lists):
-            if len(row) != cols:
-                raise ValueError(f"ragged rows: row {i} has {len(row)} entries, expected {cols}")
-            for j, v in enumerate(row):
-                if v:
-                    entries[i, j] = int(v)
-        return cls(rows, cols, entries)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -130,10 +117,6 @@ class IntegerMatrix:
         return IntegerMatrix._trusted(self.rows, other.cols,
                                       {k: v for k, v in acc.items() if v})
 
-    def __neg__(self):
-        return IntegerMatrix._trusted(self.rows, self.cols,
-                                      {k: -v for k, v in self._data.items()})
-
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -143,7 +126,7 @@ class IntegerMatrix:
 
     def __repr__(self):
         if self.rows * self.cols <= 36:
-            return f"IntegerMatrix.from_rows({self.to_rows()!r})"
+            return f"IntegerMatrix({self.rows}, {self.cols}, {self._data!r})"
         return f"<IntegerMatrix {self.rows}x{self.cols}, {len(self._data)} nonzero>"
 
 
@@ -211,23 +194,23 @@ class FgAbelianGroup:
 
 
 class SmithDecomposition:
-    """Invariant factors of an integer matrix, with optional transforms.
+    """Invariant factors of an integer matrix, with an optional transform.
 
     divisors are the positive diagonal entries d_1 | d_2 | ... | d_r of the
-    Smith normal form; rank == len(divisors).  U and V are unimodular with
-    U @ A @ V the diagonal form; each is None unless it was asked for.  No
-    inverse is kept: a caller that needs column c < rank of U^-1 reads it as
-    (A @ V)[:, c] / d_c, since A @ V = U^-1 @ diag.  unit_columns lists the
-    pivot columns of the +-1 pass in the order they were found.
+    Smith normal form; rank == len(divisors).  V, None unless it was asked
+    for, is unimodular with U @ A @ V the diagonal form for some unimodular
+    U, which is not kept: column c < rank of U^-1 is (A @ V)[:, c] / d_c,
+    since A @ V = U^-1 @ diag, and a U for A is V^T of the transpose's
+    decomposition.  unit_columns lists the pivot columns of the +-1 pass in
+    the order they were found.
     """
 
-    __slots__ = ("divisors", "rows", "cols", "U", "V", "unit_columns")
+    __slots__ = ("divisors", "rows", "cols", "V", "unit_columns")
 
-    def __init__(self, divisors, rows, cols, U=None, V=None, unit_columns=()):
+    def __init__(self, divisors, rows, cols, V=None, unit_columns=()):
         self.divisors = tuple(divisors)
         self.rows = rows
         self.cols = cols
-        self.U = U
         self.V = V
         self.unit_columns = tuple(unit_columns)
         for a, b in zip(self.divisors, self.divisors[1:]):
@@ -256,30 +239,27 @@ def _line_add(lines, dst, src, q):
 
 
 class _SmithWorker:
-    """Mutable sparse matrix with mirrored row/column maps, the transforms
-    asked for, and the pivots found so far.
+    """Mutable sparse matrix with mirrored row/column maps, the transform V
+    when asked for (else None), and the pivots found so far.
 
-    keep names the transforms tracked ("", "U", "V" or "UV"); the others are
-    None.  Each is a list of sparse dict lines, so every operation is a line
-    update: U is stored by rows, V by columns.  Rows and columns never move.
-    A finished pivot is recorded (its divisor always, its (row, col) only
-    when a transform is tracked) and its row and column are emptied, so the
-    entries left are exactly the part still to be eliminated.
+    V is a list of sparse dict columns, so every column operation is a line
+    update; row operations leave it alone.  Rows and columns never move.  A
+    finished pivot is recorded (its divisor and its column) and its row and
+    column are emptied, so the entries left are exactly the part still to
+    be eliminated.
     """
 
-    __slots__ = ("row", "col", "U", "V", "divisors", "at", "unit_columns")
+    __slots__ = ("row", "col", "V", "divisors", "pivot_columns")
 
-    def __init__(self, matrix, keep):
+    def __init__(self, matrix, keep_v):
         self.row = [dict() for _ in range(matrix.rows)]
         self.col = [dict() for _ in range(matrix.cols)]
         for (i, j), v in matrix.items():
             self.row[i][j] = v
             self.col[j][i] = v
-        self.U = [{i: 1} for i in range(matrix.rows)] if "U" in keep else None
-        self.V = [{j: 1} for j in range(matrix.cols)] if "V" in keep else None
+        self.V = [{j: 1} for j in range(matrix.cols)] if keep_v else None
         self.divisors = []
-        self.at = [] if keep else None
-        self.unit_columns = []
+        self.pivot_columns = []
 
     def _set(self, i, j, v):
         if v:
@@ -293,8 +273,6 @@ class _SmithWorker:
         # row_i += q * row_t
         for j, v in list(self.row[t].items()):
             self._set(i, j, self.row[i].get(j, 0) + q * v)
-        if self.U is not None:
-            _line_add(self.U, i, t, q)
 
     def col_add(self, j, t, q):
         # col_j += q * col_t
@@ -303,16 +281,11 @@ class _SmithWorker:
         if self.V is not None:
             _line_add(self.V, j, t, q)
 
-    def record(self, i, j, d):
-        """Record the pivot d at (i, j), whose row and column are already
-        empty; a negative pivot negates row i of U, so the divisor is |d|."""
-        if d < 0:
-            d = -d
-            if self.U is not None:
-                self.U[i] = {k: -v for k, v in self.U[i].items()}
-        self.divisors.append(d)
-        if self.at is not None:
-            self.at.append((i, j))
+    def record(self, j, d):
+        """Record the pivot d in column j, whose row and column are already
+        empty; the divisor is |d| (U, not kept, absorbs the sign)."""
+        self.divisors.append(abs(d))
+        self.pivot_columns.append(j)
 
     def clear_unit_pivots(self):
         """Eliminate the +-1 pivots in place.
@@ -323,12 +296,11 @@ class _SmithWorker:
         Row operations clear that column; the column operations that clear
         the pivot row then change nothing else, so on the matrix the row and
         column are simply emptied, and only V records them.  Each pivot is a
-        divisor 1, recorded as it is found, and its column is appended to
-        unit_columns.  Every row changed and left nonzero is pushed again, so
-        when the heap runs dry no +-1 entry is left.
+        divisor 1, recorded as it is found.  Every row changed and left
+        nonzero is pushed again, so when the heap runs dry no +-1 entry is
+        left.
         """
-        row, col, U, V = self.row, self.col, self.U, self.V
-        unit_columns = self.unit_columns
+        row, col, V = self.row, self.col, self.V
         heap = [(len(r), i) for i, r in enumerate(row) if r]
         heapq.heapify(heap)
         while heap:
@@ -357,14 +329,11 @@ class _SmithWorker:
                         del col[j][i]
                 if ri:
                     heapq.heappush(heap, (len(ri), i))
-                if U is not None:
-                    _line_add(U, i, pi, -q)
             if V is not None:
                 for j, v in pivot_row.items():
                     if j != pj:
                         _line_add(V, j, pj, -v * u)
-            self.record(pi, pj, u)
-            unit_columns.append(pj)
+            self.record(pj, u)
 
     def find_pivot(self):
         """Nonzero entry of minimal |value| among those left; ties broken by
@@ -388,12 +357,6 @@ class _SmithWorker:
         return None
 
 
-def _pivots_first(pivots, size):
-    """The pivot indices in pivot order, then the others in increasing order."""
-    done = set(pivots)
-    return pivots + [k for k in range(size) if k not in done]
-
-
 def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix.
 
@@ -405,19 +368,16 @@ def smith_normal_form(matrix, keep_transforms=False):
     clears its column and row, moving to a smaller remainder whenever one
     is left, and folds in a row the pivot does not divide until it divides
     every entry left; so its divisors follow the ones in divisibility order.
-    keep_transforms names the unimodular U (rows x rows) and V (cols x cols)
-    with U @ A @ V = diag(divisors) to return: "U", "V" or "UV"; False or ""
-    keeps none.  One not asked for is None and costs nothing; the
-    elimination does not depend on the choice, so a kept transform is the
-    same either way.  Each is tracked as sparse lines (U by rows, V by
-    columns), so an operation costs the size of the lines it touches, and is
-    put in pivot order and turned into a matrix once, at the end.
+    keep_transforms, when true, also returns the unimodular V (cols x cols)
+    with U @ A @ V = diag(divisors) for some unimodular U; when false, V is
+    None and costs nothing.  The elimination does not depend on the flag.
+    V is tracked as sparse columns, so an operation costs the size of the
+    columns it touches, and is put in pivot order and turned into a matrix
+    once, at the end.
     """
-    keep = keep_transforms or ""
-    if keep not in ("", "U", "V", "UV"):
-        raise ValueError(f"keep_transforms must be 'U', 'V', 'UV' or False: {keep_transforms!r}")
-    w = _SmithWorker(matrix, keep)
+    w = _SmithWorker(matrix, keep_transforms)
     w.clear_unit_pivots()
+    unit_columns = tuple(w.pivot_columns)
     row, col = w.row, w.col
     while (pos := w.find_pivot()) is not None:
         pi, pj = pos
@@ -449,39 +409,49 @@ def smith_normal_form(matrix, keep_transforms=False):
             w.row_add(pi, bad, 1)
         row[pi] = {}
         col[pj] = {}
-        w.record(pi, pj, p)
-    m, n = matrix.rows, matrix.cols
-    U = V = None
-    if w.U is not None:
-        order = _pivots_first([i for i, _ in w.at], m)
-        U = IntegerMatrix._trusted(
-            m, m, {(a, j): v for a, i in enumerate(order) for j, v in w.U[i].items()})
-    if w.V is not None:
-        order = _pivots_first([j for _, j in w.at], n)
+        w.record(pj, p)
+    n = matrix.cols
+    V = None
+    if w.V is not None:  # the pivot columns in pivot order, then the others
+        done = set(w.pivot_columns)
+        order = w.pivot_columns + [j for j in range(n) if j not in done]
         V = IntegerMatrix._trusted(
             n, n, {(i, b): v for b, j in enumerate(order) for i, v in w.V[j].items()})
-    return SmithDecomposition(w.divisors, m, n, U=U, V=V, unit_columns=w.unit_columns)
+    return SmithDecomposition(w.divisors, matrix.rows, n, V=V, unit_columns=unit_columns)
+
+
+# Miller-Rabin to the first 13 prime bases is proven correct below the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def is_prime(p):
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; a p >= PRIME_TEST_LIMIT is a ValueError,
+    since the test is unproven there."""
+    if p >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{p} is too large to test for primality: the test is "
+                         f"proven only below {PRIME_TEST_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in PRIME_BASES):
+        return p in PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    for a in PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
 def rank_mod_p(matrix, p):
     """Rank over F_p, as ranks_mod_primes(matrix, (p,))[p].  The program
     calls ranks_mod_primes, its universal-coefficient cross-check; this
-    one-prime form is kept for callers that name it."""
+    one-prime form stays because perfbench's tracing wraps it by name."""
     return ranks_mod_primes(matrix, (p,))[p]
 
 
@@ -570,9 +540,9 @@ def kernel_basis(matrix):
 
     The basis is columns r.. of the Smith transform V (r = rank), so it
     spans a direct summand of Z^cols and coordinates with respect to it are
-    integral.  Only V is tracked.
+    integral.
     """
-    snf = smith_normal_form(matrix, "V")
+    snf = smith_normal_form(matrix, True)
     r = snf.rank
     return IntegerMatrix._trusted(matrix.cols, matrix.cols - r,
                                   {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
@@ -653,7 +623,7 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
         t = rng.randint(1, 4)
         u = rng.randint(0, 4)
         R = _random_matrix(rng, t, u, size_cap)
-        snf_R = smith_normal_form(R, "V")
+        snf_R = smith_normal_form(R, True)
         tors_B = math.prod(snf_R.nontrivial_divisors())
 
         # Lemma on 0 -> A -> B -> C: A generated by s random elements of B.
@@ -661,7 +631,7 @@ def verify_torsion_exactness_lemmas(trials, seed=0, size_cap=5):
         G = _random_matrix(rng, t, s, size_cap)
         # C = coker[R | G] = coker[G | R], so one Smith form gives tors C and
         # ker(Z^s -> B): the G block of ker[G | R], columns r.. of V.
-        snf_GR = smith_normal_form(G.hstack(R), "V")
+        snf_GR = smith_normal_form(G.hstack(R), True)
         tors_C = math.prod(snf_GR.nontrivial_divisors())
         r = snf_GR.rank
         proj = IntegerMatrix._trusted(s, s + u - r, {(i, j - r): v for (i, j), v in snf_GR.V.items()

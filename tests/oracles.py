@@ -4,7 +4,7 @@ Each one is an independent route to a quantity the program computes another
 way (Bareiss rank, homology from two boundaries, the cap duality check on a
 whole cocycle basis, orientation signs by a breadth-first search, translation
 actions decoded sheet by sheet, the projection of a cover read off its
-faces), or a small reader the program itself never needs.
+faces), or a small reader or helper the program itself never needs.
 """
 
 import math
@@ -12,10 +12,12 @@ from collections import deque
 
 from homtower.covers import (
     MAX_WORD_LENGTH,
+    AbelianQuotient,
     PermutationAction,
     _canonical_rotation,
     _cyclic_reduce,
     _invert,
+    _presentation_smith,
 )
 from homtower.deltacomplex import (
     FundamentalCycle,
@@ -23,7 +25,13 @@ from homtower.deltacomplex import (
     _boundary_smith,
     homology_profile,
 )
-from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, kernel_basis, smith_normal_form
+from homtower.intlinalg import (
+    FgAbelianGroup,
+    IntegerMatrix,
+    cokernel_structure,
+    kernel_basis,
+    smith_normal_form,
+)
 
 
 def rank_over_rationals(matrix):
@@ -117,10 +125,31 @@ def identity_matrix(n):
     return IntegerMatrix(n, n, {(i, i): 1 for i in range(n)})
 
 
-def smith_diagonal(snf):
-    """The Smith normal form itself, rows x cols with the divisors down the
-    diagonal."""
-    return IntegerMatrix(snf.rows, snf.cols, {(i, i): d for i, d in enumerate(snf.divisors)})
+def from_rows(row_lists):
+    """The matrix with these rows (all of one length)."""
+    cols = len(row_lists[0]) if row_lists else 0
+    assert all(len(row) == cols for row in row_lists), row_lists
+    return IntegerMatrix(len(row_lists), cols, {(i, j): v for i, row in enumerate(row_lists)
+                                                for j, v in enumerate(row)})
+
+
+def abelianization(presentation):
+    """H_1 as the cokernel of the relator matrix."""
+    return cokernel_structure(presentation.relator_matrix())
+
+
+def abelianization_action(complex, modulus):
+    """The translation action of pi_1 on H_1(X) tensor Z/m, from the quotient
+    that mod_power_tower builds for its first level (degree 1 when the
+    quotient is trivial)."""
+    presentation, snf = _presentation_smith(complex)
+    return AbelianQuotient(presentation, snf, modulus).action()
+
+
+def index2_record(report, kind, degree, prime=None):
+    """The record of an index-2 report with this kind, degree and prime."""
+    (record,) = [r for r in report.records if (r.kind, r.degree, r.prime) == (kind, degree, prime)]
+    return record
 
 
 def negated_cycle(cycle):
@@ -129,7 +158,7 @@ def negated_cycle(cycle):
 
 def matrix_from_decimal_rows(rows):
     """The inverse of IntegerMatrix.to_decimal_rows."""
-    return IntegerMatrix.from_rows([[int(s) for s in row] for row in rows])
+    return from_rows([[int(s) for s in row] for row in rows])
 
 
 def _front_face(complex, top, m):

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import homtower
 from homtower import deltacomplex
 from homtower.cli import main
 from homtower.deltacomplex import BUILTIN_NAMES, builtin, complex_to_json
@@ -119,6 +123,31 @@ def test_primes_are_validated(capsys):
     assert "not prime" in err
     code, _, _ = run(capsys, "tower", "--builtin", "circle", "-p", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize("prime, code, message", [
+    (10**18 + 3, 0, None),
+    (10**24 + 7, 0, None),
+    # the least strong pseudoprime to the 13 Miller-Rabin bases
+    (1287836182261 * 2575672364521, 2, "proven only below 3317044064679887385961981"),
+    (1000000000039 * 1000000000061, 2, "is not prime"),
+    (10**40 + 1, 2, "too large to test for primality"),
+], ids=["1e18+3", "1e24+7", "psi13", "composite", "past-the-proof"])
+def test_large_primes_answer_or_refuse_in_time(prime, code, message):
+    # Trial division up to sqrt(p) never finished on 10^18 + 3.  A separate
+    # process, so that a slow test is killed at the time bound.
+    src = os.path.dirname(os.path.dirname(homtower.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "homtower.cli", "homology", "--builtin", "torus2",
+         "-p", str(prime), "--format", "json"],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        dims = [degree["fp_dims"][str(prime)] for degree in json.loads(result.stdout)["degrees"]]
+        assert dims == [1, 2, 1]
+    else:
+        assert message in result.stderr
 
 
 # ---------------------------------------------------------------------------

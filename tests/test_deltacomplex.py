@@ -429,9 +429,9 @@ def test_cap_duality_on_torus_and_sphere():
 
 def test_cap_duality_records_expected_groups():
     report = cap_duality_check(builtin("torus2"), orient(builtin("torus2")))
-    assert report.record(0).source == Z(1)   # H^2 -> H_0
-    assert report.record(1).source == Z(2)   # H^1 -> H_1
-    assert report.record(2).source == Z(1)   # H^0 -> H_2
+    assert report.records[0].source == Z(1)   # H^2 -> H_0
+    assert report.records[1].source == Z(2)   # H^1 -> H_1
+    assert report.records[2].source == Z(1)   # H^0 -> H_2
 
 
 def pinched_sphere():
@@ -467,11 +467,11 @@ def test_cap_duality_detects_non_surjective_cap():
     pinched = pinched_sphere()
     assert validate_complex(pinched).ok
     report = cap_duality_check(pinched, orient(pinched))
-    record = report.record(1)
+    record = report.records[1]
     assert record.source == record.target == Z(1)
     assert record.isomorphism is False
     assert not report.all_isomorphisms
-    record = cap_duality_check(doubled_one_vertex(), DOUBLED_CYCLE).record(1)
+    record = cap_duality_check(doubled_one_vertex(), DOUBLED_CYCLE).records[1]
     assert record.source == record.target == Z(2)
     assert record.isomorphism is False
 

@@ -152,7 +152,7 @@ def test_level_failure_carries_level_index():
     base = builtin("torus2")
     # a permutation assignment violating the commutator relators
     bad = PermutationAction(3, [(1, 2, 0), (1, 0, 2), (0, 1, 2)])
-    tower = Tower(base, 2, [TowerLevel(2, bad, None)], [], False, [])
+    tower = Tower(base, 2, [TowerLevel(2, bad, None)], False, [])
     with pytest.raises(RuntimeError, match="tower level 1"):
         run_tower(tower, primes=(2,))
 
@@ -181,7 +181,7 @@ def test_corrupted_level_action_is_rejected():
     perms[0] = (1, 0) + tuple(range(2, level.degree))
     bad = TowerLevel(level.modulus, PermutationAction(level.degree, perms), level.quotient)
     corrupted = Tower(tower.base, tower.modulus, [tower.levels[0], bad],
-                      tower.certificates, tower.residual, tower.warnings)
+                      tower.residual, tower.warnings)
     with pytest.raises(RuntimeError,
                        match=r"tower level 2 failed: invalid action: relator \d+ "):
         run_tower(corrupted, primes=(2,))

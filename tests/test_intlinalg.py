@@ -24,11 +24,11 @@ from homtower.intlinalg import (
 )
 from oracles import (
     dim_mod_p,
+    from_rows,
     homology_at,
     identity_matrix,
     matrix_from_decimal_rows,
     rank_over_rationals,
-    smith_diagonal,
 )
 
 
@@ -153,7 +153,7 @@ def random_matrix(rng, rows, cols, bound):
 # IntegerMatrix basics
 
 def test_entry_access_is_bounds_checked():
-    a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    a = from_rows([[1, 2], [3, 4]])
     assert a[0, 1] == 2
     with pytest.raises(IndexError):
         a.entry(2, 0)
@@ -164,8 +164,8 @@ def test_entry_access_is_bounds_checked():
 
 
 def test_matmul_and_transpose():
-    a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
+    a = from_rows([[1, 2], [3, 4]])
+    b = from_rows([[0, 1], [1, 0]])
     assert (a @ b).to_rows() == [[2, 1], [4, 3]]
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_matmul_and_transpose():
 
 def test_decimal_round_trip_is_exact():
     big = 10 ** 40
-    a = IntegerMatrix.from_rows([[big, -1], [0, -big - 7]])
+    a = from_rows([[big, -1], [0, -big - 7]])
     assert matrix_from_decimal_rows(a.to_decimal_rows()) == a
 
 
@@ -182,7 +182,7 @@ def test_decimal_round_trip_is_exact():
 # Smith normal form
 
 def test_smith_examples():
-    assert smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).divisors == (2, 4)
+    assert smith_normal_form(from_rows([[2, 4], [6, 8]])).divisors == (2, 4)
     assert smith_normal_form(IntegerMatrix.zeros(0, 0)).divisors == ()
     assert smith_normal_form(identity_matrix(3)).divisors == (1, 1, 1)
     assert smith_normal_form(IntegerMatrix.zeros(4, 5)).divisors == ()
@@ -232,26 +232,42 @@ def test_boundaries_compose_to_zero():
         assert (d_low @ d_high).is_zero()
 
 
-def assert_smith_certificate(a):
-    """Check the "UV" decomposition of a without trusting the elimination:
-    U @ a @ V is the diagonal, |det U| = |det V| = 1 by Bareiss, and the
-    divisors equal those of the call without transforms."""
-    snf = smith_normal_form(a, "UV")
-    assert (snf.U @ a) @ snf.V == smith_diagonal(snf), a.to_rows()
-    for t in (snf.U, snf.V):
-        assert abs(bareiss_det(t.to_rows())) == 1, a.to_rows()
-    assert smith_normal_form(a).divisors == snf.divisors, a.to_rows()
+def assert_v_certificate(a):
+    """Check the V of a's Smith form without trusting the elimination: |det
+    V| = 1 by Bareiss, a @ V is zero from column r = rank on, and column
+    c < r is d_c times an integer column.  Those r columns have a's
+    invariant factors, and divided by the d_c they span a direct summand
+    (every invariant factor 1), so some unimodular U sends them to the unit
+    vectors and U @ a @ V is the diagonal.  The divisors equal those of the
+    call without V.  Returns the decomposition."""
+    snf = smith_normal_form(a, True)
+    d, r = snf.divisors, snf.rank
+    assert abs(bareiss_det(snf.V.to_rows())) == 1, a.to_rows()
+    av = (a @ snf.V).columns()
+    assert not any(av[r:]), a.to_rows()
+    assert all(v % d[c] == 0 for c in range(r) for v in av[c].values()), a.to_rows()
+    head = IntegerMatrix(a.rows, r, {(i, c): v for c in range(r) for i, v in av[c].items()})
+    unit = IntegerMatrix(a.rows, r, {(i, c): v // d[c] for (i, c), v in head.items()})
+    assert smith_normal_form(head).divisors == d, a.to_rows()
+    assert smith_normal_form(unit).divisors == (1,) * r, a.to_rows()
+    assert smith_normal_form(a).divisors == d, a.to_rows()
     return snf
+
+
+def assert_smith_certificate(a):
+    """The V certificate of a and of a^T, whose V^T is the U for a that the
+    abelian quotients read; returns a's decomposition."""
+    assert_v_certificate(a.transpose())
+    return assert_v_certificate(a)
 
 
 def test_smith_transforms_reconstruct():
     rng = random.Random("snf-transforms")
     small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(80)]
     for a in small + cover_boundaries():
-        snf = assert_smith_certificate(a)
-        for t in (snf.U, snf.V):
-            if t.rows <= 6:
-                assert bareiss_det(t.to_rows()) == leibniz_det(t.to_rows())
+        v = assert_smith_certificate(a).V
+        if v.rows <= 6:
+            assert bareiss_det(v.to_rows()) == leibniz_det(v.to_rows())
 
 
 @pytest.mark.parametrize("rows, divisors", [
@@ -264,23 +280,19 @@ def test_smith_transforms_reconstruct():
 def test_pivot_that_does_not_divide_the_rest(rows, divisors):
     # Each clean pivot here fails to divide an entry left elsewhere, so the
     # offending row must be folded into the pivot row before it is final.
-    a = IntegerMatrix.from_rows(rows)
+    a = from_rows(rows)
     assert assert_smith_certificate(a).divisors == divisors
 
 
 def test_inverse_transform_columns_from_a_v():
     # A @ V = U^-1 @ diag, so column c < rank of A @ V is d_c times a
-    # column that U sends to the unit vector e_c.
+    # column of U^-1, and those columns extend to a unimodular matrix: the
+    # exactness lemma reads elements of coker R from them.
     rng = random.Random("snf-inverse-columns")
     verify_shaped = [random_matrix(rng, rng.randint(1, 4), rng.randint(0, 4), 5)
                      for _ in range(200)]
     for a in verify_shaped + cover_boundaries():
-        snf = smith_normal_form(a, "UV")
-        av = (a @ snf.V).columns()
-        for c, d in enumerate(snf.divisors):
-            assert all(v % d == 0 for v in av[c].values())
-            column = IntegerMatrix(a.rows, 1, {(i, 0): v // d for i, v in av[c].items()})
-            assert snf.U @ column == IntegerMatrix(a.rows, 1, {(c, 0): 1})
+        assert_v_certificate(a)
 
 
 def test_unit_pass_on_boundaries_with_torsion():
@@ -314,7 +326,7 @@ def test_unit_pass_hands_its_core_to_the_pivot_loop(values):
 
 def unit_pass_core(a):
     """Run the unit pass alone; return its count of ones and the core left."""
-    w = _SmithWorker(a, "")
+    w = _SmithWorker(a, False)
     w.clear_unit_pivots()
     ones = len(w.divisors)
     core = {(i, j): v for i, r in enumerate(w.row) for j, v in r.items()}
@@ -352,43 +364,30 @@ def test_smith_is_deterministic():
     rng = random.Random("snf-det")
     for _ in range(20):
         a = random_matrix(rng, 5, 5, 9)
-        s1 = smith_normal_form(a, "UV")
-        s2 = smith_normal_form(a, "UV")
+        s1 = smith_normal_form(a, True)
+        s2 = smith_normal_form(a, True)
         assert s1.divisors == s2.divisors
-        assert s1.U == s2.U and s1.V == s2.V
+        assert s1.V == s2.V
 
 
-def test_single_transform_equals_its_half_of_both():
-    # The elimination does not depend on which transforms are tracked, so a
-    # transform kept alone equals the one kept beside the other.
+def test_tracking_v_leaves_the_elimination_unchanged():
+    # The elimination does not depend on the flag, so the divisors and the
+    # unit-pass columns are the same with V and without it.
     rng = random.Random("snf-keep")
     small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(100)]
     for a in small + cover_boundaries():
-        both = smith_normal_form(a, "UV")
-        only_u = smith_normal_form(a, "U")
-        only_v = smith_normal_form(a, "V")
-        assert only_u.divisors == only_v.divisors == both.divisors
-        assert only_u.U == both.U and only_u.V is None
-        assert only_v.V == both.V and only_v.U is None
-        for none in (False, ""):
-            snf = smith_normal_form(a, none)
-            assert snf.divisors == both.divisors and snf.U is None and snf.V is None
-
-
-def test_keep_transforms_rejects_unknown_names():
-    a = identity_matrix(2)
-    for bad in ("X", "VU", "uv", 1, True):
-        with pytest.raises(ValueError, match="keep_transforms"):
-            smith_normal_form(a, bad)
+        with_v, without = smith_normal_form(a, True), smith_normal_form(a)
+        assert with_v.V is not None and without.V is None
+        assert (with_v.divisors, with_v.unit_columns) == (without.divisors, without.unit_columns)
 
 
 def test_kernel_basis_is_the_kernel_columns_of_v():
-    # kernel_basis tracks V alone; its basis is still columns r.. of the V
-    # that the decomposition with both transforms returns.
+    # kernel_basis's basis is columns r.. of the V that the decomposition
+    # returns.
     rng = random.Random("kernel-v")
     inputs = [random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 6) for _ in range(50)]
     for a in inputs + cover_boundaries():
-        snf = smith_normal_form(a, "UV")
+        snf = smith_normal_form(a, True)
         r = snf.rank
         expected = IntegerMatrix(a.cols, a.cols - r,
                                  {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
@@ -403,7 +402,7 @@ def test_one_smith_form_gives_the_subgroup_lemma_data():
         t, u, s = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
         cap = rng.choice((1, 5, 10**6))
         R, G = random_matrix(rng, t, u, cap), random_matrix(rng, t, s, cap)
-        snf = smith_normal_form(G.hstack(R), "V")
+        snf = smith_normal_form(G.hstack(R), True)
         assert cokernel_structure(R.hstack(G)) == cokernel_structure(G.hstack(R))
         assert cokernel_structure(R.hstack(G)).torsion == snf.nontrivial_divisors()
         r = snf.rank
@@ -415,7 +414,7 @@ def test_one_smith_form_gives_the_subgroup_lemma_data():
 
 
 def test_internal_results_are_checked_matrices():
-    # transpose, hstack, negation, products and the Smith transforms skip
+    # transpose, hstack, products and the Smith transform V skip
     # the constructor's checks; each result must still be a matrix the
     # public constructor would build, with no zero stored.
     rng = random.Random("trusted")
@@ -423,11 +422,10 @@ def test_internal_results_are_checked_matrices():
         a = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 2)
         b = random_matrix(rng, a.cols, rng.randint(0, 5), 2)
         c = random_matrix(rng, a.rows, rng.randint(0, 5), 2)
-        snf = smith_normal_form(a, "UV")
-        for x in (a.transpose(), a.hstack(c), -a, a @ b, snf.U, snf.V):
+        for x in (a.transpose(), a.hstack(c), a @ b, smith_normal_form(a, True).V):
             assert x == IntegerMatrix(x.rows, x.cols, dict(x.items()))
             assert all(type(v) is int and v for _, v in x.items())
-    cancel = IntegerMatrix.from_rows([[1, 1]]) @ IntegerMatrix.from_rows([[1], [-1]])
+    cancel = from_rows([[1, 1]]) @ from_rows([[1], [-1]])
     assert cancel.is_zero() and cancel.nnz() == 0
 
 
@@ -435,9 +433,9 @@ def test_internal_results_are_checked_matrices():
 # Ranks
 
 def test_rank_examples():
-    assert rank_over_rationals(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == 2
+    assert rank_over_rationals(from_rows([[2, 0], [0, 3]])) == 2
     assert rank_over_rationals(IntegerMatrix.zeros(4, 5)) == 0
-    assert rank_over_rationals(IntegerMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank_over_rationals(from_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_three_rank_routes_agree():
@@ -452,7 +450,7 @@ def test_three_rank_routes_agree():
 
 
 def test_rank_mod_p_examples():
-    a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+    a = from_rows([[2, 0], [0, 3]])
     assert rank_mod_p(a, 2) == 1
     assert rank_mod_p(a, 5) == 2
     assert rank_mod_p(identity_matrix(7), 3) == 7
@@ -507,7 +505,7 @@ def test_ranks_mod_primes_against_dense_oracle():
 def test_ranks_mod_primes_finishes_a_unit_free_core():
     # No entry of [[2, 3], [3, 2]] is a unit mod 30: the whole matrix is the
     # core, and its determinant -5 drops the rank mod 5 only.
-    a = IntegerMatrix.from_rows([[2, 3], [3, 2]])
+    a = from_rows([[2, 3], [3, 2]])
     assert ranks_mod_primes(a, (2, 3, 5)) == {2: 2, 3: 2, 5: 1}
     for name in ("klein_bottle", "rp2"):
         d2 = boundary_matrix(builtin(name), 2)
@@ -516,7 +514,7 @@ def test_ranks_mod_primes_finishes_a_unit_free_core():
 
 
 def test_ranks_mod_primes_prime_sets():
-    a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+    a = from_rows([[2, 0], [0, 3]])
     assert ranks_mod_primes(a, (2, 3, 2, 3)) == ranks_mod_primes(a, (2, 3)) == {2: 1, 3: 1}
     assert ranks_mod_primes(a, ()) == {}
     for primes in ((2, 4), (4,), (1, 2)):
@@ -531,12 +529,40 @@ def test_is_prime_small():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-3)
 
 
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# Strong pseudoprimes to the first k prime bases for k = 1, 4, 7, 9, 12
+# (the last is psi_12) and Carmichael numbers: composites that weaker
+# Miller-Rabin or Fermat tests call prime.
+PSEUDOPRIMES = (2047, 3215031751, 341550071728321, 3825123056546413051,
+                318665857834031151167461, 561, 1105, 1729, 2465, 2821, 6601)
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(-3, 20000))
+    rng = random.Random("miller-rabin")
+    for n in [rng.randrange(10**6, 10**8) for _ in range(200)]:
+        assert is_prime(n) == trial_division_is_prime(n), n
+    assert not any(is_prime(n) for n in PSEUDOPRIMES)
+    assert all(is_prime(p) for p in (2**61 - 1, 10**18 + 3, 10**24 + 7, 1287836182261))
+    assert not is_prime((2**61 - 1) * 1000003)
+    # psi_13, the least strong pseudoprime to the 13 bases, and anything
+    # larger is refused: the test is proven only below it
+    psi13 = 1287836182261 * 2575672364521
+    assert not is_prime(psi13 - 2)
+    for n in (psi13, psi13 + 2, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"proven only below {psi13}"):
+            is_prime(n)
+
+
 # ---------------------------------------------------------------------------
 # Cokernels, kernels, homology
 
 def test_cokernel_examples():
-    assert cokernel_structure(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == FgAbelianGroup(0, (6,))
-    assert cokernel_structure(IntegerMatrix.from_rows([[1, 1], [1, -1]])) == FgAbelianGroup(0, (2,))
+    assert cokernel_structure(from_rows([[2, 0], [0, 3]])) == FgAbelianGroup(0, (6,))
+    assert cokernel_structure(from_rows([[1, 1], [1, -1]])) == FgAbelianGroup(0, (2,))
     assert cokernel_structure(IntegerMatrix.zeros(2, 2)) == FgAbelianGroup(2)
 
 
@@ -571,20 +597,20 @@ def test_homology_at_examples():
     z = IntegerMatrix.zeros(1, 1)
     assert homology_at(z, z) == FgAbelianGroup(1)
     # standard two-triangle projective plane, degree 1
-    d1 = IntegerMatrix.from_rows([[-1, -1, 0], [1, 1, 0]])
-    d2 = IntegerMatrix.from_rows([[-1, 1], [1, -1], [1, 1]])
+    d1 = from_rows([[-1, -1, 0], [1, 1, 0]])
+    d2 = from_rows([[-1, 1], [1, -1], [1, 1]])
     assert homology_at(d1, d2) == FgAbelianGroup(0, (2,))
     # standard two-triangle torus, degree 1
     t1 = IntegerMatrix.zeros(1, 3)
-    t2 = IntegerMatrix.from_rows([[1, 1], [1, 1], [-1, -1]])
+    t2 = from_rows([[1, 1], [1, 1], [-1, -1]])
     assert homology_at(t1, t2) == FgAbelianGroup(2)
 
 
 def test_homology_at_rejects_bad_input():
-    d1 = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+    d1 = from_rows([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="shape mismatch"):
         homology_at(d1, IntegerMatrix.zeros(3, 1))
-    bad = IntegerMatrix.from_rows([[1], [0]])
+    bad = from_rows([[1], [0]])
     with pytest.raises(ValueError, match=r"\[0, 0\]"):
         homology_at(d1, bad)
 
@@ -593,10 +619,10 @@ def test_homology_at_rejects_bad_input():
 # The torsion bound for cokernels
 
 def test_soule_bound_examples():
-    a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+    a = from_rows([[2, 0], [0, 3]])
     assert abs(soule_torsion_bound(a) - math.log(6)) < 1e-12
     assert soule_torsion_bound(identity_matrix(2)) == 0.0
-    b = IntegerMatrix.from_rows([[1, 1], [1, -1]])
+    b = from_rows([[1, 1], [1, -1]])
     assert abs(soule_torsion_bound(b) - math.log(2)) < 1e-12
 
 
@@ -675,7 +701,7 @@ def test_soule_bound_fraction_oracle_property(a):
 
 def test_soule_skips_dependent_columns():
     # second column is dependent, third is zero; only the first contributes
-    a = IntegerMatrix.from_rows([[3, 6, 0], [0, 0, 0]])
+    a = from_rows([[3, 6, 0], [0, 0, 0]])
     assert abs(soule_torsion_bound(a) - math.log(3)) < 1e-12
 
 
