@@ -16,6 +16,7 @@ certified by its face identities.  The orientation double cover is the cover
 of the orientation character.
 """
 
+import heapq
 import math
 from itertools import combinations
 
@@ -123,59 +124,71 @@ def proves_abelian(presentation):
     Tietze-eliminates generators that occur exactly once in some relator,
     then declares success iff at most one generator survives or the relator
     set contains the commutator of every surviving pair (up to rotation and
-    inversion).  Each step re-expands and re-reduces only the relators that
-    contain the eliminated generator; the others are cyclically reduced
-    already.  Gives up (False) once any relator is longer than
-    MAX_WORD_LENGTH.  Returns False whenever unsure; never a wrong True.
+    inversion).  Each step takes the lowest-numbered relator in which some
+    generator occurs once, from a heap of the relators that may have one
+    (all at first, then those a step rewrote), and rewrites only the
+    relators that hold the eliminated generator, found through an index
+    from each generator to its relators; the others are cyclically reduced
+    already and keep their lengths.  Gives up (False) once any relator is
+    longer than MAX_WORD_LENGTH, checking every relator at the first step
+    and the rewritten ones after.  Returns False whenever unsure; never a
+    wrong True.
     """
     words = [_cyclic_reduce(w) for w in presentation.relators]
+    holders = [set() for _ in range(presentation.generator_count)]
+    for r, word in enumerate(words):
+        for g, _ in word:
+            holders[g].add(r)
     live = set(range(presentation.generator_count))
-    changed = True
-    while changed:
-        changed = False
-        for idx, word in enumerate(words):
-            counts = {}
-            for g, _ in word:
-                counts[g] = counts.get(g, 0) + 1
-            target = next((g for g in counts if counts[g] == 1), None)
-            if target is None:
-                continue
-            pos = next(i for i, (g, _) in enumerate(word) if g == target)
-            exp = word[pos][1]
-            head, tail = word[:pos], word[pos + 1:]
-            replacement = _invert(head) + _invert(tail)  # word for target^exp
-            if exp == -1:
-                replacement = _invert(replacement)
-            new_words = []
-            for j, other in enumerate(words):
-                if j == idx:
-                    continue
-                if (target, 1) in other or (target, -1) in other:
-                    expanded = []
-                    for g, e in other:
-                        if g == target:
-                            expanded.extend(replacement if e == 1 else _invert(replacement))
-                        else:
-                            expanded.append((g, e))
-                    other = _cyclic_reduce(expanded)
-                if len(other) > MAX_WORD_LENGTH:
-                    return False
-                new_words.append(other)
-            words = new_words
-            live.discard(target)
-            changed = True
-            break
-    words = [w for w in words if w]
+    queue, first = list(range(len(words))), True  # a sorted list is a heap
+    while queue:
+        idx = heapq.heappop(queue)
+        word = words[idx]
+        if word is None:
+            continue
+        counts = {}
+        for g, _ in word:
+            counts[g] = counts.get(g, 0) + 1
+        target = next((g for g in counts if counts[g] == 1), None)
+        if target is None:
+            continue
+        pos = next(i for i, (g, _) in enumerate(word) if g == target)
+        # the word for target^exp, exp = word[pos][1]
+        replacement = _invert(word[:pos]) + _invert(word[pos + 1:])
+        if word[pos][1] == -1:
+            replacement = _invert(replacement)
+        words[idx] = None
+        for g in counts:
+            holders[g].discard(idx)
+        touched, holders[target] = holders[target], set()
+        for j in touched:
+            old = words[j]
+            expanded = []
+            for g, e in old:
+                if g == target:
+                    expanded.extend(replacement if e == 1 else _invert(replacement))
+                else:
+                    expanded.append((g, e))
+            words[j] = new = _cyclic_reduce(expanded)
+            before, after = {g for g, _ in old}, {g for g, _ in new}
+            for g in before - after:
+                holders[g].discard(j)
+            for g in after - before:
+                holders[g].add(j)
+            heapq.heappush(queue, j)
+        if any(w is not None and len(w) > MAX_WORD_LENGTH
+               for w in (words if first else (words[j] for j in touched))):
+            return False
+        live.discard(target)
+        first = False
     if len(live) <= 1:
         return True
-    canon_words = {_canonical_rotation(w) for w in words}
-    live_list = sorted(live)
-    for a_idx in range(len(live_list)):
-        for b_idx in range(a_idx + 1, len(live_list)):
-            g, h = live_list[a_idx], live_list[b_idx]
+    canon_words = {_canonical_rotation(w) for w in words if w}
+    live = sorted(live)
+    for a, g in enumerate(live):
+        for h in live[a + 1:]:
             comm = ((g, 1), (h, 1), (g, -1), (h, -1))
-            wanted = {_canonical_rotation(comm), _canonical_rotation(_invert(comm))}
-            if not (wanted & canon_words):
+            if not {_canonical_rotation(comm), _canonical_rotation(_invert(comm))} & canon_words:
                 return False
     return True
 
@@ -298,13 +311,14 @@ def orientation_double_cover(complex):
     """The orientable connected double cover of a connected non-orientable
     closed pseudomanifold: (cover, 2) from build_cover of the orientation
     character, simplex (base, sheet) numbered base * 2 + sheet.  It reads
-    the incidences and the clashes eta that the complex's orientation pass
-    found.  Corners (t, u, p), vertex p of top simplex t on side u of its
-    tentative sign, are joined across each (n-1)-simplex (side u to
-    u ^ eta) and along both lifts of each tree edge in one top simplex
-    through it.  The two lifts of the tree must be the only classes left;
-    an edge swaps the sheets iff its ends lie in different ones, in every
-    top simplex through it.  The cover must be connected and orient."""
+    the sorted top-face slots (two per (n-1)-simplex) and the clashes eta
+    that the complex's orientation pass found.  Corners (t, u, p), vertex
+    p of top simplex t on side u of its tentative sign, are joined across
+    each (n-1)-simplex (side u to u ^ eta) and along both lifts of each
+    tree edge in one top simplex through it.  The two lifts of the tree
+    must be the only classes left; an edge swaps the sheets iff its ends
+    lie in different ones, in every top simplex through it.  The cover
+    must be connected and orient."""
     n = complex.dim
     if n < 1:
         raise ValueError("orientation double cover needs dimension >= 1")
@@ -314,10 +328,11 @@ def orientation_double_cover(complex):
     if not complex.is_connected():
         raise ValueError("orientation double cover needs a connected complex; this one "
                          f"has {complex.component_count()} components")
-    incidences, eta = _orientation(complex)
+    slots, eta = _orientation(complex)
     width = n + 1  # corner (t, u, p) is number (2t + u) * width + p
     parent = list(range(2 * complex.counts[n] * width))
-    for f, ((a, ia), (b, ib)) in enumerate(incidences):
+    for f, (x, y) in enumerate(zip(slots[::2], slots[1::2])):
+        (a, ia), (b, ib) = divmod(x, width), divmod(y, width)
         sides = [p for p in range(width) if p != ia], [q for q in range(width) if q != ib]
         for u in (0, 1):
             for p, q in zip(*sides):

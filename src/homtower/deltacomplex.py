@@ -309,40 +309,57 @@ def _boundary_smith(complex, k):
 def _dual_forest(complex):
     """The one walk of the dual graph, kept in the complex's cache for
     _orientation and _boundary_smith: (incidences, parent, rel, smith) of
-    _top_face_incidences, a signed union-find over the top simplices
-    (_find_signed(parent, rel, t) is t's root and sign relative to it) and
-    the Smith form of the whole top boundary d_n; or (incidences, None,
-    None, None) when some (n-1)-simplex lies in three top faces or more.
-    Row f of d_n is s_a e^a + s_b e^b for its incidences (a, i) with
-    s = (-1)^i: within a tree the rows span the vectors with
-    sum_t sign_t v_t = 0, where sign_b = -s_a s_b sign_a along each tree
-    row.  A row that joins two trees is a unit pivot at the root it
-    absorbs; with the tree rows it telescopes to +-e^ra +- e^rb, 0 at every
-    earlier pivot (a non-root).  A row on one incidence (a half-edge) makes
-    its final tree's root a unit pivot, appended last, as its telescoped
-    row +-e^root is 0 at every other; a row within a tree whose sum is +-2
-    (a sign clash) leaves Z/2 on a tree with no half-edge."""
+    _top_face_incidences (slots and counts), a signed union-find over the
+    top simplices (_find_signed(parent, rel, t) is t's root and sign
+    relative to it) and the Smith form of the whole top boundary d_n; or
+    (incidences, None, None, None) when some (n-1)-simplex lies in three
+    top faces or more.  The walk reads the sorted slots once, one
+    (n-1)-simplex after another.  Row f of d_n is s_a e^a + s_b e^b for
+    its slots a*(n+1)+i and b*(n+1)+j, s_a = (-1)^i: within a tree the
+    rows span the vectors with sum_t sign_t v_t = 0, where
+    sign_b = -s_a s_b sign_a along each tree row.  A row that joins two
+    trees is a unit pivot at the root it absorbs; with the tree rows it
+    telescopes to +-e^ra +- e^rb, 0 at every earlier pivot (a non-root).
+    A row on one incidence (a half-edge) makes its final tree's root a
+    unit pivot, appended last, as its telescoped row +-e^root is 0 at every
+    other; a row within a tree whose sum is +-2 (a sign clash) leaves Z/2
+    on a tree with no half-edge."""
     if "dual_forest" in complex._cache:
         return complex._cache["dual_forest"]
-    n = complex.dim
-    incidences = _top_face_incidences(complex)
-    if any(len(pairs) > 2 for pairs in incidences):
+    n, width = complex.dim, complex.dim + 1
+    slots, counts = incidences = _top_face_incidences(complex)
+    if counts and max(counts) > 2:
         return complex._cache.setdefault("dual_forest", (incidences, None, None, None))
     parent, rel = list(range(complex.counts[n])), [1] * complex.counts[n]
     flags, units = [0] * complex.counts[n], []  # flag 1: half-edge, 2: clash
-    for pairs in incidences:
-        if len(pairs) == 2:
-            (a, i), (b, j) = pairs
-            (ra, sa), (rb, sb) = _find_signed(parent, rel, a), _find_signed(parent, rel, b)
-            want = 1 if (i + j) % 2 else -1  # sign_b / sign_a
-            if ra != rb:
-                parent[ra], rel[ra] = rb, sa * sb * want
-                flags[rb] |= flags[ra]
-                units.append(ra)
-            elif sa * sb != want:
-                flags[ra] |= 2
-        elif pairs:
-            flags[_find_signed(parent, rel, pairs[0][0])[0]] |= 1
+    side, k = [(-1) ** i for i in range(width)], 0
+    for c in counts:
+        if c == 2:  # _find_signed on both ends, written out
+            x, y = slots[k], slots[k + 1]
+            a, b = x // width, y // width
+            # sign_b / sign_a, then times the signs of a and b to their roots
+            s = -side[x - a * width] * side[y - b * width]
+            while parent[a] != a:
+                p = parent[a]
+                rel[a] *= rel[p]
+                parent[a] = parent[p]
+                s *= rel[a]
+                a = parent[a]
+            while parent[b] != b:
+                p = parent[b]
+                rel[b] *= rel[p]
+                parent[b] = parent[p]
+                s *= rel[b]
+                b = parent[b]
+            if a != b:
+                parent[a], rel[a] = b, s
+                flags[b] |= flags[a]
+                units.append(a)
+            elif s != 1:
+                flags[a] |= 2
+        elif c:
+            flags[_find_signed(parent, rel, slots[k] // width)[0]] |= 1
+        k += c
     roots = [t for t in range(complex.counts[n]) if parent[t] == t]
     units += [t for t in roots if flags[t] & 1]
     return complex._cache.setdefault("dual_forest", (incidences, parent, rel, SmithDecomposition(
@@ -470,13 +487,15 @@ class FundamentalCycle:
 
 
 def _top_face_incidences(complex):
-    """For each (n-1)-simplex, the list of (top simplex, face slot) hitting
-    it, counting multiplicity, in top-simplex order."""
-    incidences = [[] for _ in range(complex.counts[complex.dim - 1])]
-    for t, row in enumerate(complex.faces[complex.dim]):
-        for i, f in enumerate(row):
-            incidences[f].append((t, i))
-    return incidences
+    """(slots, counts): the top-face slots t*(n+1)+i, stably sorted by the
+    (n-1)-simplex faces[n][t][i] each names, so each simplex's slots are
+    consecutive and in top-simplex order, and counts[f], the number of
+    slots on (n-1)-simplex f, counting multiplicity."""
+    named = [f for row in complex.faces[complex.dim] for f in row]
+    counts = [0] * complex.counts[complex.dim - 1]
+    for f in named:
+        counts[f] += 1
+    return sorted(range(len(named)), key=named.__getitem__), counts
 
 
 def orient(complex):
@@ -495,11 +514,12 @@ def orient(complex):
 
 def _orientation(complex):
     """The one orientation pass of a complex, kept in its cache: the
-    FundamentalCycle of an orientable complex, or (incidences, eta) of a
+    FundamentalCycle of an orientable complex, or (slots, eta) of a
     non-orientable one, which orientation_double_cover reads.  Each top
     simplex takes its sign in _dual_forest relative to the lowest top
     simplex of its dual tree, which gets +1.  Each (n-1)-simplex f has
-    exactly two incidences, so eta[f] is 1 exactly where the coefficient of
+    exactly two incidences, slots[2f] and slots[2f + 1] of
+    _top_face_incidences, so eta[f] is 1 exactly where the coefficient of
     f in the boundary of sum sign_t * t is nonzero, and an eta of zeros
     certifies the cycle."""
     _valid(complex)
@@ -511,12 +531,12 @@ def _orientation(complex):
     if n == 0:
         found = FundamentalCycle((1,) * complex.counts[0])
     else:
-        incidences, parent, rel, _ = _dual_forest(complex)
-        for f, pairs in enumerate(incidences):
-            if len(pairs) != 2:
+        (slots, counts), parent, rel, _ = _dual_forest(complex)
+        for f, c in enumerate(counts):
+            if c != 2:
                 raise NotPseudomanifoldError(
                     f"not a closed pseudomanifold: {n - 1}-simplex {f} has "
-                    f"{len(pairs)} top-simplex face incidences, expected 2")
+                    f"{c} top-simplex face incidences, expected 2")
         first, signs = {}, []
         for t in range(complex.counts[n]):
             root, s = _find_signed(parent, rel, t)
@@ -524,9 +544,10 @@ def _orientation(complex):
         if complex.is_connected() and len(first) > 1:
             raise NotPseudomanifoldError(
                 f"dual graph has {len(first)} components inside a connected complex")
-        eta = [0 if signs[a] * (-1) ** ia + signs[b] * (-1) ** ib == 0 else 1
-               for (a, ia), (b, ib) in incidences]
-        found = (incidences, eta) if any(eta) else FundamentalCycle(signs)
+        # slot t*(n+1)+i adds sign_t * (-1)^i to its simplex's coefficient
+        terms = [signs[x // (n + 1)] * (-1) ** (x % (n + 1)) for x in slots]
+        eta = [0 if u + v == 0 else 1 for u, v in zip(terms[::2], terms[1::2])]
+        found = (slots, eta) if any(eta) else FundamentalCycle(signs)
     complex._cache["orientation"] = found
     return found
 

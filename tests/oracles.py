@@ -305,10 +305,11 @@ def reduction_by_decoding(finer, coarser):
                  for s in range(finer.size))
 
 
-def proves_abelian_reexpanding_every_relator(presentation):
-    """covers.proves_abelian as it was before each Tietze step left alone
-    the relators without the eliminated generator: every other relator is
-    expanded and cyclically reduced again at every step."""
+def proves_abelian_scanning_every_relator(presentation):
+    """covers.proves_abelian as it was before the generator index and the
+    worklist: each Tietze step scans the relators from the first for one
+    in which some generator occurs once, then tests and copies every other
+    relator, rewriting those that hold the eliminated generator."""
     words = [_cyclic_reduce(w) for w in presentation.relators]
     live = set(range(presentation.generator_count))
     changed = True
@@ -329,22 +330,30 @@ def proves_abelian_reexpanding_every_relator(presentation):
             for j, other in enumerate(words):
                 if j == idx:
                     continue
-                expanded = []
-                for g, e in other:
-                    if g == target:
-                        expanded.extend(replacement if e == 1 else _invert(replacement))
-                    else:
-                        expanded.append((g, e))
-                reduced = _cyclic_reduce(expanded)
-                if len(reduced) > MAX_WORD_LENGTH:
+                if (target, 1) in other or (target, -1) in other:
+                    expanded = []
+                    for g, e in other:
+                        if g == target:
+                            expanded.extend(replacement if e == 1 else _invert(replacement))
+                        else:
+                            expanded.append((g, e))
+                    other = _cyclic_reduce(expanded)
+                if len(other) > MAX_WORD_LENGTH:
                     return False
-                new_words.append(reduced)
+                new_words.append(other)
             words = new_words
             live.discard(target)
             changed = True
             break
     if len(live) <= 1:
         return True
+    canon_words = {_canonical_rotation(w) for w in words if w}
+    for a, g in enumerate(sorted(live)):
+        for h in sorted(live)[a + 1:]:
+            comm = ((g, 1), (h, 1), (g, -1), (h, -1))
+            if not {_canonical_rotation(comm), _canonical_rotation(_invert(comm))} & canon_words:
+                return False
+    return True
     canon_words = {_canonical_rotation(w) for w in words if w}
     for a, g in enumerate(sorted(live)):
         for h in sorted(live)[a + 1:]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtower import covers, deltacomplex
 from homtower.cli import main
@@ -37,7 +38,7 @@ from oracles import (
     chain_h1,
     is_transitive,
     projection_from_faces,
-    proves_abelian_reexpanding_every_relator,
+    proves_abelian_scanning_every_relator,
     reduction_by_decoding,
 )
 from test_dimension3 import sol
@@ -128,28 +129,60 @@ def cyclic_klein_cover(degree):
 
 
 def test_proves_abelian_verdict_does_not_depend_on_untouched_relators():
-    # A Tietze step leaves alone the relators without the eliminated
-    # generator; the verdict is that of re-expanding every relator, on
-    # one-vertex and many-vertex presentations alike
+    # A Tietze step rewrites only the relators that hold the eliminated
+    # generator, found through the generator index, and takes the lowest
+    # relator with a singleton from a heap; the verdict is that of scanning
+    # and testing every relator at every step, on one-vertex and
+    # many-vertex presentations alike: every built-in, its mod-2 covers,
+    # and the cyclic Klein covers up to degree 1023, where the scan is
+    # quadratic
     complexes = [builtin(name) for name in BUILTIN_NAMES if name not in ("surface", "interval")]
     complexes += [builtin("surface", genus=g) for g in (1, 2, 3)]
-    complexes += [cyclic_klein_cover(d) for d in (3, 63)]
-    torus = builtin("torus2")
-    complexes += [build_cover(torus, level.action)[0]
-                  for level in mod_power_tower(torus, 2, 2).levels]
+    complexes += [build_cover(base, level.action)[0] for base in list(complexes)
+                  for level in mod_power_tower(base, 2, 2).levels if level.degree <= 256]
+    complexes += [cyclic_klein_cover(2 ** k - 1) for k in range(2, 11)]
     verdicts = []
     for c in complexes:
         p = edge_path_presentation(c)
         verdicts.append(proves_abelian(p))
-        assert verdicts[-1] is proves_abelian_reexpanding_every_relator(p), c
+        assert verdicts[-1] is proves_abelian_scanning_every_relator(p), c
     assert True in verdicts and False in verdicts
     # a relator longer than MAX_WORD_LENGTH that no step touches still ends
-    # the search, as it did when every relator was expanded again
+    # the search, as it did when every step tested every relator, even
+    # where the relators left would prove the group abelian
     long_word = ((1, 1), (2, 1)) * MAX_WORD_LENGTH
+    commutator = ((1, 1), (2, 1), (1, -1), (2, -1))
     p = Presentation(3, (), range(3), [((0, 1),), long_word])
-    assert proves_abelian(p) is proves_abelian_reexpanding_every_relator(p) is False
-    p = Presentation(3, (), range(3), [((0, 1),), ((1, 1), (2, 1), (1, -1), (2, -1))])
-    assert proves_abelian(p) is proves_abelian_reexpanding_every_relator(p) is True
+    assert proves_abelian(p) is proves_abelian_scanning_every_relator(p) is False
+    p = Presentation(3, (), range(3), [((0, 1),), long_word, commutator])
+    assert proves_abelian(p) is proves_abelian_scanning_every_relator(p) is False
+    p = Presentation(3, (), range(3), [((0, 1),), commutator])
+    assert proves_abelian(p) is proves_abelian_scanning_every_relator(p) is True
+
+
+def words(generators, min_length, max_length):
+    letters = st.tuples(st.integers(0, generators - 1), st.sampled_from((1, -1)))
+    return st.lists(letters, min_size=min_length, max_size=max_length)
+
+
+@st.composite
+def presentations(draw):
+    """Small presentations mixing random words, commutators of generator
+    pairs and an occasional word near MAX_WORD_LENGTH."""
+    generators = draw(st.integers(1, 5))
+    relators = draw(st.lists(st.one_of(
+        words(generators, 0, 8),
+        st.tuples(st.integers(0, generators - 1), st.integers(0, generators - 1)).map(
+            lambda gh: ((gh[0], 1), (gh[1], 1), (gh[0], -1), (gh[1], -1))),
+        words(generators, MAX_WORD_LENGTH - 8, MAX_WORD_LENGTH + 4),
+    ), max_size=8))
+    return Presentation(generators, (), range(generators), relators)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(presentations())
+def test_proves_abelian_matches_the_reference_on_small_presentations(p):
+    assert proves_abelian(p) is proves_abelian_scanning_every_relator(p)
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,8 @@ def test_orient_finds_a_cycle_or_none(make_complex, orientable):
     assert not any(("boundary", k) in complex._cache for k in range(1, n + 1))
     if not orientable:
         assert cycle is None
-        incidences, eta = complex._cache["orientation"]
-        assert len(incidences) == len(eta) == complex.counts[n - 1] and any(eta)
+        slots, eta = complex._cache["orientation"]
+        assert len(slots) == 2 * len(eta) == 2 * complex.counts[n - 1] and any(eta)
         return
     assert complex._cache["orientation"] is cycle
     column = IntegerMatrix(complex.counts[n], 1, {(t, 0): s for t, s in enumerate(cycle.signs)})
@@ -840,13 +840,29 @@ def without_top_simplex(complex, t):
     return DeltaComplex(complex.counts[:n] + (complex.counts[n] - 1,), faces)
 
 
+def with_a_free_face(complex, face):
+    """The complex with one more (n-1)-simplex, with the given faces, that
+    lies in no top simplex."""
+    n = complex.dim
+    counts = list(complex.counts)
+    counts[n - 1] += 1
+    faces = {k: complex.faces[k] for k in range(1, n + 1)}
+    if n >= 2:
+        faces[n - 1] += (face,)
+    return DeltaComplex(counts, faces)
+
+
 def dual_forest_inputs():
     """(name, complex) pairs: every built-in, surfaces of genus 2 and 3,
     the mod-2 covers of the torus, Klein bottle and RP^2 and the cyclic
     Klein covers of degree 3 and 5 (with the double covers of the
     non-orientable ones), the 3-torus, the suspension of RP^2
     (a 2 in d_3), the 3-sphere, Sol and two of its covers, and the same
-    with a top simplex taken out, plus the two half-edge disks."""
+    with a top simplex taken out, plus the two half-edge disks and three
+    complexes with an (n-1)-simplex in no top simplex, which a walk over
+    the sorted top-face slots must step over: the torus plus a free loop
+    edge (counts (1, 4, 2)), Sol plus a free triangle and the circle plus
+    an isolated vertex."""
     out = [(name, make(name)) for name in BUILTIN_NAMES if name != "surface"]
     out += [(f"surface{g}", builtin("surface", genus=g)) for g in (2, 3)]
     for name in ("torus2", "klein_bottle", "rp2"):
@@ -870,7 +886,10 @@ def dual_forest_inputs():
             ("suspension of rp2", suspension_of_rp2()), ("sphere3", boundary_of_4_simplex())]
     out += [(f"{name} minus a top simplex", without_top_simplex(c, c.counts[c.dim] // 2))
             for name, c in list(out) if c.dim >= 2]
-    return out + [("lone triangle", lone_triangle()), ("two-triangle disk", two_triangle_disk())]
+    return out + [("lone triangle", lone_triangle()), ("two-triangle disk", two_triangle_disk()),
+                  ("torus2 plus a free edge", with_a_free_face(builtin("torus2"), (0, 0))),
+                  ("sol plus a free triangle", with_a_free_face(bundle, (0, 0, 0))),
+                  ("circle plus a vertex", with_a_free_face(builtin("circle"), None))]
 
 
 def dual_forest_smith(complex):
@@ -899,7 +918,7 @@ def test_dual_forest_is_the_smith_form_of_the_top_boundary():
             assert (cached.divisors, cached.unit_columns) == (
                 forest.divisors, forest.unit_columns), name
         seen_two |= 2 in forest.divisors and n == 3
-        seen_half |= any(len(pairs) == 1 for pairs in deltacomplex._top_face_incidences(c))
+        seen_half |= 1 in deltacomplex._top_face_incidences(c)[1]
     assert seen_two and seen_half
 
 
@@ -916,7 +935,7 @@ def test_dual_forest_on_half_edges():
 def test_dunce_hat_falls_back_to_elimination(monkeypatch):
     hat = dunce_hat()
     assert validate_complex(hat).ok
-    assert [len(pairs) for pairs in deltacomplex._top_face_incidences(hat)] == [3]
+    assert deltacomplex._top_face_incidences(hat) == ([0, 1, 2], [3])
     assert deltacomplex._dual_forest(hat)[1:] == (None, None, None)
     assert ("smith", 2) not in hat._cache
     calls = []
@@ -945,17 +964,22 @@ def test_dual_forest_unit_columns_are_cap_duality_pivots():
 
 def documented_unit_columns(complex):
     """The unit columns in the order _dual_forest documents, from component
-    labels instead of a union-find: a row joining two components pivots on
-    the label of its first incidence's, which takes the label of the
-    second's; then the final labels of the components with a half-edge, in
-    increasing order."""
-    label = list(range(complex.counts[complex.dim]))
+    labels instead of a union-find, read off complex.faces: a row joining
+    two components pivots on the label of its first incidence's, which
+    takes the label of the second's; then the final labels of the
+    components with a half-edge, in increasing order."""
+    n = complex.dim
+    tops = [[] for _ in range(complex.counts[n - 1])]  # f's top simplices, in order
+    for t, row in enumerate(complex.faces[n]):
+        for f in row:
+            tops[f].append(t)
+    label = list(range(complex.counts[n]))
     joins, half = [], set()
-    for pairs in deltacomplex._top_face_incidences(complex):
-        if len(pairs) == 1:
-            half.add(pairs[0][0])
-        elif len(pairs) == 2:
-            a, b = label[pairs[0][0]], label[pairs[1][0]]
+    for on_f in tops:
+        if len(on_f) == 1:
+            half.add(on_f[0])
+        elif len(on_f) == 2:
+            a, b = label[on_f[0]], label[on_f[1]]
             if a != b:
                 joins.append(a)
                 label = [b if x == a else x for x in label]
@@ -989,14 +1013,19 @@ def test_orientation_matches_the_search_oracle():
         ("wedge of two tori", torus_wedge()),
         *((name, DeltaComplex((2, 6, 4), {1: [(0, 0)] * 3 + [(1, 1)] * 3, 2: triangles}))
           for name, triangles in disjoint.items())]
-    seen = {"open": 0, "split": 0, "oriented": 0, "clash": 0}
+    seen = {"open": 0, "free": 0, "split": 0, "oriented": 0, "clash": 0}
     for name, complex in inputs:
         c = complex_from_json(complex_to_json(complex))  # nothing cached
         assert validate_complex(c).ok, name
-        if any(len(pairs) != 2 for pairs in deltacomplex._top_face_incidences(c)):
-            with pytest.raises(NotPseudomanifoldError, match="not a closed pseudomanifold"):
+        n = c.dim
+        named = [f for row in c.faces[n] for f in row]
+        tally = [named.count(f) for f in range(c.counts[n - 1])]
+        if any(count != 2 for count in tally):
+            f = next(f for f, count in enumerate(tally) if count != 2)
+            with pytest.raises(NotPseudomanifoldError, match=(
+                    f"not a closed pseudomanifold: {n - 1}-simplex {f} has {tally[f]} top-simplex")):
                 orient(c)
-            seen["open"] += 1
+            seen["open" if tally[f] else "free"] += 1
             continue
         incidences, signs, eta, components = orientation_by_search(c)
         if c.is_connected() and components > 1:
@@ -1013,7 +1042,8 @@ def test_orientation_matches_the_search_oracle():
         assert cycle is None, name
         searched = complex_from_json(complex_to_json(c))
         assert validate_complex(searched).ok
-        searched._cache["orientation"] = (incidences, eta)
+        searched._cache["orientation"] = (
+            [t * (n + 1) + i for pairs in incidences for t, i in pairs], eta)
         assert double_cover_or_refusal(c) == double_cover_or_refusal(searched), name
         seen["clash"] += 1
     assert min(seen.values()) >= 1, seen
