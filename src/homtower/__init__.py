@@ -7,7 +7,6 @@ from .intlinalg import (
     IntegerMatrix,
     SmithDecomposition,
     cokernel_structure,
-    kernel_basis,
     rank_mod_p,
     ranks_mod_primes,
     smith_normal_form,

@@ -20,7 +20,7 @@ from .intlinalg import (
     IntegerMatrix,
     SmithDecomposition,
     _ranks_and_unit_columns,
-    kernel_basis,
+    integer_kernel,
     smith_normal_form,
 )
 
@@ -121,6 +121,17 @@ def _spanning_forest(complex):
                 forest.append(e)
         complex._cache["forest"] = tuple(forest)
     return complex._cache["forest"]
+
+
+def _component_labels(complex):
+    """Each vertex's component, numbered from 0 in order of lowest vertex,
+    from a union-find over the edges of the cached _spanning_forest."""
+    parent = list(range(complex.counts[0]))
+    for e in _spanning_forest(complex):
+        u, v = complex.faces[1][e]
+        parent[_find(parent, u)] = _find(parent, v)
+    number = {}
+    return [number.setdefault(_find(parent, v), len(number)) for v in range(complex.counts[0])]
 
 
 def _stored(rows):
@@ -367,15 +378,6 @@ def _dual_forest(complex):
         complex.counts[n - 1], complex.counts[n], unit_columns=units)))
 
 
-def _boundary_or_zero(complex, k):
-    """Boundary matrix for any k, with the empty maps at the two ends."""
-    if k < 1:
-        return IntegerMatrix.zeros(0, complex.counts[0])
-    if k > complex.dim:
-        return IntegerMatrix.zeros(complex.counts[complex.dim], 0)
-    return boundary_matrix(complex, k)
-
-
 class HomologyProfile:
     """Integral homology plus F_p dimensions, one record per degree."""
 
@@ -576,66 +578,91 @@ class CapDualityReport:
         return all(r.isomorphism for r in self.records)
 
 
+def _boundary_is_zero(complex, k, chains):
+    """Whether d_k is 0 on every column of `chains`, ((k-simplex, column),
+    value) pairs, summed straight from the faces."""
+    total = {}
+    for (s, j), v in chains:
+        for i, f in enumerate(complex.faces[k][s]):
+            total[f, j] = total.get((f, j), 0) + (v if i % 2 == 0 else -v)
+    return not any(total.values())
+
+
 def cap_duality_check(complex, cycle):
     """Check that capping with the fundamental cycle induces isomorphisms
     H^{n-k} -> H_k in every degree k.
 
     The chain-level map sends a cochain phi to
         sum_t sign_t * phi(front face of t in dim n-k) * (back face of t in dim k),
-    i.e. the cap product with the fundamental cycle.  With m = n-k, let S be
-    the unit_columns of the cached Smith form of d_m (see _boundary_smith:
-    the pivot columns of the +-1 pass, the spanning forest for m = 1 and the
-    absorbed roots of the dual forest, then its half-edge roots, for m = n).
-    Each was found with a coboundary of an (m-1)-cochain that is +-1 at the
-    pivot and 0 at every earlier pivot (chi_B at a forest edge joining A
-    and B, the telescoped tree rows at a dual-forest root), so subtracting
-    these coboundaries in pivot order makes any cocycle vanish on S.  Hence
-    H^m is generated by the cocycles that vanish on S, the integer kernel of
-    d_{m+1}^T restricted to the columns outside S, and the map is evaluated
-    on a basis of that kernel only; the images must be cycles.  A dropped
-    cocycle differs from a kept one by a coboundary delta c, and
-    cap(delta c) = +-d cap(c) is a boundary, so L = B_k + (span of the
-    images) is the lattice the whole cocycle lattice would give.  L lies in
-    Z_k, and Z^{c_k}/Z_k embeds in C_{k-1}, so the map is onto (L = Z_k)
-    iff one Smith form shows [d_{k+1} | images] of rank c_k - rank d_k with
-    a torsion-free cokernel.  The groups come from the cached homology:
-    H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal coefficients.  The
-    verdict is "isomorphism" iff the groups agree and the map is onto (a
-    surjection between isomorphic finitely generated abelian groups is
-    automatically injective).
+    i.e. the cap product with the fundamental cycle.  With m = n-k, let S_m
+    be the unit_columns of the cached Smith form of d_m (see _boundary_smith;
+    S_0 is empty).  Each was found with a coboundary of an (m-1)-cochain
+    that is +-1 at the pivot and 0 at every earlier pivot, so subtracting
+    these in pivot order makes any cocycle vanish on S_m.  Hence H^m is
+    generated by the integer kernel of d_{m+1}^T off the columns in S_m,
+    and the map is evaluated on a basis of it only: the component
+    indicators for m = 0, each e^t, t not in S_n, for m = n, and
+    integer_kernel in between.  A dropped cocycle differs from a kept one
+    by a coboundary delta c, and cap(delta c) = +-d cap(c) is a boundary,
+    so L = B_k + (span of the images) is the lattice the whole cocycle
+    lattice would give.  L lies in Z_k, and Z^{c_k}/Z_k embeds in C_{k-1},
+    so the map is onto (L = Z_k) iff [d_{k+1} | images] has rank
+    c_k - rank d_k and a torsion-free cokernel; its columns are cycles, so
+    its rows in S_k can go (see _boundary_off_rows), which makes d_{k+1}
+    the matrix whose transpose gave the degree-k cocycles, built once.  For
+    k = 0, C_0/B_0 is free on the components, so the images' sums over each
+    component must span Z^components.  The groups come from the cached
+    homology: H_k, and H^m = Z^{b_m} + tors H_{m-1} by universal
+    coefficients.  The verdict is "isomorphism" iff the groups agree and
+    the map is onto (a surjection between isomorphic finitely generated
+    abelian groups is automatically injective).
     """
-    n = complex.dim
-    if len(cycle.signs) != complex.counts[n]:
+    n, counts = complex.dim, complex.counts
+    if len(cycle.signs) != counts[n]:
         raise ValueError("cycle has wrong number of coefficients")
-    d = [_boundary_or_zero(complex, k) for k in range(n + 2)]
-    column = IntegerMatrix(complex.counts[n], 1,
-                           {(t, 0): s for t, s in enumerate(cycle.signs)})
-    if not (d[n] @ column).is_zero():
-        raise ValueError("not a cycle: its boundary is nonzero")
     profile = homology_profile(complex, ())
+    if n and not _boundary_is_zero(complex, n, (((t, 0), s) for t, s in enumerate(cycle.signs))):
+        raise ValueError("not a cycle: its boundary is nonzero")
+    units = [set()] + [set(_boundary_smith(complex, k).unit_columns) for k in range(1, n + 1)]
+    up = {j: _boundary_off_rows(complex, j + 1, units[j]) for j in range(1, n)}
+    label = _component_labels(complex)
+    components = complex.component_count()
     records = []
     for k in range(n + 1):
         m = n - k
-        pivots = set(_boundary_smith(complex, m).unit_columns) if m else ()
-        outside = {c: a for a, c in enumerate(
-            c for c in range(complex.counts[m]) if c not in pivots)}
-        d_up = d[m + 1]
-        cocycles = kernel_basis(IntegerMatrix(
-            d_up.cols, len(outside),
-            {(j, outside[i]): v for (i, j), v in d_up.items() if i in outside}))
+        if m == 0:  # the component indicators
+            coords, width = dict(enumerate(label)), components
+        else:
+            coords = {c: a for a, c in enumerate(
+                c for c in range(counts[m]) if c not in units[m])}
+            width = len(coords)
         front, back = range(m + 1), range(m, n + 1)
         cap = {}
         for t, s in enumerate(cycle.signs):
-            a = outside.get(_subface(complex, n, t, front))
+            a = coords.get(_subface(complex, n, t, front))
             if a is not None:
                 key = (_subface(complex, n, t, back), a)
                 cap[key] = cap.get(key, 0) + s
-        images = IntegerMatrix(complex.counts[k], len(outside), cap) @ cocycles
-        if not (d[k] @ images).is_zero():
-            raise ValueError(f"not a cycle: a cap image in degree {k} has nonzero boundary")
-        span = smith_normal_form(d[k + 1].hstack(images))
-        cycle_rank = complex.counts[k] - (_boundary_smith(complex, k).rank if k else 0)
-        surjective = span.rank == cycle_rank and not span.nontrivial_divisors()
+        images = IntegerMatrix._trusted(counts[k], width, {key: v for key, v in cap.items() if v})
+        if 0 < m < n:
+            images = images @ integer_kernel(IntegerMatrix._trusted(
+                counts[m + 1], width, {(j, coords[i]): v for (i, j), v in up[m].items()}))
+        if k:
+            if not _boundary_is_zero(complex, k, images.items()):
+                raise ValueError(f"not a cycle: a cap image in degree {k} has nonzero boundary")
+            block = up[k] if k < n else IntegerMatrix.zeros(counts[n], 0)
+            span = smith_normal_form(block.hstack(IntegerMatrix._trusted(
+                counts[k], images.cols, {(i, j): v for (i, j), v in images.items()
+                                         if i not in units[k]})))
+            onto_rank = counts[k] - _boundary_smith(complex, k).rank
+        else:
+            sums = {}
+            for (v, a), x in images.items():
+                sums[label[v], a] = sums.get((label[v], a), 0) + x
+            span = smith_normal_form(IntegerMatrix._trusted(
+                components, images.cols, {key: x for key, x in sums.items() if x}))
+            onto_rank = components
+        surjective = span.rank == onto_rank and not span.nontrivial_divisors()
         source, target = profile.cohomology(m), profile.group(k)
         records.append(CapDualityRecord(k, source, target, surjective and source == target))
     return CapDualityReport(records)

@@ -287,7 +287,7 @@ class _SmithWorker:
         self.divisors.append(abs(d))
         self.pivot_columns.append(j)
 
-    def clear_unit_pivots(self):
+    def clear_unit_pivots(self, kept=None):
         """Eliminate the +-1 pivots in place.
 
         Rows wait in a lazy min-heap of (length, row), as in ranks_mod_primes:
@@ -298,7 +298,8 @@ class _SmithWorker:
         column are simply emptied, and only V records them.  Each pivot is a
         divisor 1, recorded as it is found.  Every row changed and left
         nonzero is pushed again, so when the heap runs dry no +-1 entry is
-        left.
+        left.  A list `kept` gets (column, unit, row) for each pivot, the
+        row as it was when chosen (detached, so never changed again).
         """
         row, col, V = self.row, self.col, self.V
         heap = [(len(r), i) for i, r in enumerate(row) if r]
@@ -333,6 +334,8 @@ class _SmithWorker:
                 for j, v in pivot_row.items():
                     if j != pj:
                         _line_add(V, j, pj, -v * u)
+            if kept is not None:
+                kept.append((pj, u, pivot_row))
             self.record(pj, u)
 
     def find_pivot(self):
@@ -535,17 +538,43 @@ def cokernel_structure(matrix):
     return FgAbelianGroup(free, snf.nontrivial_divisors())
 
 
-def kernel_basis(matrix):
-    """Columns forming a basis of the integer kernel lattice.
-
-    The basis is columns r.. of the Smith transform V (r = rank), so it
-    spans a direct summand of Z^cols and coordinates with respect to it are
-    integral.
+def integer_kernel(matrix):
+    """Columns forming a basis of the integer kernel lattice, with no V of
+    the whole matrix.  Each pivot row of the unit pass is a combination of
+    rows, u = +-1 at its column pj and 0 at every earlier pivot column, and
+    with the core of rows left (0 at every pivot column) they give back
+    every row.  So the kernel is the core's (from a V-tracking Smith form of
+    the core alone, skipped when it is empty) lifted in reverse pivot order
+    by x[pj] = -u * sum_{j != pj} row[j] * x[j], a bijection of lattices
+    run once for all basis vectors, on the basis's rows.
     """
-    snf = smith_normal_form(matrix, True)
-    r = snf.rank
-    return IntegerMatrix._trusted(matrix.cols, matrix.cols - r,
-                                  {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
+    w, kept = _SmithWorker(matrix, False), []
+    w.clear_unit_pivots(kept)
+    done = set(w.pivot_columns)
+    free = {j: a for a, j in enumerate(j for j in range(matrix.cols) if j not in done)}
+    left = [r for r in w.row if r]
+    basis = [{} for _ in range(matrix.cols)]  # row j of the basis: {vector: value}
+    nullity = len(free)
+    if left:
+        snf = smith_normal_form(IntegerMatrix._trusted(len(left), len(free), {
+            (i, free[j]): v for i, r in enumerate(left) for j, v in r.items()}), True)
+        nullity -= snf.rank
+        columns = list(free)
+        for (a, b), v in snf.V.items():
+            if b >= snf.rank:
+                basis[columns[a]][b - snf.rank] = v
+    else:
+        for j, a in free.items():
+            basis[j][a] = 1
+    for pj, u, prow in reversed(kept):
+        acc = {}
+        for j, v in prow.items():
+            if j != pj:
+                for b, x in basis[j].items():
+                    acc[b] = acc.get(b, 0) - u * v * x
+        basis[pj] = {b: x for b, x in acc.items() if x}
+    return IntegerMatrix._trusted(matrix.cols, nullity, {
+        (j, b): x for j, line in enumerate(basis) for b, x in line.items()})
 
 
 def soule_torsion_bound(matrix):

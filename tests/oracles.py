@@ -21,17 +21,36 @@ from homtower.covers import (
 )
 from homtower.deltacomplex import (
     FundamentalCycle,
-    _boundary_or_zero,
     _boundary_smith,
+    boundary_matrix,
     homology_profile,
 )
 from homtower.intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
     cokernel_structure,
-    kernel_basis,
     smith_normal_form,
 )
+
+
+def kernel_basis(matrix):
+    """Columns forming a basis of the integer kernel lattice: columns r..
+    of the Smith transform V (r = rank), so they span a direct summand of
+    Z^cols.  The whole-basis reference that integer_kernel is checked
+    against."""
+    snf = smith_normal_form(matrix, True)
+    r = snf.rank
+    return IntegerMatrix(matrix.cols, matrix.cols - r,
+                         {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
+
+
+def _boundary_or_zero(complex, k):
+    """Boundary matrix for any k, with the empty maps at the two ends."""
+    if k < 1:
+        return IntegerMatrix.zeros(0, complex.counts[0])
+    if k > complex.dim:
+        return IntegerMatrix.zeros(complex.counts[complex.dim], 0)
+    return boundary_matrix(complex, k)
 
 
 def rank_over_rationals(matrix):

@@ -41,7 +41,7 @@ from oracles import (
     projection_from_faces,
 )
 from test_dimension3 import boundary_of_4_simplex, delta_product, sol, suspension_of_rp2
-from test_intlinalg import cover_boundaries
+from test_intlinalg import assert_kernel_lattice_basis, cover_boundaries
 
 Z = FgAbelianGroup
 PRIMES = (2, 3, 5)
@@ -501,20 +501,90 @@ def test_cap_duality_matches_the_full_cocycle_basis():
 def test_cap_duality_cocycles_are_few_on_a_torus_cover(monkeypatch):
     # Off the unit pivots, H^m of a torus cover comes from b_m cocycles: one,
     # two and one columns for k = 0, 1, 2, where the whole cocycle lattice
-    # of the degree-16 cover has rank 32, 17 and 1.
+    # of the degree-16 cover has rank 32, 17 and 1.  Only m = 1 is
+    # eliminated: H^0 is the component indicator, and H^2 the one top
+    # simplex that is not a unit pivot of the dual forest.
     cover = torus_cover(2)
     assert cover.counts == (16, 48, 32)
-    widths = []
-    real = deltacomplex.kernel_basis
+    widths, spans = [], []
+    real_kernel, real_smith = deltacomplex.integer_kernel, deltacomplex.smith_normal_form
 
     def counting(matrix):
-        basis = real(matrix)
+        basis = real_kernel(matrix)
         widths.append(basis.cols)
         return basis
 
-    monkeypatch.setattr(deltacomplex, "kernel_basis", counting)
+    def recording(matrix, keep_transforms=False):
+        spans.append((matrix.rows, matrix.cols))
+        return real_smith(matrix, keep_transforms)
+
+    monkeypatch.setattr(deltacomplex, "integer_kernel", counting)
+    monkeypatch.setattr(deltacomplex, "smith_normal_form", recording)
     assert cap_duality_check(cover, orient(cover)).all_isomorphisms
-    assert widths == [1, 2, 1]
+    assert widths == [2]
+    # k = 0 sums the one image over the one component; k = 1 appends two
+    # images to d_2, and k = 2 tests one image alone
+    assert spans == [(1, 1), (48, 32 + 2), (32, 1)]
+
+
+def test_integer_kernel_on_restricted_coboundaries(monkeypatch):
+    # the matrices cap duality hands integer_kernel, d_{m+1}^T off the
+    # columns in S_m for 0 < m < n, on torus, genus-2 and Sol covers
+    real = deltacomplex.integer_kernel
+    seen = []
+
+    def checking(matrix):
+        basis = real(matrix)
+        assert_kernel_lattice_basis(matrix, basis)
+        seen.append(basis.cols)
+        return basis
+
+    monkeypatch.setattr(deltacomplex, "integer_kernel", checking)
+    surface, bundle = make("surface2"), sol()
+    covers = [torus_cover(3), build_cover(surface, mod_power_tower(surface, 2, 1).levels[0].action)[0],
+              build_cover(bundle, mod_power_tower(bundle, 2, 4).levels[-1].action)[0]]
+    for cover in covers:
+        cycle = orient(cover)
+        assert cap_duality_check(cover, cycle).all_isomorphisms
+        assert ([(r.degree, r.source, r.target, r.isomorphism)
+                 for r in cap_duality_check(cover, cycle).records]
+                == cap_duality_records_full_basis(cover, cycle))
+    # b_1 = 2 on the torus cover and 34 on the genus-2 one; on the Sol
+    # cover of degree 16, b_m = 1 plus the nontrivial divisors of d_m
+    assert seen[:4] == [2, 2, 34, 34] and len(seen) == 8
+
+
+def test_cap_duality_refuses_a_chain_that_is_not_a_cycle():
+    # the boundary is summed from the faces; flipping one sign of these
+    # fundamental cycles leaves a nonzero boundary (on the one-edge circle
+    # every chain is a cycle)
+    for complex in (builtin("torus2"), boundary_of_4_simplex(), torus_cover(2)):
+        signs = list(orient(complex).signs)
+        signs[-1] = -signs[-1]
+        with pytest.raises(ValueError, match="not a cycle: its boundary is nonzero"):
+            cap_duality_check(complex, FundamentalCycle(signs))
+        with pytest.raises(ValueError, match="wrong number of coefficients"):
+            cap_duality_check(complex, FundamentalCycle(signs + [1]))
+
+
+def test_cap_duality_ends_on_disconnected_complexes():
+    # H^0 is free on the component indicators and C_0/B_0 on the
+    # components, so both ends of the check must see every component
+    cases = {
+        "torus2 + torus2": disjoint_union(builtin("torus2"), builtin("torus2")),
+        "torus2 + sphere2": disjoint_union(builtin("torus2"), builtin("sphere2")),
+        "circle + circle": disjoint_union(builtin("circle"), builtin("circle")),
+        "three points": DeltaComplex((3,), {}),
+    }
+    for name, complex in cases.items():
+        assert validate_complex(complex).ok, name
+        cycle = orient(complex)
+        records = [(r.degree, r.source, r.target, r.isomorphism)
+                   for r in cap_duality_check(complex, cycle).records]
+        assert records == cap_duality_records_full_basis(complex, cycle), name
+        components = Z(3 if name == "three points" else 2)
+        assert records[0][1:] == (components, components, True), name
+        assert all(record[3] for record in records), name
 
 
 def test_face_identities_are_stronger_than_the_chain_condition():
@@ -533,8 +603,8 @@ def test_face_identities_are_stronger_than_the_chain_condition():
 def test_smith_forms_are_shared_with_the_homology(monkeypatch):
     # no boundary of these closed surfaces is eliminated over Z, whatever
     # the primes (d_1's Smith form is the spanning forest, d_2's the dual
-    # one), and the cap check adds a cocycle basis and one onto test per
-    # degree
+    # one), and the cap check adds one onto test per degree and at most a
+    # core's Smith form for the cocycles of the middle degree
     calls = []
     real = intlinalg.smith_normal_form
 

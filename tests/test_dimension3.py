@@ -11,7 +11,6 @@ from homtower.deltacomplex import (
     BUILTIN_NAMES,
     DeltaComplex,
     NotPseudomanifoldError,
-    _boundary_or_zero,
     builtin,
     cap_duality_check,
     homology_profile,
@@ -19,7 +18,7 @@ from homtower.deltacomplex import (
     validate_complex,
 )
 from homtower.intlinalg import FgAbelianGroup, IntegerMatrix, smith_normal_form
-from oracles import homology_at, projection_from_faces
+from oracles import _boundary_or_zero, homology_at, projection_from_faces
 
 Z = FgAbelianGroup
 

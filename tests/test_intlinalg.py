@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homtower.covers import build_cover, mod_power_tower, orientation_double_cover
 from homtower.deltacomplex import BUILTIN_NAMES, boundary_matrix, builtin
@@ -14,8 +14,8 @@ from homtower.intlinalg import (
     IntegerMatrix,
     _SmithWorker,
     cokernel_structure,
+    integer_kernel,
     is_prime,
-    kernel_basis,
     rank_mod_p,
     ranks_mod_primes,
     smith_normal_form,
@@ -27,6 +27,7 @@ from oracles import (
     from_rows,
     homology_at,
     identity_matrix,
+    kernel_basis,
     matrix_from_decimal_rows,
     rank_over_rationals,
 )
@@ -580,16 +581,49 @@ def test_fg_abelian_group_invariants():
         FgAbelianGroup(0, (1,))
 
 
+def assert_kernel_lattice_basis(a, k):
+    """k is a basis of the integer kernel lattice of a: a @ k = 0, k has
+    cols - rank columns, and k is saturated (every Smith divisor is 1), so
+    no vector of the lattice lies outside its span."""
+    assert (k.rows, k.cols) == (a.cols, a.cols - smith_normal_form(a).rank)
+    assert (a @ k).is_zero()
+    snf = smith_normal_form(k)
+    assert snf.rank == k.cols and set(snf.divisors) <= {1}
+
+
+@st.composite
+def kernel_inputs(draw):
+    # Each row is scaled by 0 (a zero row), 1 or a non-unit 2 or 3, and
+    # each column kept or zeroed, so the unit pass leaves non-unit cores
+    # as well as none.
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entries = draw(st.lists(st.integers(-4, 4), min_size=rows * cols, max_size=rows * cols))
+    scale = draw(st.lists(st.sampled_from((0, 1, 1, 2, 3)), min_size=rows, max_size=rows))
+    keep = draw(st.lists(st.sampled_from((0, 1, 1, 1)), min_size=cols, max_size=cols))
+    return IntegerMatrix(rows, cols, {(i, j): entries[i * cols + j] * scale[i] * keep[j]
+                                      for i in range(rows) for j in range(cols)})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kernel_inputs())
+@example(from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]]))  # core only, a zero row and column
+@example(from_rows([[1, 2, 3, 5], [0, 2, 4, 0], [0, 6, 0, 4]]))  # a unit, then a core
+@example(from_rows([[0, 0], [0, 0]]))
+def test_integer_kernel_is_a_lattice_basis(a):
+    assert_kernel_lattice_basis(a, integer_kernel(a))
+
+
+def test_integer_kernel_inputs_reach_the_core():
+    # the examples above leave a non-unit core after the unit pass
+    assert unit_pass_core(from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]]))[1]
+    assert unit_pass_core(from_rows([[1, 2, 3, 5], [0, 2, 4, 0], [0, 6, 0, 4]]))[1]
+
+
 def test_kernel_basis_spans_kernel():
     rng = random.Random("kernel")
     inputs = [random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 6) for _ in range(80)]
     for a in inputs + cover_boundaries():
-        k = kernel_basis(a)
-        assert (a @ k).is_zero()
-        assert k.cols == a.cols - smith_normal_form(a).rank
-        # basis of a direct summand: all invariant factors are 1
-        assert set(smith_normal_form(k).divisors) <= {1}
-        assert smith_normal_form(k).rank == k.cols
+        assert_kernel_lattice_basis(a, kernel_basis(a))
 
 
 def test_homology_at_examples():
