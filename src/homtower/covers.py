@@ -209,13 +209,13 @@ class PermutationAction:
     __slots__ = ("degree", "edge_perms")
 
     def __init__(self, degree, edge_perms):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
+        if type(degree) is not int or degree < 1:  # type(), so a bool is refused too
+            raise ValueError(f"degree {degree!r} is not an int >= 1")
         self.degree = degree
         fixed = []
         for e, perm in enumerate(edge_perms):
-            perm = tuple(int(x) for x in perm)
-            if sorted(perm) != list(range(degree)):
+            perm = tuple(perm)
+            if set(map(type, perm)) - {int} or sorted(perm) != list(range(degree)):
                 raise ValueError(f"edge {e}: {perm} is not a permutation of 0..{degree - 1}")
             fixed.append(perm)
         self.edge_perms = tuple(fixed)
@@ -377,7 +377,8 @@ class AbelianQuotient:
     shared across all moduli, so the reduction maps between the quotients
     for m^i and m^{i+1} are literally componentwise.  It is V_t of A^T:
     U_t A^T V_t = D gives V_t^T A U_t^T = D^T, so V_t^T is a U for A, and
-    coordinate i of generator g is entry (g, i) of V_t.  Sheet s is the
+    coordinate i of generator g is entry (g, i) of V_t, read only where
+    gcd(d_i, m) > 1 or i >= rank, the columns V_t keeps.  Sheet s is the
     element whose coordinates are the digits of s in the mixed radix of
     `moduli`, the first most significant; the sheet maps act digit by digit,
     so they are built as mixed-radix products (_radix_product), decoding no

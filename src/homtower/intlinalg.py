@@ -13,7 +13,9 @@ boundary maps of covers that usually leaves nothing.  The core of non-unit
 entries left over uses a fixed pivot strategy: among the remaining entries,
 pick one of minimal absolute value, breaking ties by lowest row then lowest
 column.  This makes every decomposition reproducible and keeps intermediate
-entries small on the incidence-like matrices that dominate our workload.
+entries small on the incidence-like matrices that dominate our workload.  V
+is tracked on the core alone, and lifted through the pivot rows of the +-1
+pass that it keeps.
 """
 
 import heapq
@@ -28,16 +30,17 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows, cols, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError(f"matrix dimensions {rows!r} x {cols!r} must be nonnegative integers")
         self.rows = rows
         self.cols = cols
         data = {}
         if entries:
-            for (i, j), v in entries.items():
+            for (i, j), v in entries.items():  # type(), so a bool is refused too
+                if type(i) is not int or type(j) is not int or type(v) is not int:
+                    raise ValueError(f"entry ({i!r}, {j!r}) = {v!r} has a non-int index or value")
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols} matrix")
-                v = int(v)
                 if v:
                     data[i, j] = v
         self._data = data
@@ -198,11 +201,12 @@ class SmithDecomposition:
 
     divisors are the positive diagonal entries d_1 | d_2 | ... | d_r of the
     Smith normal form; rank == len(divisors).  V, None unless it was asked
-    for, is unimodular with U @ A @ V the diagonal form for some unimodular
-    U, which is not kept: column c < rank of U^-1 is (A @ V)[:, c] / d_c,
-    since A @ V = U^-1 @ diag, and a U for A is V^T of the transpose's
-    decomposition.  unit_columns lists the pivot columns of the +-1 pass in
-    the order they were found.
+    for, is cols x cols: column c of a unimodular V with U @ A @ V the
+    diagonal form, for some unimodular U (not kept), where d_c > 1 or
+    c >= rank (the torsion and kernel columns), and empty where d_c = 1,
+    which no caller reads.  Column c < rank of U^-1 is (A @ V)[:, c] / d_c,
+    and a U for A is V^T of the transpose's decomposition.  unit_columns
+    lists the pivot columns of the +-1 pass in the order they were found.
     """
 
     __slots__ = ("divisors", "rows", "cols", "V", "unit_columns")
@@ -227,29 +231,18 @@ class SmithDecomposition:
         return tuple(d for d in self.divisors if d > 1)
 
 
-def _line_add(lines, dst, src, q):
-    """lines[dst] += q * lines[src] for sparse dict lines, dropping zeros."""
-    line = lines[dst]
-    for k, v in lines[src].items():
-        nv = line.get(k, 0) + q * v
-        if nv:
-            line[k] = nv
-        else:
-            del line[k]
-
-
 class _SmithWorker:
-    """Mutable sparse matrix with mirrored row/column maps, the transform V
-    when asked for (else None), and the pivots found so far.
+    """Mutable sparse matrix with mirrored row/column maps, the pivots found
+    so far, and with keep_v (else both None) the pivot rows the +-1 pass
+    keeps and V of the core it leaves: a sparse dict column for each column
+    the pass left unpivoted, so every column operation is a line update.
 
-    V is a list of sparse dict columns, so every column operation is a line
-    update; row operations leave it alone.  Rows and columns never move.  A
-    finished pivot is recorded (its divisor and its column) and its row and
-    column are emptied, so the entries left are exactly the part still to
-    be eliminated.
+    Rows and columns never move.  A finished pivot is recorded (its divisor
+    and its column) and its row and column are emptied, so the entries left
+    are exactly the part still to be eliminated.
     """
 
-    __slots__ = ("row", "col", "V", "divisors", "pivot_columns")
+    __slots__ = ("row", "col", "V", "kept", "divisors", "pivot_columns")
 
     def __init__(self, matrix, keep_v):
         self.row = [dict() for _ in range(matrix.rows)]
@@ -257,7 +250,8 @@ class _SmithWorker:
         for (i, j), v in matrix.items():
             self.row[i][j] = v
             self.col[j][i] = v
-        self.V = [{j: 1} for j in range(matrix.cols)] if keep_v else None
+        self.V = None
+        self.kept = [] if keep_v else None
         self.divisors = []
         self.pivot_columns = []
 
@@ -278,30 +272,31 @@ class _SmithWorker:
         # col_j += q * col_t
         for i, v in list(self.col[t].items()):
             self._set(i, j, self.row[i].get(j, 0) + q * v)
-        if self.V is not None:
-            _line_add(self.V, j, t, q)
+        if self.V is not None:  # V[j] += q * V[t], dropping zeros
+            line = self.V[j]
+            for k, v in self.V[t].items():
+                nv = line.get(k, 0) + q * v
+                if nv:
+                    line[k] = nv
+                else:
+                    del line[k]
 
-    def record(self, j, d):
-        """Record the pivot d in column j, whose row and column are already
-        empty; the divisor is |d| (U, not kept, absorbs the sign)."""
-        self.divisors.append(abs(d))
-        self.pivot_columns.append(j)
-
-    def clear_unit_pivots(self, kept=None):
+    def clear_unit_pivots(self):
         """Eliminate the +-1 pivots in place.
 
         Rows wait in a lazy min-heap of (length, row), as in ranks_mod_primes:
         pop a shortest row (an entry whose length is stale is skipped) and
         pivot on its +-1 column with the fewest entries, ties by lowest column.
         Row operations clear that column; the column operations that clear
-        the pivot row then change nothing else, so on the matrix the row and
-        column are simply emptied, and only V records them.  Each pivot is a
-        divisor 1, recorded as it is found.  Every row changed and left
-        nonzero is pushed again, so when the heap runs dry no +-1 entry is
-        left.  A list `kept` gets (column, unit, row) for each pivot, the
-        row as it was when chosen (detached, so never changed again).
+        the pivot row then change nothing else, so the row and column are
+        simply emptied, and no V is touched.  Each pivot is a divisor 1,
+        recorded as it is found.  Every row changed and left nonzero is
+        pushed again, so when the heap runs dry no +-1 entry is left.  A list
+        `kept` gets (column, unit, row) for each pivot, the row as it was
+        when chosen (detached, so never changed again), from which
+        _lift_columns replays those column operations.
         """
-        row, col, V = self.row, self.col, self.V
+        row, col, kept = self.row, self.col, self.kept
         heap = [(len(r), i) for i, r in enumerate(row) if r]
         heapq.heapify(heap)
         while heap:
@@ -330,13 +325,10 @@ class _SmithWorker:
                         del col[j][i]
                 if ri:
                     heapq.heappush(heap, (len(ri), i))
-            if V is not None:
-                for j, v in pivot_row.items():
-                    if j != pj:
-                        _line_add(V, j, pj, -v * u)
             if kept is not None:
                 kept.append((pj, u, pivot_row))
-            self.record(pj, u)
+            self.divisors.append(1)
+            self.pivot_columns.append(pj)
 
     def find_pivot(self):
         """Nonzero entry of minimal |value| among those left; ties broken by
@@ -360,27 +352,22 @@ class _SmithWorker:
         return None
 
 
-def smith_normal_form(matrix, keep_transforms=False):
-    """Smith normal form of an integer matrix.
-
-    Returns a SmithDecomposition whose divisors satisfy d_1 | d_2 | ... | d_r.
-    There is one elimination, with rows and columns left in place: first the
-    +-1 pivots (see _SmithWorker.clear_unit_pivots), each a divisor 1, then
-    a least-|value| loop on the core of non-unit entries left over.  The loop
-    picks an entry of minimal |value| (ties by lowest row, then column),
-    clears its column and row, moving to a smaller remainder whenever one
-    is left, and folds in a row the pivot does not divide until it divides
-    every entry left; so its divisors follow the ones in divisibility order.
-    keep_transforms, when true, also returns the unimodular V (cols x cols)
-    with U @ A @ V = diag(divisors) for some unimodular U; when false, V is
-    None and costs nothing.  The elimination does not depend on the flag.
-    V is tracked as sparse columns, so an operation costs the size of the
-    columns it touches, and is put in pivot order and turned into a matrix
-    once, at the end.
+def _eliminate(matrix, keep_v):
+    """The one elimination of every Smith form: its worker and the pivot
+    columns of the +-1 pass (see _SmithWorker.clear_unit_pivots), which
+    runs first.  Then a least-|value| loop on the core of non-unit entries
+    left over picks an entry of minimal |value| (ties by lowest row, then
+    column), clears its column and row, moving to a smaller remainder
+    whenever one is left, and folds in a row the pivot does not divide
+    until it divides every entry left; so its divisors follow the ones in
+    divisibility order.  With keep_v, V is tracked on the core's columns.
     """
-    w = _SmithWorker(matrix, keep_transforms)
+    w = _SmithWorker(matrix, keep_v)
     w.clear_unit_pivots()
     unit_columns = tuple(w.pivot_columns)
+    if keep_v:
+        done = set(w.pivot_columns)
+        w.V = {j: {j: 1} for j in range(matrix.cols) if j not in done}
     row, col = w.row, w.col
     while (pos := w.find_pivot()) is not None:
         pi, pj = pos
@@ -412,14 +399,51 @@ def smith_normal_form(matrix, keep_transforms=False):
             w.row_add(pi, bad, 1)
         row[pi] = {}
         col[pj] = {}
-        w.record(pj, p)
+        w.divisors.append(abs(p))  # U, not kept, absorbs the sign
+        w.pivot_columns.append(pj)
+    return w, unit_columns
+
+
+def _lift_columns(w, cols, start, shift=0):
+    """The entries (j, b - shift) of columns b = start.. of V, whose columns
+    are the pivot columns in pivot order, then the others.
+
+    Each column tracked on the core is lifted through the kept pivot rows
+    in reverse pivot order, x[pj] = -u * sum_{j != pj} row[j] * x[j]: the
+    unit pass's column operations (col_j -= row[j] * u * col_pj), which
+    change only x[pj], so one pass lifts every column, on their rows.
+    """
+    done = set(w.pivot_columns)
+    order = w.pivot_columns + [j for j in range(cols) if j not in done]
+    if not w.kept or start == cols:  # nothing to lift
+        return {(j, b - shift): v for b in range(start, cols) for j, v in w.V[order[b]].items()}
+    lines = {}  # line j: {b - shift: entry (j, b)}, none yet at a pivot
+    for b in range(start, cols):
+        for j, v in w.V[order[b]].items():
+            lines.setdefault(j, {})[b - shift] = v
+    for pj, u, prow in reversed(w.kept):
+        acc = {}
+        for j, v in prow.items():
+            if j in lines:
+                for b, x in lines[j].items():
+                    acc[b] = acc.get(b, 0) - u * v * x
+        lines[pj] = acc
+    return {(j, b): x for j, line in lines.items() for b, x in line.items() if x}
+
+
+def smith_normal_form(matrix, keep_transforms=False):
+    """Smith normal form of an integer matrix: a SmithDecomposition whose
+    divisors satisfy d_1 | d_2 | ... | d_r, from one elimination with rows
+    and columns left in place (_eliminate), which does not depend on the
+    flag.  keep_transforms, when true, also returns V's torsion and kernel
+    columns, lifted through the +-1 pass's pivot rows in one pass and made
+    a matrix once; when false, V is None and costs nothing.
+    """
+    w, unit_columns = _eliminate(matrix, keep_transforms)
     n = matrix.cols
     V = None
-    if w.V is not None:  # the pivot columns in pivot order, then the others
-        done = set(w.pivot_columns)
-        order = w.pivot_columns + [j for j in range(n) if j not in done]
-        V = IntegerMatrix._trusted(
-            n, n, {(i, b): v for b, j in enumerate(order) for i, v in w.V[j].items()})
+    if keep_transforms:
+        V = IntegerMatrix._trusted(n, n, _lift_columns(w, n, w.divisors.count(1)))
     return SmithDecomposition(w.divisors, matrix.rows, n, V=V, unit_columns=unit_columns)
 
 
@@ -539,42 +563,16 @@ def cokernel_structure(matrix):
 
 
 def integer_kernel(matrix):
-    """Columns forming a basis of the integer kernel lattice, with no V of
-    the whole matrix.  Each pivot row of the unit pass is a combination of
-    rows, u = +-1 at its column pj and 0 at every earlier pivot column, and
-    with the core of rows left (0 at every pivot column) they give back
-    every row.  So the kernel is the core's (from a V-tracking Smith form of
-    the core alone, skipped when it is empty) lifted in reverse pivot order
-    by x[pj] = -u * sum_{j != pj} row[j] * x[j], a bijection of lattices
-    run once for all basis vectors, on the basis's rows.
+    """Columns forming a basis of the integer kernel lattice: columns
+    rank.. of smith_normal_form's V, the only ones lifted.  Each pivot row
+    of the unit pass is a combination of rows, u = +-1 at its column pj and
+    0 at every earlier pivot column, and with the core of rows left (0 at
+    every pivot column) they give back every row; so the lift maps the
+    core's kernel lattice onto the matrix's.
     """
-    w, kept = _SmithWorker(matrix, False), []
-    w.clear_unit_pivots(kept)
-    done = set(w.pivot_columns)
-    free = {j: a for a, j in enumerate(j for j in range(matrix.cols) if j not in done)}
-    left = [r for r in w.row if r]
-    basis = [{} for _ in range(matrix.cols)]  # row j of the basis: {vector: value}
-    nullity = len(free)
-    if left:
-        snf = smith_normal_form(IntegerMatrix._trusted(len(left), len(free), {
-            (i, free[j]): v for i, r in enumerate(left) for j, v in r.items()}), True)
-        nullity -= snf.rank
-        columns = list(free)
-        for (a, b), v in snf.V.items():
-            if b >= snf.rank:
-                basis[columns[a]][b - snf.rank] = v
-    else:
-        for j, a in free.items():
-            basis[j][a] = 1
-    for pj, u, prow in reversed(kept):
-        acc = {}
-        for j, v in prow.items():
-            if j != pj:
-                for b, x in basis[j].items():
-                    acc[b] = acc.get(b, 0) - u * v * x
-        basis[pj] = {b: x for b, x in acc.items() if x}
-    return IntegerMatrix._trusted(matrix.cols, nullity, {
-        (j, b): x for j, line in enumerate(basis) for b, x in line.items()})
+    w, _ = _eliminate(matrix, True)
+    n, r = matrix.cols, len(w.divisors)
+    return IntegerMatrix._trusted(n, n - r, _lift_columns(w, n, r, r))
 
 
 def soule_torsion_bound(matrix):

@@ -30,7 +30,7 @@ from homtower.deltacomplex import (
     validate_complex,
 )
 from homtower.growth import run_tower
-from homtower.intlinalg import FgAbelianGroup
+from homtower.intlinalg import FgAbelianGroup, IntegerMatrix
 from oracles import (
     abelianization,
     abelianization_action,
@@ -40,6 +40,7 @@ from oracles import (
     projection_from_faces,
     proves_abelian_scanning_every_relator,
     reduction_by_decoding,
+    tracked_smith_transform,
 )
 from test_dimension3 import sol
 
@@ -126,6 +127,22 @@ def cyclic_klein_cover(degree):
     shift = [(i + 1) % degree for i in range(degree)]
     action = PermutationAction(degree, [shift, list(range(degree)), shift])
     return build_cover(builtin("klein_bottle"), action)[0]
+
+
+def test_presentation_transform_keeps_only_the_coordinate_columns():
+    # AbelianQuotient reads V of the transposed relator matrix only where
+    # d_c > 1 or c >= rank; its divisor-1 columns are empty, so on the
+    # degree-255 cyclic Klein cover V has about one nonzero per generator,
+    # where the whole tracked transform has 65030
+    cover = cyclic_klein_cover(255)
+    presentation, snf = covers._presentation_smith(cover)
+    assert presentation.generator_count == 511 and snf.nontrivial_divisors() == (2,)
+    assert snf.V.nnz() <= presentation.generator_count + 1
+    whole = tracked_smith_transform(presentation.relator_matrix().transpose())
+    assert whole.nnz() == 65030
+    start = snf.divisors.count(1)
+    assert snf.V == IntegerMatrix(511, 511, {(i, c): v for (i, c), v in whole.items()
+                                             if c >= start})
 
 
 def test_proves_abelian_verdict_does_not_depend_on_untouched_relators():
@@ -261,6 +278,18 @@ def test_action_json_round_trip_and_errors():
         PermutationAction(0, [])
     with pytest.raises(ValueError, match="edge 1: .* is not a permutation of 0..1"):
         PermutationAction(2, [(0, 1), (0, 0)])
+
+
+def test_permutation_action_refuses_sheets_that_are_not_ints():
+    # int() used to accept [0.9, 1.2] as the identity and [True, False] as
+    # a swap; a bool or a float names no sheet and counts no sheets
+    for perm in ([0.9, 1.2], [0.0, 1.0], [True, False], [1, False], ["0", "1"]):
+        with pytest.raises(ValueError, match="edge 0: .* is not a permutation of 0..1"):
+            PermutationAction(2, [perm])
+    for degree in (2.0, True):
+        with pytest.raises(ValueError, match="is not an int >= 1"):
+            PermutationAction(degree, [])
+    assert PermutationAction(2, [[1, 0], range(2)]).edge_perms == ((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from oracles import (
     kernel_basis,
     matrix_from_decimal_rows,
     rank_over_rationals,
+    tracked_smith_transform,
 )
 
 
@@ -164,6 +165,21 @@ def test_entry_access_is_bounds_checked():
         IntegerMatrix(2, 2, {(5, 5): 1})
 
 
+def test_integer_matrix_refuses_entries_and_indices_that_are_not_ints():
+    # int() used to turn 2.7 into 2 (Smith divisor 2) and True into 1, and
+    # a float index was stored and failed later inside the Smith form; a
+    # bool or a float is refused, as a face index is by validate_complex
+    for entries in ({(0, 0): 2.7}, {(0, 0): True}, {(0, 0): 2.0}, {(0, 0): "1"},
+                    {(0.0, 0): 1}, {(0, 1.0): 1}, {(False, 0): 1}, {(0, True): 1}):
+        with pytest.raises(ValueError, match="non-int index or value"):
+            IntegerMatrix(2, 2, entries)
+    for rows, cols in ((2.0, 2), (2, True), (-1, 2)):
+        with pytest.raises(ValueError, match="must be nonnegative integers"):
+            IntegerMatrix(rows, cols)
+    assert IntegerMatrix(2, 2, {(0, 0): 0, (1, 1): -3}) == from_rows([[0, 0], [0, -3]])
+    assert smith_normal_form(IntegerMatrix(1, 1, {(0, 0): 2})).divisors == (2,)
+
+
 def test_matmul_and_transpose():
     a = from_rows([[1, 2], [3, 4]])
     b = from_rows([[0, 1], [1, 0]])
@@ -233,18 +249,30 @@ def test_boundaries_compose_to_zero():
         assert (d_low @ d_high).is_zero()
 
 
+def assert_kept_columns(a, snf, whole):
+    """The program's V is the whole tracked V at every column c with d_c > 1
+    or c >= rank, and empty at every divisor-1 column."""
+    start = snf.divisors.count(1)
+    assert snf.V == IntegerMatrix(a.cols, a.cols, {
+        (i, c): v for (i, c), v in whole.items() if c >= start}), a.to_rows()
+
+
 def assert_v_certificate(a):
-    """Check the V of a's Smith form without trusting the elimination: |det
-    V| = 1 by Bareiss, a @ V is zero from column r = rank on, and column
-    c < r is d_c times an integer column.  Those r columns have a's
-    invariant factors, and divided by the d_c they span a direct summand
-    (every invariant factor 1), so some unimodular U sends them to the unit
-    vectors and U @ a @ V is the diagonal.  The divisors equal those of the
-    call without V.  Returns the decomposition."""
+    """Check the whole tracked V of a's Smith form (tracked_smith_transform)
+    without trusting the elimination: |det V| = 1 by Bareiss, a @ V is zero
+    from column r = rank on, and column c < r is d_c times an integer
+    column.  Those r columns have a's invariant factors, and divided by the
+    d_c they span a direct summand (every invariant factor 1), so some
+    unimodular U sends them to the unit vectors and U @ a @ V is the
+    diagonal.  The divisors equal those of the call without V, and the
+    program's V is that V at the columns it keeps.  Returns the
+    decomposition."""
     snf = smith_normal_form(a, True)
+    whole = tracked_smith_transform(a)
+    assert_kept_columns(a, snf, whole)
     d, r = snf.divisors, snf.rank
-    assert abs(bareiss_det(snf.V.to_rows())) == 1, a.to_rows()
-    av = (a @ snf.V).columns()
+    assert abs(bareiss_det(whole.to_rows())) == 1, a.to_rows()
+    av = (a @ whole).columns()
     assert not any(av[r:]), a.to_rows()
     assert all(v % d[c] == 0 for c in range(r) for v in av[c].values()), a.to_rows()
     head = IntegerMatrix(a.rows, r, {(i, c): v for c in range(r) for i, v in av[c].items()})
@@ -266,7 +294,8 @@ def test_smith_transforms_reconstruct():
     rng = random.Random("snf-transforms")
     small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(80)]
     for a in small + cover_boundaries():
-        v = assert_smith_certificate(a).V
+        assert_smith_certificate(a)
+        v = tracked_smith_transform(a)
         if v.rows <= 6:
             assert bareiss_det(v.to_rows()) == leibniz_det(v.to_rows())
 
@@ -393,6 +422,18 @@ def test_kernel_basis_is_the_kernel_columns_of_v():
         expected = IntegerMatrix(a.cols, a.cols - r,
                                  {(i, j - r): v for (i, j), v in snf.V.items() if j >= r})
         assert kernel_basis(a) == expected
+
+
+def test_integer_kernel_is_the_kernel_columns_of_the_tracked_v():
+    # integer_kernel lifts only columns rank.. of V; they are the whole
+    # tracked transform's, which is built by a forward replay of the unit
+    # pass's column operations instead of the reverse lift
+    rng = random.Random("kernel-tracked")
+    inputs = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 7), 4) for _ in range(200)]
+    for a in inputs + cover_boundaries():
+        whole, r = tracked_smith_transform(a), smith_normal_form(a).rank
+        assert integer_kernel(a) == IntegerMatrix(a.cols, a.cols - r, {
+            (i, c - r): v for (i, c), v in whole.items() if c >= r}), a.to_rows()
 
 
 def test_one_smith_form_gives_the_subgroup_lemma_data():
