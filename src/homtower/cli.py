@@ -214,28 +214,11 @@ def cmd_bounds(args):
     _check_primes(args)
     complex = _resolve_complex(args)
     primes = tuple(args.primes)
+    payload = {"command": "bounds",
+               "config": _config_echo(args, ("builtin", "genus", "input", "primes",
+                                             "seed", "via_double_cover"))}
     try:
         report = check_bounds(complex, primes)
-        duality = duality_report(complex)
-        payload = {
-            "command": "bounds",
-            "config": _config_echo(args, ("builtin", "genus", "input", "primes",
-                                          "seed", "via_double_cover")),
-            "report": report.to_json_dict(),
-            "duality": duality,
-        }
-        lines = [f"complex {report.name}  dim {report.dim}  cycle size {report.cycle_size}"]
-        for r in report.records:
-            tag = f"p={r.prime} " if r.prime else ""
-            lines.append(
-                f"{r.kind:<8} {tag}j={r.degree}: {r.actual:.6g} <= {r.bound:.6g}"
-                f"  margin {r.margin:.6g}  {'PASS' if r.passed else 'FAIL'}")
-        lines.append(f"duality: betti {duality['betti_symmetric']}, "
-                     f"torsion {duality['torsion_symmetric']}, "
-                     f"cap {duality['cap_isomorphisms']}")
-        rows = list(report.csv_rows())
-        _emit(args, payload, lines, rows)
-        return EXIT_OK if report.all_pass else EXIT_FAILED_CHECK
     except NonOrientableError:
         if not args.via_double_cover:
             raise _CliError(
@@ -243,24 +226,24 @@ def cmd_bounds(args):
                 f"{complex.name or 'complex'} is non-orientable; rerun with "
                 "--via-double-cover to check the index-2 reduction instead",
             ) from None
-    report = check_index2_reduction(complex, primes)
-    payload = {
-        "command": "bounds",
-        "config": _config_echo(args, ("builtin", "genus", "input", "primes",
-                                      "seed", "via_double_cover")),
-        "index2_report": report.to_json_dict(),
-    }
-    lines = [f"complex {report.name}: non-orientable, using the orientation double cover",
-             f"cover counts {'/'.join(map(str, report.cover_counts))}"]
-    if report.caveat:
-        lines.append(f"caveat: {report.caveat}")
+        report = check_index2_reduction(complex, primes)
+        payload["index2_report"] = report.to_json_dict()
+        lines = [f"complex {report.name}: non-orientable, using the orientation double cover",
+                 f"cover counts {'/'.join(map(str, report.cover_counts))}"]
+        lines += [f"caveat: {report.caveat}"] if report.caveat else []
+        degree, width, tail = "n", 14, []
+    else:
+        duality = payload["duality"] = duality_report(complex)
+        payload["report"] = report.to_json_dict()
+        lines = [f"complex {report.name}  dim {report.dim}  cycle size {report.cycle_size}"]
+        degree, width = "j", 8
+        tail = [f"duality: betti {duality['betti_symmetric']}, "
+                f"torsion {duality['torsion_symmetric']}, cap {duality['cap_isomorphisms']}"]
     for r in report.records:
         tag = f"p={r.prime} " if r.prime else ""
-        lines.append(
-            f"{r.kind:<14} {tag}n={r.degree}: {r.actual:.6g} <= {r.bound:.6g}"
-            f"  margin {r.margin:.6g}  {'PASS' if r.passed else 'FAIL'}")
-    rows = list(report.csv_rows())
-    _emit(args, payload, lines, rows)
+        lines.append(f"{r.kind:<{width}} {tag}{degree}={r.degree}: {r.actual:.6g} <= "
+                     f"{r.bound:.6g}  margin {r.margin:.6g}  {'PASS' if r.passed else 'FAIL'}")
+    _emit(args, payload, lines + tail, list(report.csv_rows()))
     return EXIT_OK if report.all_pass else EXIT_FAILED_CHECK
 
 
@@ -325,12 +308,8 @@ def _duality_suite():
     failures = []
     for name in ("torus2", "sphere2"):
         result = duality_report(builtin(name))
-        if not (result["betti_symmetric"] and result["torsion_symmetric"]
-                and result["cap_isomorphisms"]):
-            failures.append({"complex": name,
-                             "betti_symmetric": result["betti_symmetric"],
-                             "torsion_symmetric": result["torsion_symmetric"],
-                             "cap_isomorphisms": result["cap_isomorphisms"]})
+        if not all(result.values()):
+            failures.append({"complex": name, **result})
     return failures
 
 
@@ -339,24 +318,18 @@ def cmd_verify(args):
         raise _CliError(EXIT_USAGE, "--trials must be >= 1")
     if args.size_cap < 0:
         raise _CliError(EXIT_USAGE, "--size-cap must be >= 0")
-    suites = []
     exactness_failures = []
     try:
         verify_torsion_exactness_lemmas(args.trials, seed=args.seed,
                                         size_cap=args.size_cap)
     except ExactnessViolation as exc:
         exactness_failures.append(exc.witness)
-    suites.append({"name": "torsion-exactness-lemmas",
-                   "trials": args.trials,
-                   "failures": exactness_failures})
-    soule_failures = _soule_suite(args.trials, args.seed, args.size_cap)
-    suites.append({"name": "cokernel-torsion-bound",
-                   "trials": args.trials,
-                   "failures": soule_failures})
-    duality_failures = _duality_suite()
-    suites.append({"name": "poincare-duality",
-                   "trials": 2,
-                   "failures": duality_failures})
+    suites = [{"name": name, "trials": trials, "failures": failures}
+              for name, trials, failures in (
+                  ("torsion-exactness-lemmas", args.trials, exactness_failures),
+                  ("cokernel-torsion-bound", args.trials,
+                   _soule_suite(args.trials, args.seed, args.size_cap)),
+                  ("poincare-duality", 2, _duality_suite()))]
     total = sum(len(s["failures"]) for s in suites)
     payload = {
         "command": "verify",

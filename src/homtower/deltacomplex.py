@@ -243,6 +243,8 @@ def _face_identity_violation(complex):
     """[message] for the first (k, simplex, i, j) with d_i d_j != d_{j-1} d_i
     on a k-simplex, in that order; [] when every identity holds."""
     for k in range(2, complex.dim + 1):
+        if not complex.faces[k]:  # no k-simplex: skip the (i, j) pairs
+            continue
         below = complex.faces[k - 1]
         pairs = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
         for s, row in enumerate(complex.faces[k]):
@@ -745,11 +747,14 @@ def builtin(name, genus=None):
     """A standard small complex by name.
 
     Names: circle, interval, sphere2, torus2, klein_bottle, rp2, and
-    surface (which requires genus >= 1).  Every built-in validates.
+    surface (genus >= 1, its 10g - 4 simplices checked against
+    MAX_SIMPLICES before any face list is built).  Every built-in validates.
     """
     if name == "surface":
         if genus is None or genus < 1:
             raise ValueError("surface requires genus >= 1")
+        if problems := _count_problems([1, 6 * genus - 3, 4 * genus - 2]):
+            raise ValueError(f"surface of genus {genus}: {problems[0]}")
         counts, faces = _surface_faces(genus)
         made = DeltaComplex(counts, faces, name=f"surface_{genus}")
     elif name in _BUILTIN_TABLE:

@@ -302,13 +302,14 @@ def l2_betti_trend(report):
 
 
 def gap_consistency_check(report, threshold):
-    """Check the vanishing trend over a base with amenable fundamental group.
+    """Check the vanishing trend of a residual tower over an amenable base.
 
     Verdict is `pass` iff at the final level every normalized mod-p Betti
     and log-torsion series sits below the threshold and has not increased
-    since the previous level.  An empty tower (level 0, no series) and a
-    base that builtin() did not make under a name in the explicit amenable
-    registry get verdict `not-applicable`; the series are reported either way.
+    since the previous level.  An empty tower (level 0, no series), a tower
+    that is not residual and a base that builtin() did not make under a name
+    in the explicit amenable registry get verdict `not-applicable`; the
+    series are reported either way.
     """
     level = len(report.levels)
     series_map = {key: series for key, series in report._series_map().items()
@@ -319,7 +320,7 @@ def gap_consistency_check(report, threshold):
         "base": report.base_name,
         "series": series_map,
     }
-    if not (level and report.amenable):
+    if not (level and report.amenable and report.residual):
         result["status"] = "not-applicable"
         return result
     ok = all(values[-1] < threshold and (level < 2 or values[-1] <= values[-2] + 1e-12)

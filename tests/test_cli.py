@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import homtower
-from homtower import deltacomplex
+from homtower import cli, deltacomplex
 from homtower.cli import main
 from homtower.deltacomplex import BUILTIN_NAMES, builtin, complex_to_json
 
@@ -441,16 +442,97 @@ GOLDEN_JSON_SHA256 = {
 }
 
 
-def test_json_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
-    # The --format json bytes of each command, pinned by their sha256; the
-    # file inputs go under fixed relative names, since the report echoes the
-    # input path and names the complex after the file.
+# the --format pretty and --format csv bytes of the bound and verify reports
+GOLDEN_TEXT_SHA256 = {
+    "bounds --builtin torus2": {
+        "pretty": "7bdc73d752bf261433b58075b51ca5ad9dd4d8d917f9f379bb659e15dc97a0f3",
+        "csv": "1d153cee7ab6fcde84866bdf5c38441eb36272246333aeca797cc77ea372c2a3"},
+    "bounds --builtin rp2 --via-double-cover": {
+        "pretty": "00fc3a2c91e8d0fd074bb58bc6059ddf6eb92fdb622ad0120c7f7384e55821a6",
+        "csv": "c79caea40635d3ca556dbb393a9e56295d1da672b1d05474520ca969ba4154c0"},
+    "bounds torus_16.json": {
+        "pretty": "889d60bd1b50908ab251ff184dd3634680464da73833ec0c397f83997ef4688c",
+        "csv": "d563530b9f7c0515d2ef83d4b9874fa2f312cfdfe598c28eef58f3d6cf9f4c5b"},
+    "bounds klein_63.json --via-double-cover": {
+        "pretty": "a4b8b6ef5777b3ee343ce950ebe452be202e40695bdb915207fec2ab037bd7e9",
+        "csv": "2ec5abbaa909f4c55ae0f0dd48383e34b0f05d548526f4cc0b97a4e3c9cc7f0e"},
+    "verify --trials 20 --seed 3": {
+        "pretty": "ca48db784d68de7e50ce07d2c372d17f5a4700394192d1a9910af8102cc96fb6",
+        "csv": "c75f14cf2a2a39dd8fba0febea229e0cf9a0e2f465957d3e1b697200c71dd3a0"},
+}
+
+
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    # The file inputs go under fixed relative names, since the report echoes
+    # the input path and names the complex after the file.
     monkeypatch.chdir(tmp_path)
     for name, complex in (("torus_16.json", torus_cover(2)),
                           ("klein_63.json", klein_cyclic_cover(63))):
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(complex_to_json(complex), fh)
+
+
+def test_json_outputs_match_the_recorded_digests(golden_inputs, capsys):
+    # The --format json bytes of each command, pinned by their sha256.
     for command, digest in GOLDEN_JSON_SHA256.items():
         code, out, _ = run(capsys, *command.split(), "--format", "json")
         assert code == 0, command
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_text_outputs_match_the_recorded_digests(fmt, golden_inputs, capsys):
+    for command, digests in GOLDEN_TEXT_SHA256.items():
+        code, out, _ = run(capsys, *command.split(), "--format", fmt)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[fmt], command
+
+
+def test_verify_records_a_duality_failure_with_its_flags(monkeypatch, capsys):
+    flags = {"betti_symmetric": True, "torsion_symmetric": False, "cap_isomorphisms": True}
+    monkeypatch.setattr(cli, "duality_report", lambda complex: dict(flags))
+    code, out, _ = run(capsys, "verify", "--trials", "1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["failures_total"] == 2
+    assert payload["suites"][2] == {
+        "name": "poincare-duality", "trials": 2,
+        "failures": [{"complex": "torus2", **flags}, {"complex": "sphere2", **flags}]}
+
+
+# ---------------------------------------------------------------------------
+# inputs whose cost the program bounds before building anything
+
+def _cli_process(*argv, timeout):
+    """The CLI in a process of its own, killed at the time bound and held to
+    1 GiB of address space, so that a run that builds too much fails fast."""
+    src = os.path.dirname(os.path.dirname(homtower.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "homtower.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+
+def test_surface_past_the_simplex_limit_exits_2_at_once():
+    # 10g - 4 = 16777226 simplices.  Every face list used to be built before
+    # the counts were checked: 8 s and 1.3 GB, then exit 1.
+    result = _cli_process("homology", "--builtin", "surface", "--g", "1677723", timeout=5)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "homtower: surface of genus 1677723: counts total 16777226 simplices, "
+               "more than 16777216\n")
+
+
+def test_empty_dimensions_cost_no_face_identity_work(tmp_path):
+    # One vertex and no other simplex up to dimension 3000.  The face
+    # identities used to list the k^2/2 slot pairs of every empty dimension
+    # k, about nine minutes at this size.
+    path = tmp_path / "empty_3000.json"
+    path.write_text(json.dumps({"dim": 3000, "counts": [1] + [0] * 3000,
+                                "faces": {str(k): [] for k in range(1, 3001)}}))
+    result = _cli_process("homology", str(path), "--format", "csv", timeout=10)
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()
+    assert rows[:3] == ["k,group,dim_F2,dim_F3,dim_F5", "0,Z,1,1,1", "1,0,0,0,0"]
+    assert len(rows) == 3002 and rows[-1] == "3000,0,0,0,0"

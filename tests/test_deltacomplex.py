@@ -97,6 +97,25 @@ def test_builtin_rejects_bad_names():
         builtin("torus2", genus=2)
 
 
+def test_surface_counts_are_checked_before_any_face_list(monkeypatch):
+    # The genus-g surface has 10g - 4 simplices, so genus 1677722 is the
+    # largest within MAX_SIMPLICES.  A stand-in for the face builder shows
+    # which genus reaches it, and the largest allowed surface is never built.
+    reached = []
+
+    def stand_in(genus):
+        reached.append(genus)
+        raise LookupError("the face lists would be built here")
+
+    monkeypatch.setattr(deltacomplex, "_surface_faces", stand_in)
+    with pytest.raises(LookupError):
+        builtin("surface", genus=1677722)
+    with pytest.raises(ValueError, match="^surface of genus 1677723: counts total 16777226 "
+                                         "simplices, more than 16777216$"):
+        builtin("surface", genus=1677723)
+    assert reached == [1677722]
+
+
 def test_validate_reports_out_of_range_face():
     bad = DeltaComplex((1, 2), {1: [(0, 0), (5, 0)]})
     report = validate_complex(bad)
@@ -107,11 +126,14 @@ def test_validate_reports_out_of_range_face():
 def test_validate_reports_chain_violation():
     # one triangle whose boundary is a single unbalanced edge: d o d != 0,
     # witnessed by the first face identity that fails, i = 0 and j = 2: face
-    # 0 of face 2 is vertex 1, but face 1 of face 0 is vertex 0
-    bad = DeltaComplex((2, 1, 1), {1: [(1, 0)], 2: [(0, 0, 0)]})
-    report = validate_complex(bad)
-    assert not report.ok
-    assert report.problems == ["face identity d_0 d_2 = d_1 d_0 fails on 2-simplex 0: 1 != 0"]
+    # 0 of face 2 is vertex 1, but face 1 of face 0 is vertex 0; an empty
+    # dimension above it is skipped, and the failure is still found
+    for bad in (DeltaComplex((2, 1, 1), {1: [(1, 0)], 2: [(0, 0, 0)]}),
+                DeltaComplex((2, 1, 1, 0), {1: [(1, 0)], 2: [(0, 0, 0)], 3: []})):
+        report = validate_complex(bad)
+        assert not report.ok
+        assert report.problems == [
+            "face identity d_0 d_2 = d_1 d_0 fails on 2-simplex 0: 1 != 0"]
 
 
 @pytest.mark.parametrize("counts, faces, problem", [

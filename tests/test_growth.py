@@ -133,6 +133,18 @@ def test_gap_check_surface_not_applicable():
     assert verdict["status"] == "not-applicable"
 
 
+def test_gap_check_needs_a_residual_tower():
+    # The vanishing holds along residual chains; a chain in an amenable group
+    # that is not residual (the Sol bundle's) can grow torsion exponentially.
+    # The torus levels that pass above, declared not residual, get no verdict.
+    from homtower.covers import Tower
+    tower = mod_power_tower(builtin("torus2"), 2, 4)
+    report = run_tower(Tower(tower.base, tower.modulus, tower.levels, False, tower.warnings),
+                       primes=(2,))
+    assert report.amenable and not report.residual
+    assert gap_consistency_check(report, 0.05)["status"] == "not-applicable"
+
+
 def test_gap_check_fails_above_threshold():
     report = torus_report(levels=1)
     verdict = gap_consistency_check(report, 0.05)
