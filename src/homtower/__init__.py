@@ -48,6 +48,6 @@ from .bounds import (
     rank_bound_value,
     torsion_bound_value,
 )
-from .growth import GrowthReport, gap_consistency_check, l2_betti_trend, run_tower
+from .growth import GrowthReport, gap_consistency_check, run_tower
 
 __version__ = "0.1.0"

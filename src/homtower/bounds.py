@@ -21,9 +21,9 @@ import math
 
 from .deltacomplex import (
     NonOrientableError,
+    builtin_facts,
     cap_duality_check,
     homology_profile,
-    is_aspherical_builtin,
     orient,
 )
 from .covers import orientation_double_cover
@@ -191,7 +191,7 @@ def check_index2_reduction(complex, primes=(2, 3, 5)):
     cover, _ = orientation_double_cover(complex)
     base_profile = homology_profile(complex, primes)
     cover_profile = homology_profile(cover, primes)
-    aspherical = is_aspherical_builtin(complex)
+    aspherical = builtin_facts(complex)[0]
     caveat = None if aspherical else (
         "complex is not a registered aspherical example; the inequalities "
         "are group-homology statements and are only guaranteed when "

@@ -37,7 +37,7 @@ from .deltacomplex import (
     homology_profile,
     validate_complex,
 )
-from .growth import TowerLevelError, gap_consistency_check, l2_betti_trend, run_tower
+from .growth import TowerLevelError, gap_consistency_check, run_tower
 from .intlinalg import (
     ExactnessViolation,
     _random_matrix,
@@ -265,12 +265,10 @@ def cmd_tower(args):
         "report": report.to_json_dict(),
         "gap_check": gap,
     }
-    if len(report.levels) >= 2:
+    if len(report.levels) >= 2:  # the finite proxy for the limiting normalized Betti numbers
         payload["l2_trend"] = [
-            {"k": rec["k"],
-             "series": [str(x) for x in rec["series"]],
-             "last_delta": str(rec["last_delta"])}
-            for rec in l2_betti_trend(report)]
+            {"k": k, "series": [str(x) for x in s], "last_delta": str(s[-1] - s[-2])}
+            for k, s in enumerate(map(report.betti_series, range(report.dim + 1)))]
     lines = [f"base {report.base_name}  m={args.modulus}  levels requested {args.levels}",
              f"residual: {str(report.residual).lower()}"]
     for warning in report.warnings:

@@ -383,10 +383,9 @@ def _dual_forest(complex):
 class HomologyProfile:
     """Integral homology plus F_p dimensions, one record per degree."""
 
-    __slots__ = ("primes", "groups", "fp_dims")
+    __slots__ = ("groups", "fp_dims")
 
-    def __init__(self, primes, groups, fp_dims):
-        self.primes = tuple(primes)
+    def __init__(self, groups, fp_dims):
         self.groups = tuple(groups)
         self.fp_dims = fp_dims  # {prime: tuple of dims by degree}
 
@@ -460,7 +459,7 @@ def homology_profile(complex, primes=(2, 3, 5)):
                     f"universal coefficient check failed at degree {k}, p={p}: "
                     f"dim_F{p} = {dims[k]}, integral data gives {expected}")
         fp_dims[p] = dims
-    profile = HomologyProfile(primes, groups, fp_dims)
+    profile = HomologyProfile(groups, fp_dims)
     complex._cache[key] = profile
     return profile
 
@@ -713,22 +712,24 @@ def _surface_faces(genus):
     }
 
 
+# name: ((aspherical, amenable pi_1), counts, faces); builtin() records the
+# two facts on the complex it makes
 _BUILTIN_TABLE = {
-    "circle": ((1, 1), {1: [(0, 0)]}),
-    "interval": ((2, 1), {1: [(1, 0)]}),
-    "sphere2": ((4, 6, 4), {
+    "circle": ((True, True), (1, 1), {1: [(0, 0)]}),
+    "interval": ((True, True), (2, 1), {1: [(1, 0)]}),  # contractible
+    "sphere2": ((False, True), (4, 6, 4), {
         1: [(1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2)],
         2: [(5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0)],
     }),
-    "torus2": ((1, 3, 2), {
+    "torus2": ((True, True), (1, 3, 2), {
         1: [(0, 0)] * 3,
         2: [(0, 2, 1), (1, 2, 0)],
     }),
-    "klein_bottle": ((1, 3, 2), {
+    "klein_bottle": ((True, True), (1, 3, 2), {  # pi_1 is virtually Z^2
         1: [(0, 0)] * 3,
         2: [(0, 2, 1), (1, 0, 2)],
     }),
-    "rp2": ((2, 3, 2), {
+    "rp2": ((False, True), (2, 3, 2), {
         1: [(1, 0), (1, 0), (0, 0)],
         2: [(1, 0, 2), (0, 1, 2)],
     }),
@@ -736,51 +737,45 @@ _BUILTIN_TABLE = {
 
 BUILTIN_NAMES = tuple(sorted(_BUILTIN_TABLE)) + ("surface",)
 
-# complexes that are classifying spaces of their fundamental groups
-ASPHERICAL_BUILTINS = frozenset({"circle", "torus2", "klein_bottle"})
-# explicit allowlist of bases with amenable fundamental group; surface_1 is
-# the torus again, so it qualifies
-AMENABLE_BUILTINS = frozenset({"circle", "torus2", "surface_1"})
-
 
 def builtin(name, genus=None):
-    """A standard small complex by name.
+    """A standard small complex by name, with its provenance: whether it is
+    aspherical and whether its pi_1 is amenable (see builtin_facts).
 
     Names: circle, interval, sphere2, torus2, klein_bottle, rp2, and
-    surface (genus >= 1, its 10g - 4 simplices checked against
-    MAX_SIMPLICES before any face list is built).  Every built-in validates.
+    surface (an int genus >= 1, aspherical, amenable only for genus 1; its
+    10g - 4 simplices checked against MAX_SIMPLICES before any face list is
+    built).  Every built-in validates.
     """
     if name == "surface":
+        if genus is not None and type(genus) is not int:  # type(), so a bool is refused too
+            raise ValueError(f"surface genus {genus!r} is not an int")
         if genus is None or genus < 1:
             raise ValueError("surface requires genus >= 1")
         if problems := _count_problems([1, 6 * genus - 3, 4 * genus - 2]):
             raise ValueError(f"surface of genus {genus}: {problems[0]}")
+        facts = (True, genus == 1)
         counts, faces = _surface_faces(genus)
         made = DeltaComplex(counts, faces, name=f"surface_{genus}")
     elif name in _BUILTIN_TABLE:
         if genus is not None:
             raise ValueError(f"builtin {name!r} takes no genus")
-        counts, faces = _BUILTIN_TABLE[name]
+        facts, counts, faces = _BUILTIN_TABLE[name]
         made = DeltaComplex(counts, faces, name=name)
     else:
         raise ValueError(f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
     report = validate_complex(made)
     if not report.ok:
         raise AssertionError(f"builtin {name} failed validation: {report.problems}")
-    made._cache["builtin"] = made.name
+    made._cache["builtin"] = facts
     return made
 
 
-def builtin_name(complex):
-    """The name builtin() gave this complex, or None for a complex it did
-    not make.  The registries are keyed on this provenance, never on
+def builtin_facts(complex):
+    """(aspherical, amenable pi_1) as builtin() recorded them, or
+    (False, False) for a complex it did not make; never read from
     `complex.name`, which callers and file stems choose."""
-    return complex._cache.get("builtin")
-
-
-def is_aspherical_builtin(complex):
-    name = builtin_name(complex) or ""
-    return name in ASPHERICAL_BUILTINS or name.startswith("surface_")
+    return complex._cache.get("builtin", (False, False))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import warnings
 from fractions import Fraction
 
 from .covers import action_to_json, build_cover
-from .deltacomplex import AMENABLE_BUILTINS, builtin_name, complex_to_json, homology_profile
+from .deltacomplex import builtin_facts, complex_to_json, homology_profile
 from .intlinalg import from_decimal, to_decimal
 
 
@@ -58,7 +58,7 @@ class GrowthReport:
         self.residual = residual
         self.warnings = tuple(warnings)
         self.levels = tuple(levels)
-        self.amenable = amenable  # the base is a built-in with amenable pi_1
+        self.amenable = amenable  # builtin() recorded the base aspherical, pi_1 amenable
         self.verdicts = self._trend_verdicts()
 
     @property
@@ -281,35 +281,19 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
         levels.append(stats)
     return GrowthReport(tower.base.name or "custom", tower.base.dim, tower.modulus,
                         primes, tower.residual, tower.warnings, levels,
-                        builtin_name(tower.base) in AMENABLE_BUILTINS)
-
-
-def l2_betti_trend(report):
-    """Normalized rational Betti series and their last deltas, one record per
-    degree; the finite proxy for the limiting normalized Betti numbers."""
-    if len(report.levels) < 2:
-        raise ValueError("trend extrapolation needs at least 2 levels")
-    records = []
-    for k in range(report.dim + 1):
-        series = report.betti_series(k)
-        records.append({
-            "k": k,
-            "series": series,
-            "last": series[-1],
-            "last_delta": series[-1] - series[-2],
-        })
-    return records
+                        all(builtin_facts(tower.base)))
 
 
 def gap_consistency_check(report, threshold):
-    """Check the vanishing trend of a residual tower over an amenable base.
+    """Check the vanishing trend of a residual tower over an aspherical base
+    with amenable pi_1, the paper's setting.
 
     Verdict is `pass` iff at the final level every normalized mod-p Betti
     and log-torsion series sits below the threshold and has not increased
     since the previous level.  An empty tower (level 0, no series), a tower
-    that is not residual and a base that builtin() did not make under a name
-    in the explicit amenable registry get verdict `not-applicable`; the
-    series are reported either way.
+    that is not residual and a base that builtin() did not record as
+    aspherical with amenable pi_1 (report.amenable) get verdict
+    `not-applicable`; the series are reported either way.
     """
     level = len(report.levels)
     series_map = {key: series for key, series in report._series_map().items()

@@ -476,9 +476,7 @@ def is_prime(p):
 
 
 def rank_mod_p(matrix, p):
-    """Rank over F_p, as ranks_mod_primes(matrix, (p,))[p].  The program
-    calls ranks_mod_primes, its universal-coefficient cross-check; this
-    one-prime form stays because perfbench's tracing wraps it by name."""
+    """Rank over F_p, as ranks_mod_primes(matrix, (p,))[p]."""
     return ranks_mod_primes(matrix, (p,))[p]
 
 
@@ -551,8 +549,8 @@ def _ranks_and_unit_columns(matrix, primes):
     core = {(i, j): v for i, r in enumerate(row) for j, v in r.items()}
     if not core:
         return dict.fromkeys(primes, rank), unit_columns
-    return {p: rank + ranks_mod_primes(IntegerMatrix(matrix.rows, matrix.cols, {
-        k: v % p for k, v in core.items()}), (p,))[p] for p in primes}, unit_columns
+    return {p: rank + rank_mod_p(IntegerMatrix(matrix.rows, matrix.cols, {
+        k: v % p for k, v in core.items()}), p) for p in primes}, unit_columns
 
 
 def cokernel_structure(matrix):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homtower import covers, deltacomplex
+from homtower.bounds import check_bounds, duality_report
 from homtower.cli import main
 from homtower.covers import (
     MAX_WORD_LENGTH,
@@ -426,6 +427,48 @@ def test_abelianization_degrees():
     assert abelianization_action(builtin("circle"), 4).degree == 4
     assert abelianization_action(builtin("torus2"), 2).degree == 4
     assert abelianization_action(builtin("rp2"), 2).degree == 2
+
+
+@st.composite
+def commuting_torus_actions(draw):
+    """(sigma, tau, c) on at most 40 sheets: sigma the cycles of a random
+    partition of the sheets, tau a power of each of those cycles, so the two
+    commute and the c cycles are the orbits of <sigma, tau>."""
+    degree = draw(st.integers(1, 40))
+    sheets = draw(st.permutations(range(degree)))
+    cuts = draw(st.lists(st.booleans(), min_size=degree - 1, max_size=degree - 1))
+    ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [degree]
+    sigma, tau = [None] * degree, [None] * degree
+    for start, end in zip([0] + ends, ends):
+        cycle = sheets[start:end]
+        power = draw(st.integers(0, len(cycle) - 1))
+        for i, s in enumerate(cycle):
+            sigma[s] = cycle[(i + 1) % len(cycle)]
+            tau[s] = cycle[(i + power) % len(cycle)]
+    return sigma, tau, len(ends)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(commuting_torus_actions())
+def test_random_torus_covers_are_tori(drawn):
+    # The torus's triangles read e1 e0 = e2 = e0 e1, so (sigma, tau, sigma tau)
+    # with sigma tau = tau sigma is an action, and each of its c orbits is
+    # covered by a torus: H = (Z^c, Z^2c, Z^c) with no torsion, and the same
+    # F_p dimensions.
+    sigma, tau, c = drawn
+    base = builtin("torus2")
+    cover, _ = build_cover(base, PermutationAction(len(sigma), [
+        sigma, tau, [sigma[t] for t in tau]]))
+    profile = homology_profile(cover, (2, 3, 5))
+    expected = [c, 2 * c, c]
+    assert [(g.free_rank, g.torsion) for g in profile.groups] == [(b, ()) for b in expected]
+    assert all([profile.fp_dim(k, p) for k in range(3)] == expected for p in (2, 3, 5))
+    # transfer: the rational homology of the base injects into the cover's
+    base_profile = homology_profile(base, ())
+    assert all(profile.betti(k) >= base_profile.betti(k) for k in range(3))
+    assert orient(cover) is not None
+    assert check_bounds(cover).all_pass
+    assert all(duality_report(cover).values())
 
 
 # ---------------------------------------------------------------------------

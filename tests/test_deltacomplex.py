@@ -12,7 +12,6 @@ from homtower.covers import (
     orientation_double_cover,
 )
 from homtower.deltacomplex import (
-    AMENABLE_BUILTINS,
     BUILTIN_NAMES,
     ComplexFormatError,
     DeltaComplex,
@@ -20,6 +19,7 @@ from homtower.deltacomplex import (
     NotPseudomanifoldError,
     boundary_matrix,
     builtin,
+    builtin_facts,
     cap_duality_check,
     complex_from_json,
     complex_to_json,
@@ -27,6 +27,7 @@ from homtower.deltacomplex import (
     orient,
     validate_complex,
 )
+from homtower.growth import gap_consistency_check, run_tower
 from homtower.intlinalg import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -1216,8 +1217,45 @@ def test_json_parser_rejects_booleans(obj, position):
         complex_from_json(obj)
 
 
-def test_amenable_registry_is_explicit():
-    assert "torus2" in AMENABLE_BUILTINS
-    assert "circle" in AMENABLE_BUILTINS
-    assert "klein_bottle" not in AMENABLE_BUILTINS
-    assert "surface_2" not in AMENABLE_BUILTINS
+def test_builtin_facts_table():
+    # (aspherical, amenable pi_1, residual mod-2 tower, degrees to level 2, gap verdict)
+    table = {
+        ("circle", None): (True, True, True, (2, 4), "pass"),
+        ("torus2", None): (True, True, True, (4, 16), "pass"),
+        ("surface", 1): (True, True, True, (4, 16), "pass"),
+        # pi_1 is virtually Z^2, but no Klein-bottle tower is residual
+        ("klein_bottle", None): (True, True, False, (4, 8), "not-applicable"),
+        ("interval", None): (True, True, True, (), "not-applicable"),  # contractible
+        ("sphere2", None): (False, True, True, (), "not-applicable"),
+        # pi_1 = Z/2: a residual tower of one level, so amenability alone
+        # would give it a verdict; the gap check also needs an aspherical base
+        ("rp2", None): (False, True, True, (2,), "not-applicable"),
+        ("surface", 2): (True, False, False, (16, 256), "not-applicable"),
+    }
+    assert {name for name, _ in table} == set(BUILTIN_NAMES)
+    for (name, genus), (aspherical, amenable, residual, degrees, status) in table.items():
+        made = builtin(name, genus=genus)
+        assert builtin_facts(made) == (aspherical, amenable), name
+        report = run_tower(mod_power_tower(made, 2, 2), primes=(2,))
+        assert (report.residual, report.degrees) == (residual, degrees), name
+        assert report.amenable == (aspherical and amenable), name
+        assert gap_consistency_check(report, 100)["status"] == status, name
+        # the same faces from a file saved under the built-in's name carry no facts
+        copy = complex_from_json(complex_to_json(made), name=made.name)
+        assert copy == made and builtin_facts(copy) == (False, False), name
+    # bounds refuses the interval before its index-2 step could read a fact
+    with pytest.raises(NotPseudomanifoldError):
+        check_index2_reduction(builtin("interval"))
+
+
+@pytest.mark.parametrize("genus, message", [
+    (None, "surface requires genus >= 1"),
+    (0, "surface requires genus >= 1"),
+    (True, "surface genus True is not an int"),
+    (2.0, "surface genus 2.0 is not an int"),
+], ids=["none", "zero", "bool", "float"])
+def test_surface_genus_must_be_an_int(genus, message):
+    # builtin("surface", genus=True) used to build a torus named surface_True
+    with pytest.raises(ValueError) as info:
+        builtin("surface", genus=genus)
+    assert str(info.value) == message

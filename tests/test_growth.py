@@ -8,7 +8,7 @@ from homtower import cli, growth
 from homtower.bounds import rank_bound_value, torsion_bound_value
 from homtower.covers import mod_power_tower
 from homtower.deltacomplex import DeltaComplex, builtin
-from homtower.growth import gap_consistency_check, l2_betti_trend, run_tower
+from homtower.growth import gap_consistency_check, run_tower
 from homtower.intlinalg import FgAbelianGroup, from_decimal, to_decimal
 
 
@@ -89,16 +89,20 @@ def test_trend_verdicts():
     assert v["last_delta"] == float(Fraction(1, 128) - Fraction(1, 32))
 
 
-def test_l2_betti_trend():
-    report = torus_report()
-    records = l2_betti_trend(report)
-    deg1 = records[1]
-    assert deg1["series"] == [Fraction(1, 2), Fraction(1, 8),
-                              Fraction(1, 32), Fraction(1, 128)]
-    assert deg1["last_delta"] == Fraction(1, 128) - Fraction(1, 32)
-    single = run_tower(mod_power_tower(builtin("torus2"), 2, 1), primes=(2,))
-    with pytest.raises(ValueError, match="2 levels"):
-        l2_betti_trend(single)
+def test_l2_betti_trend(capsys):
+    # the normalized rational Betti series of a four-level torus tower and
+    # their last deltas, one record per degree
+    assert cli.main(["tower", "--builtin", "torus2", "-m", "2", "-L", "4", "-p", "2",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["l2_trend"] == [
+        {"k": 0, "series": ["1/4", "1/16", "1/64", "1/256"], "last_delta": "-3/256"},
+        {"k": 1, "series": ["1/2", "1/8", "1/32", "1/128"], "last_delta": "-3/128"},
+        {"k": 2, "series": ["1/4", "1/16", "1/64", "1/256"], "last_delta": "-3/256"},
+    ]
+    # one level has no delta, and the record is left out
+    assert cli.main(["tower", "--builtin", "torus2", "-m", "2", "-L", "1", "-p", "2",
+                     "--format", "json"]) == 0
+    assert "l2_trend" not in json.loads(capsys.readouterr().out)
 
 
 def test_surface_trend_toward_minus_euler():
