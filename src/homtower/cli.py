@@ -6,10 +6,13 @@ single --seed flag; identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 failed checks (a bound or theorem check, or an
 internal self-check such as the universal-coefficient cross-check between
 the integral Smith form and the mod-p ranks), 2 usage or validation problems
-(including input that is not a closed pseudomanifold where one is needed, a
-repeated prime and a gap threshold that is not finite and positive),
-3 I/O errors, 4 parse errors, 5 orientation routing (non-orientable input to
-`bounds` without --via-double-cover).
+(including every count or face fault of an input file, named by position,
+input that is not a closed pseudomanifold where one is needed, a repeated
+prime and a gap threshold that is not finite and positive), 3 I/O errors,
+4 parse errors (a file that is not JSON or not UTF-8, nests too deeply, or
+is not the interchange object: dim, counts of dim + 1 entries, faces keyed
+"1".."dim"), 5 orientation routing (non-orientable input to `bounds`
+without --via-double-cover).
 """
 
 import argparse
@@ -137,7 +140,7 @@ def _resolve_complex(args):
             EXIT_PARSE,
             f"{args.input}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}",
         ) from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a number too long, nested too deep
         raise _CliError(EXIT_PARSE, f"{args.input}: JSON parse error: {exc}") from exc
     try:
         name = os.path.splitext(os.path.basename(args.input))[0]

@@ -13,6 +13,7 @@ sum over i of (-1)^i [faces[k][c][i] == r], so every column has at most k+1
 signed incidences and Euclidean norm at most k+1.
 """
 
+import reprlib
 from collections.abc import Mapping
 
 from .intlinalg import (
@@ -22,6 +23,7 @@ from .intlinalg import (
     _ranks_and_unit_columns,
     integer_kernel,
     smith_normal_form,
+    to_decimal,
 )
 
 
@@ -135,12 +137,15 @@ def _component_labels(complex):
 
 
 def _stored(rows):
-    """One dimension's face lists as a tuple of tuples, or as given (None
-    when missing) when they are not a sequence of sequences."""
-    try:
-        return tuple(map(tuple, rows))
-    except TypeError:
+    """One dimension's face lists as a tuple of tuples.  Only a list or
+    tuple of rows, and only list and tuple rows, are converted; anything
+    else (None when missing, a string, bytes) is kept as given, so that
+    validate_complex names it."""
+    if not isinstance(rows, (list, tuple)):
         return rows
+    if set(map(type, rows)) <= {list, tuple}:  # one C-level pass over a cover's rows
+        return tuple(map(tuple, rows))
+    return tuple(tuple(r) if isinstance(r, (list, tuple)) else r for r in rows)
 
 
 # the most simplices a complex (and so a tower level's cover) may have: no
@@ -188,17 +193,18 @@ def validate_complex(complex):
 def _count_problems(counts):
     if not counts:
         return ["counts must list at least the vertex count"]
-    problems = [f"counts[{k}] = {c!r} is not a nonnegative integer"
+    problems = [f"counts[{k}] = {reprlib.repr(c)} is not a nonnegative integer"
                 for k, c in enumerate(counts) if type(c) is not int or c < 0]
     if not problems and (total := sum(counts)) > MAX_SIMPLICES:
-        problems.append(f"counts total {total} simplices, more than {MAX_SIMPLICES}")
+        problems.append(f"counts total {to_decimal(total)} simplices, more than {MAX_SIMPLICES}")
     return problems
 
 
 def _entry_problems(complex):
     """Every missing dimension, wrong row count, row that is not a
-    sequence, wrong row length and entry that is not an int in range, in
-    one pass over the entries."""
+    list or tuple, wrong row length and entry that is not an int in range,
+    in one pass over the entries; a value is echoed through reprlib, so a
+    long or deeply nested one from a file gives a short message."""
     if complex.faces is None:
         return ["faces must map each dimension k >= 1 to its face lists"]
     problems = []
@@ -208,7 +214,7 @@ def _entry_problems(complex):
             problems.append(f"missing face lists for dimension {k}")
             continue
         if not isinstance(rows, (list, tuple)):
-            problems.append(f"faces[{k}] = {rows!r} is not a list of face lists")
+            problems.append(f"faces[{k}] = {reprlib.repr(rows)} is not a list of face lists")
             continue
         if len(rows) != complex.counts[k]:
             problems.append(
@@ -216,14 +222,14 @@ def _entry_problems(complex):
         limit = complex.counts[k - 1]
         for j, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
-                problems.append(f"faces[{k}][{j}] = {row!r} is not a face list")
+                problems.append(f"faces[{k}][{j}] = {reprlib.repr(row)} is not a face list")
                 continue
             if len(row) != k + 1:
                 problems.append(
                     f"{k}-simplex {j}: face list has {len(row)} entries, expected {k + 1}")
             for i, f in enumerate(row):
                 if type(f) is not int:  # a bool, float or str names no simplex
-                    problems.append(f"faces[{k}][{j}][{i}] = {f!r} is not an integer")
+                    problems.append(f"faces[{k}][{j}][{i}] = {reprlib.repr(f)} is not an integer")
                 elif not 0 <= f < limit:
                     problems.append(
                         f"faces[{k}][{j}][{i}] = {f} out of range "
@@ -791,8 +797,11 @@ def complex_to_json(complex):
 
 
 def complex_from_json(obj, name=None):
-    """Parse the delta-complex interchange format, rejecting malformed data
-    with a ComplexFormatError that names the offending position."""
+    """Read the delta-complex interchange format's envelope: a JSON object
+    with `dim` a nonnegative int, `counts` a list of dim + 1 entries and
+    `faces` an object keyed exactly "1".."dim", else a ComplexFormatError
+    that names the position.  The counts and face lists are stored as
+    given; validate_complex checks them once, naming each bad one."""
     if not isinstance(obj, dict):
         raise ComplexFormatError("expected a JSON object", "$")
     for key in ("dim", "counts", "faces"):
@@ -803,10 +812,7 @@ def complex_from_json(obj, name=None):
         raise ComplexFormatError("dim must be a nonnegative integer", "dim")
     counts = obj["counts"]
     if not isinstance(counts, list) or len(counts) != dim + 1:
-        raise ComplexFormatError(f"counts must list {dim + 1} entries", "counts")
-    for k, c in enumerate(counts):
-        if type(c) is not int or c < 0:
-            raise ComplexFormatError("count must be a nonnegative integer", f"counts[{k}]")
+        raise ComplexFormatError(f"counts must list {to_decimal(dim + 1)} entries", "counts")
     raw_faces = obj["faces"]
     if not isinstance(raw_faces, dict):
         raise ComplexFormatError("faces must be an object", "faces")
@@ -820,18 +826,4 @@ def complex_from_json(obj, name=None):
         if extra:
             detail.append(f"unexpected keys {extra}")
         raise ComplexFormatError("; ".join(detail), "faces")
-    for k in range(1, dim + 1):
-        rows = raw_faces[str(k)]
-        if not isinstance(rows, list) or len(rows) != counts[k]:
-            raise ComplexFormatError(
-                f"expected {counts[k]} face lists", f"faces.{k}")
-        for j, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != k + 1:
-                raise ComplexFormatError(
-                    f"face list must have {k + 1} entries", f"faces.{k}[{j}]")
-            for i, f in enumerate(row):
-                if type(f) is not int or f < 0:
-                    raise ComplexFormatError(
-                        "face index must be a nonnegative integer",
-                        f"faces.{k}[{j}][{i}]")
     return DeltaComplex(counts, {k: raw_faces[str(k)] for k in range(1, dim + 1)}, name=name)

@@ -84,7 +84,7 @@ class IntegerMatrix:
 
     def to_decimal_rows(self):
         """Row-major entries as decimal strings (text round-trips exactly)."""
-        return [[str(v) for v in row] for row in self.to_rows()]
+        return [[to_decimal(v) for v in row] for row in self.to_rows()]
 
     def transpose(self):
         return IntegerMatrix._trusted(self.cols, self.rows,

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -25,3 +26,16 @@ def surface_tower_run():
     report = run_tower(tower, primes=(2,))
     elapsed = time.monotonic() - start
     return tower, report, elapsed
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int/str digit limit (4300), where the interpreter
+    has one (3.11, and 3.10 from 3.10.7)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield False
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield True
+    sys.set_int_max_str_digits(old)

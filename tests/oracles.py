@@ -31,6 +31,7 @@ from homtower.intlinalg import (
     IntegerMatrix,
     _eliminate,
     cokernel_structure,
+    from_decimal,
     smith_normal_form,
 )
 
@@ -204,7 +205,7 @@ def negated_cycle(cycle):
 
 def matrix_from_decimal_rows(rows):
     """The inverse of IntegerMatrix.to_decimal_rows."""
-    return from_rows([[int(s) for s in row] for row in rows])
+    return from_rows([[from_decimal(s) for s in row] for row in rows])
 
 
 def _front_face(complex, top, m):

@@ -62,11 +62,23 @@ def test_homology_json_syntax_error(tmp_path, capsys):
 
 
 def test_homology_format_error_positions(tmp_path, capsys):
+    # a negative face index is out of range like any other: exit 2, by position
     path = tmp_path / "neg.json"
     path.write_text('{"dim": 1, "counts": [1, 1], "faces": {"1": [[0, -1]]}}')
     code, _, err = run(capsys, "homology", str(path))
-    assert code == 4
-    assert "faces.1[0][1]" in err
+    assert code == 2
+    assert "faces[1][0][1]" in err
+
+
+def test_number_past_the_digit_limit_exits_4(default_digit_limit, tmp_path, capsys):
+    # json.load cannot make an int of 5000 digits under CPython's limit
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 0, "counts": [' + "1" * 5000 + '], "faces": {}}')
+    code, out, err = run(capsys, "homology", str(path))
+    expected = ((4, "JSON parse error: Exceeds the limit (4300 digits)") if default_digit_limit
+                else (2, "invalid complex: counts total 1111"))
+    assert (code, out) == (expected[0], "")
+    assert err.startswith(f"homtower: {path}: {expected[1]}")
 
 
 def test_homology_rejects_json_booleans(tmp_path, capsys):
@@ -355,6 +367,28 @@ FILE_SOURCES = {
     "deep-nesting": ("[" * 200000, 4, "JSON parse error: maximum recursion depth exceeded"),
     "not-utf8": (b'{"dim": 0, "counts": [1], "faces": {}}\xff', 4,
                  "JSON parse error: 'utf-8' codec can't decode byte 0xff"),
+    "bad-json": ('{"dim": 1, "counts": [1, 1], ', 4, "JSON parse error at line 1 column 30"),
+    # not the interchange object: exit 4, naming the element
+    "not-an-object": ("[1, 2]", 4, "$: expected a JSON object"),
+    "missing-key": ('{"dim": 1, "counts": [1, 1]}', 4, "$: missing key 'faces'"),
+    "bool-dim": ('{"dim": true, "counts": [1, 1], "faces": {"1": [[0, 0]]}}', 4,
+                 "dim: dim must be a nonnegative integer"),
+    "counts-length": ('{"dim": 1, "counts": [1], "faces": {"1": []}}', 4,
+                      "counts: counts must list 2 entries"),
+    "unexpected-face-key": ('{"dim": 0, "counts": [1], "faces": {"1": []}}', 4,
+                            "faces: unexpected keys ['1']"),
+    # a fault of a count or a face inside it: exit 2, by position
+    "negative-face": ('{"dim": 1, "counts": [1, 1], "faces": {"1": [[0, -1]]}}', 2,
+                      "invalid complex: faces[1][0][1] = -1 out of range"),
+    "face-past-range": ('{"dim": 1, "counts": [1, 1], "faces": {"1": [[0, 9]]}}', 2,
+                        "invalid complex: faces[1][0][1] = 9 out of range"),
+    "counts-too-large": ('{"dim": 1, "counts": [1, 20000000], "faces": {"1": []}}', 2,
+                         "invalid complex: counts total 20000001 simplices, more than 16777216"),
+    # numbers of 4301 digits in a message, written past CPython's str() limit
+    "huge-dim": ('{"dim": ' + "9" * 4300 + ', "counts": [], "faces": {}}', 4,
+                 "counts: counts must list 1" + "0" * 4300 + " entries"),
+    "huge-counts-sum": ('{"dim": 1, "counts": [' + "9" * 4300 + ", " + "9" * 4300
+                        + '], "faces": {"1": []}}', 2, "invalid complex: counts total 1999"),
 }
 SUBCOMMANDS = ("homology", "bounds", "bounds --via-double-cover", "tower -L 2")
 

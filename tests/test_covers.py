@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homtower import covers, deltacomplex
-from homtower.bounds import check_bounds, duality_report
+from homtower.bounds import check_bounds, check_index2_reduction, duality_report
 from homtower.cli import main
 from homtower.covers import (
     MAX_WORD_LENGTH,
@@ -469,6 +470,76 @@ def test_random_torus_covers_are_tori(drawn):
     assert orient(cover) is not None
     assert check_bounds(cover).all_pass
     assert all(duality_report(cover).values())
+
+
+def _solve_edges(base, known):
+    """Every edge's sheet permutation of a one-vertex 2-complex, from those
+    in `known`, solved through the triangles: the path along face 2 and
+    then face 0 of a triangle is its face 1, so p1[s] = p0[p2[s]]."""
+    perms = dict(known)
+    while len(perms) < base.counts[1]:
+        for f0, f1, f2 in base.faces[2]:
+            p0, p1, p2 = perms.get(f0), perms.get(f1), perms.get(f2)
+            if p1 is None and None not in (p0, p2):
+                perms[f1] = [p0[s] for s in p2]
+            elif p0 is None and None not in (p1, p2):
+                perms[f0] = [None] * len(p1)
+                for s, image in zip(p2, p1):
+                    perms[f0][s] = image
+            elif p2 is None and None not in (p0, p1):
+                inverse = {image: s for s, image in enumerate(p0)}
+                perms[f2] = [inverse[image] for image in p1]
+    return [perms[e] for e in range(base.counts[1])]
+
+
+@st.composite
+def klein_bottle_or_genus2_actions(draw):
+    """(base, action) for a connected cover of degree at most 24.  The Klein
+    bottle's triangles give e1 e0 e1 = e0, so e0 a reflection x -> a - x and
+    e1 a rotation x -> x + b of Z/n act; they are transitive when gcd(b, n)
+    is 1, or 2 with a odd.  On the genus-2 surface a1, b1, a2, b2 -> x, y,
+    y, x satisfies [a1, b1][a2, b2] = 1 for any x, y in S_d.  The remaining
+    edges are solved from the triangles, and sheets are relabelled at random."""
+    if draw(st.booleans()):
+        base, n = builtin("klein_bottle"), draw(st.integers(1, 24))
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.sampled_from([b for b in range(n) if math.gcd(b, n) == 1
+                                  or (math.gcd(b, n) == 2 and a % 2)]))
+        known = {0: [(a - s) % n for s in range(n)], 1: [(s + b) % n for s in range(n)]}
+    else:
+        base, n = surface2(), draw(st.integers(1, 24))
+        x, y = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        known = {0: x, 1: y, 2: y, 3: x}
+    label = draw(st.permutations(range(n)))
+    perms = []
+    for perm in _solve_edges(base, known):
+        relabelled = [None] * n
+        for s, image in enumerate(perm):
+            relabelled[label[s]] = label[image]
+        perms.append(relabelled)
+    action = PermutationAction(n, perms)
+    assume(is_transitive(action))
+    return base, action
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(klein_bottle_or_genus2_actions())
+def test_random_klein_bottle_and_genus2_covers(drawn):
+    # No closed form: the checks are those every finite cover satisfies.
+    base, action = drawn
+    assert validate_action(edge_path_presentation(base), action).ok
+    cover, degree = build_cover(base, action)
+    assert cover.euler_characteristic() == degree * base.euler_characteristic()
+    primes = (2, 3, 5)
+    profile, base_profile = homology_profile(cover, primes), homology_profile(base, ())
+    for k in range(3):
+        assert profile.betti(k) >= base_profile.betti(k)  # transfer over Q
+        assert all(profile.fp_dim(k, p) >= profile.betti(k) for p in primes)
+    if orient(cover) is not None:
+        assert check_bounds(cover, primes).all_pass
+        assert all(duality_report(cover).values())
+    else:
+        assert check_index2_reduction(cover, primes).all_pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -282,19 +281,6 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     assert entry.read_text(encoding="utf-8") == text
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in tmp_path.glob("level-*.json"))
-
-
-@pytest.fixture
-def default_digit_limit():
-    """CPython's default int/str digit limit (4300), where the interpreter
-    has one (3.11, and 3.10 from 3.10.7)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield False
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield True
-    sys.set_int_max_str_digits(old)
 
 
 def test_decimal_conversions_match_str_and_int_under_the_limit(default_digit_limit):

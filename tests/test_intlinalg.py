@@ -195,6 +195,15 @@ def test_decimal_round_trip_is_exact():
     assert matrix_from_decimal_rows(a.to_decimal_rows()) == a
 
 
+def test_decimal_rows_past_the_digit_limit(default_digit_limit):
+    # a 5000-digit entry: str() of it raises ValueError under CPython's limit
+    big = 10 ** 4999 + 7
+    a = from_rows([[big, 0], [-1, -big]])
+    rows = a.to_decimal_rows()
+    assert rows[0][1] == "0" and len(rows[0][0]) == 5000 and rows[1][1] == "-" + rows[0][0]
+    assert matrix_from_decimal_rows(rows) == a
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
