@@ -443,7 +443,7 @@ def _radix_product(tables):
 
 
 def _presentation_smith(complex):
-    """The presentation and the Smith form, V tracked, of its transposed
+    """The presentation and the Smith form, with V, of its transposed
     relator matrix (see AbelianQuotient)."""
     presentation = edge_path_presentation(complex)
     return presentation, smith_normal_form(presentation.relator_matrix().transpose(), True)

@@ -178,9 +178,10 @@ def validate_complex(complex):
     face identities, all that build_cover checks on a cover it made: for
     i < j, face i of face j of a k-simplex is face j-1 of its face i
     (d_i d_j = d_{j-1} d_i), which gives d o d = 0 and which _subface relies
-    on.  Returns a ValidationReport listing every shape and range problem,
-    or else the first identity that fails, with the simplex and the two face
-    slots that witness it; it is cached, and _valid raises on it.
+    on.  Returns a ValidationReport with the first problem found, if any:
+    the first count problem, else the first shape or range problem, else
+    the first identity that fails, with the simplex and the two face slots
+    that witness it; it is cached, and _valid raises on it.
     """
     if "validation" in complex._cache:
         return complex._cache["validation"]
@@ -191,50 +192,46 @@ def validate_complex(complex):
 
 
 def _count_problems(counts):
+    """[the first problem of the counts], or []."""
     if not counts:
         return ["counts must list at least the vertex count"]
-    problems = [f"counts[{k}] = {reprlib.repr(c)} is not a nonnegative integer"
-                for k, c in enumerate(counts) if type(c) is not int or c < 0]
-    if not problems and (total := sum(counts)) > MAX_SIMPLICES:
-        problems.append(f"counts total {to_decimal(total)} simplices, more than {MAX_SIMPLICES}")
-    return problems
+    for k, c in enumerate(counts):
+        if type(c) is not int or c < 0:
+            return [f"counts[{k}] = {reprlib.repr(c)} is not a nonnegative integer"]
+    if (total := sum(counts)) > MAX_SIMPLICES:
+        return [f"counts total {to_decimal(total)} simplices, more than {MAX_SIMPLICES}"]
+    return []
 
 
 def _entry_problems(complex):
-    """Every missing dimension, wrong row count, row that is not a
-    list or tuple, wrong row length and entry that is not an int in range,
-    in one pass over the entries; a value is echoed through reprlib, so a
-    long or deeply nested one from a file gives a short message."""
+    """[the first missing dimension, wrong row count, row that is not a
+    list or tuple, wrong row length or entry that is not an int in range],
+    or [], from one pass over the entries; a value is echoed through
+    reprlib, so a long or deeply nested one from a file gives a short
+    message."""
     if complex.faces is None:
         return ["faces must map each dimension k >= 1 to its face lists"]
-    problems = []
     for k in range(1, complex.dim + 1):
         rows = complex.faces[k]
         if rows is None:
-            problems.append(f"missing face lists for dimension {k}")
-            continue
+            return [f"missing face lists for dimension {k}"]
         if not isinstance(rows, (list, tuple)):
-            problems.append(f"faces[{k}] = {reprlib.repr(rows)} is not a list of face lists")
-            continue
+            return [f"faces[{k}] = {reprlib.repr(rows)} is not a list of face lists"]
         if len(rows) != complex.counts[k]:
-            problems.append(
-                f"dimension {k}: {len(rows)} face lists for {complex.counts[k]} simplices")
+            return [f"dimension {k}: {len(rows)} face lists for {complex.counts[k]} simplices"]
         limit = complex.counts[k - 1]
         for j, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
-                problems.append(f"faces[{k}][{j}] = {reprlib.repr(row)} is not a face list")
-                continue
+                return [f"faces[{k}][{j}] = {reprlib.repr(row)} is not a face list"]
             if len(row) != k + 1:
-                problems.append(
-                    f"{k}-simplex {j}: face list has {len(row)} entries, expected {k + 1}")
+                return [f"{k}-simplex {j}: face list has {len(row)} entries, expected {k + 1}"]
             for i, f in enumerate(row):
                 if type(f) is not int:  # a bool, float or str names no simplex
-                    problems.append(f"faces[{k}][{j}][{i}] = {reprlib.repr(f)} is not an integer")
-                elif not 0 <= f < limit:
-                    problems.append(
-                        f"faces[{k}][{j}][{i}] = {f} out of range "
-                        f"(complex has {limit} simplices of dimension {k - 1})")
-    return problems
+                    return [f"faces[{k}][{j}][{i}] = {reprlib.repr(f)} is not an integer"]
+                if not 0 <= f < limit:
+                    return [f"faces[{k}][{j}][{i}] = {f} out of range "
+                            f"(complex has {limit} simplices of dimension {k - 1})"]
+    return []
 
 
 def _valid(complex):

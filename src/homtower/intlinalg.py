@@ -14,8 +14,9 @@ entries left over uses a fixed pivot strategy: among the remaining entries,
 pick one of minimal absolute value, breaking ties by lowest row then lowest
 column.  This makes every decomposition reproducible and keeps intermediate
 entries small on the incidence-like matrices that dominate our workload.  V
-is tracked on the core alone, and lifted through the pivot rows of the +-1
-pass that it keeps.
+is never tracked: the elimination logs its column operations, the +-1 pass
+its pivot rows and the core each column sweep, and the columns of V that
+callers read come from one replay of that log in reverse.
 """
 
 import heapq
@@ -204,7 +205,9 @@ class SmithDecomposition:
     for, is cols x cols: column c of a unimodular V with U @ A @ V the
     diagonal form, for some unimodular U (not kept), where d_c > 1 or
     c >= rank (the torsion and kernel columns), and empty where d_c = 1,
-    which no caller reads.  Column c < rank of U^-1 is (A @ V)[:, c] / d_c,
+    which no caller reads; it is the product of the elimination's logged
+    column operations, replayed in reverse on the unit vectors of the
+    columns kept.  Column c < rank of U^-1 is (A @ V)[:, c] / d_c,
     and a U for A is V^T of the transpose's decomposition.  unit_columns
     lists the pivot columns of the +-1 pass in the order they were found.
     """
@@ -231,203 +234,151 @@ class SmithDecomposition:
         return tuple(d for d in self.divisors if d > 1)
 
 
-class _SmithWorker:
-    """Mutable sparse matrix with mirrored row/column maps, the pivots found
-    so far, and with keep_v (else both None) the pivot rows the +-1 pass
-    keeps and V of the core it leaves: a sparse dict column for each column
-    the pass left unpivoted, so every column operation is a line update.
-
-    Rows and columns never move.  A finished pivot is recorded (its divisor
-    and its column) and its row and column are emptied, so the entries left
-    are exactly the part still to be eliminated.
-    """
-
-    __slots__ = ("row", "col", "V", "kept", "divisors", "pivot_columns")
-
-    def __init__(self, matrix, keep_v):
-        self.row = [dict() for _ in range(matrix.rows)]
-        self.col = [dict() for _ in range(matrix.cols)]
-        for (i, j), v in matrix.items():
-            self.row[i][j] = v
-            self.col[j][i] = v
-        self.V = None
-        self.kept = [] if keep_v else None
-        self.divisors = []
-        self.pivot_columns = []
-
-    def _set(self, i, j, v):
-        if v:
-            self.row[i][j] = v
-            self.col[j][i] = v
+def _add_line(lines, cross, i, t, q):
+    """lines[i] += q * lines[t], mirrored in cross: a row operation when the
+    lines are the rows and cross the columns, a column operation the other
+    way round.  The one update of the +-1 pass and of the core; i != t."""
+    line = lines[i]
+    for j, v in lines[t].items():
+        nv = line.get(j, 0) + q * v
+        if nv:
+            line[j] = nv
+            cross[j][i] = nv
         else:
-            self.row[i].pop(j, None)
-            self.col[j].pop(i, None)
+            del line[j]
+            del cross[j][i]
 
-    def row_add(self, i, t, q):
-        # row_i += q * row_t
-        for j, v in list(self.row[t].items()):
-            self._set(i, j, self.row[i].get(j, 0) + q * v)
 
-    def col_add(self, j, t, q):
-        # col_j += q * col_t
-        for i, v in list(self.col[t].items()):
-            self._set(i, j, self.row[i].get(j, 0) + q * v)
-        if self.V is not None:  # V[j] += q * V[t], dropping zeros
-            line = self.V[j]
-            for k, v in self.V[t].items():
-                nv = line.get(k, 0) + q * v
-                if nv:
-                    line[k] = nv
-                else:
-                    del line[k]
+def _clear_unit_pivots(row, col, log):
+    """Eliminate the +-1 pivots of the mirrored row and column dicts in
+    place; return their columns in the order found, each a divisor 1.
 
-    def clear_unit_pivots(self):
-        """Eliminate the +-1 pivots in place.
+    Rows wait in a lazy min-heap of (length, row), as in ranks_mod_primes:
+    pop a shortest row (an entry whose length is stale is skipped) and
+    pivot on its +-1 column with the fewest entries, ties by lowest column.
+    Row operations clear that column; the column operations that clear
+    the pivot row then change nothing else, so the row and column are
+    simply emptied.  Every row changed and left nonzero is pushed again,
+    so when the heap runs dry no +-1 entry is left.  Unless log is None,
+    each pivot's column operations go to it as (column, unit, row), the
+    row as it was when chosen (detached, so never changed again).
+    """
+    heap = [(len(r), i) for i, r in enumerate(row) if r]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        length, pi = heapq.heappop(heap)
+        pivot_row = row[pi]
+        if length != len(pivot_row):
+            continue
+        units = [j for j, v in pivot_row.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        pj = min(units, key=lambda j: (len(col[j]), j))
+        u = pivot_row[pj]
+        for i, c in list(col[pj].items()):
+            if i != pi:
+                _add_line(row, col, i, pi, -c * u)  # u is its own inverse
+                if row[i]:
+                    heapq.heappush(heap, (len(row[i]), i))
+        row[pi] = {}
+        for j in pivot_row:
+            del col[j][pi]
+        if log is not None:
+            log.append((pj, u, pivot_row))
+        pivots.append(pj)
+    return pivots
 
-        Rows wait in a lazy min-heap of (length, row), as in ranks_mod_primes:
-        pop a shortest row (an entry whose length is stale is skipped) and
-        pivot on its +-1 column with the fewest entries, ties by lowest column.
-        Row operations clear that column; the column operations that clear
-        the pivot row then change nothing else, so the row and column are
-        simply emptied, and no V is touched.  Each pivot is a divisor 1,
-        recorded as it is found.  Every row changed and left nonzero is
-        pushed again, so when the heap runs dry no +-1 entry is left.  A list
-        `kept` gets (column, unit, row) for each pivot, the row as it was
-        when chosen (detached, so never changed again), from which
-        _lift_columns replays those column operations.
-        """
-        row, col, kept = self.row, self.col, self.kept
-        heap = [(len(r), i) for i, r in enumerate(row) if r]
-        heapq.heapify(heap)
-        while heap:
-            length, pi = heapq.heappop(heap)
-            pivot_row = row[pi]
-            if length != len(pivot_row):
-                continue
-            units = [j for j, v in pivot_row.items() if v == 1 or v == -1]
-            if not units:
-                continue
-            pj = min(units, key=lambda j: (len(col[j]), j))
-            u = pivot_row[pj]
-            row[pi] = {}
-            for j in pivot_row:
-                del col[j][pi]
-            for i, c in list(col[pj].items()):
-                q = c * u  # u is its own inverse
-                ri = row[i]
-                for j, v in pivot_row.items():
-                    nv = ri.get(j, 0) - q * v
-                    if nv:
-                        ri[j] = nv
-                        col[j][i] = nv
-                    else:
-                        del ri[j]
-                        del col[j][i]
-                if ri:
-                    heapq.heappush(heap, (len(ri), i))
-            if kept is not None:
-                kept.append((pj, u, pivot_row))
-            self.divisors.append(1)
-            self.pivot_columns.append(pj)
 
-    def find_pivot(self):
-        """Nonzero entry of minimal |value| among those left; ties broken by
-        lowest row, then lowest column."""
-        best = None
-        for i, r in enumerate(self.row):
+def _eliminate(matrix, log=None):
+    """The one elimination of every Smith form: (divisors, pivot columns in
+    pivot order, how many of them the +-1 pass found).
+
+    Rows and columns are mirrored dicts that never move: a finished pivot's
+    row and column are emptied, so the entries left are exactly the part
+    still to be eliminated.  The +-1 pass (_clear_unit_pivots) runs first.
+    Then a least-|value| loop on the core of non-unit entries left over
+    picks an entry of minimal |value| (ties by lowest row, then column),
+    clears its column and row, moving to a smaller remainder whenever one
+    is left, and folds in a row the pivot does not divide until it divides
+    every entry left; so its divisors follow the ones in divisibility
+    order.  Unless log is None, every column operation goes to it as
+    (t, u, c), col_j -= u * c[j] * col_t for each j != t in c: the +-1
+    pass logs its pivot rows, and each column sweep of the core,
+    col_j -= q_j * col_pj, is (pj, 1, {j: q_j}).
+    """
+    row = [dict() for _ in range(matrix.rows)]
+    col = [dict() for _ in range(matrix.cols)]
+    for (i, j), v in matrix.items():
+        row[i][j] = v
+        col[j][i] = v
+    pivots = _clear_unit_pivots(row, col, log)
+    units = len(pivots)
+    divisors = [1] * units
+    while True:
+        best = None  # (|value|, row, column) of a least entry left
+        for i, r in enumerate(row):
             for j, v in r.items():
                 key = (abs(v), i, j)
                 if best is None or key < best:
                     best = key
             if best is not None and best[0] == 1:
                 break  # no later row can beat a +-1 already found
-        return None if best is None else best[1:]
-
-    def find_nondivisible(self, p):
-        """The first row holding an entry that p does not divide, or None."""
-        for i, r in enumerate(self.row):
-            for v in r.values():
-                if v % p:
-                    return i
-        return None
-
-
-def _eliminate(matrix, keep_v):
-    """The one elimination of every Smith form: its worker and the pivot
-    columns of the +-1 pass (see _SmithWorker.clear_unit_pivots), which
-    runs first.  Then a least-|value| loop on the core of non-unit entries
-    left over picks an entry of minimal |value| (ties by lowest row, then
-    column), clears its column and row, moving to a smaller remainder
-    whenever one is left, and folds in a row the pivot does not divide
-    until it divides every entry left; so its divisors follow the ones in
-    divisibility order.  With keep_v, V is tracked on the core's columns.
-    """
-    w = _SmithWorker(matrix, keep_v)
-    w.clear_unit_pivots()
-    unit_columns = tuple(w.pivot_columns)
-    if keep_v:
-        done = set(w.pivot_columns)
-        w.V = {j: {j: 1} for j in range(matrix.cols) if j not in done}
-    row, col = w.row, w.col
-    while (pos := w.find_pivot()) is not None:
-        pi, pj = pos
+        if best is None:
+            break
+        _, pi, pj = best
         while True:
             p = row[pi][pj]
             # Clear column pj; nonzero remainders shrink below |p| and one of
             # them becomes the next, strictly smaller pivot.
-            for i in [i for i in col[pj] if i != pi]:
-                q = col[pj][i] // p
-                if q:
-                    w.row_add(i, pi, -q)
-            rem = [i for i in col[pj] if i != pi]
-            if rem:
+            for i, q in {i: q for i, v in col[pj].items() if i != pi and (q := v // p)}.items():
+                _add_line(row, col, i, pi, -q)
+            if rem := [i for i in col[pj] if i != pi]:
                 pi = min(rem, key=lambda r: (abs(col[pj][r]), r))
                 continue
-            for j in [j for j in row[pi] if j != pj]:
-                q = row[pi][j] // p
-                if q:
-                    w.col_add(j, pj, -q)
-            rem = [j for j in row[pi] if j != pj]
-            if rem:
+            sweep = {j: q for j, v in row[pi].items() if j != pj and (q := v // p)}
+            for j, q in sweep.items():
+                _add_line(col, row, j, pj, -q)
+            if sweep and log is not None:
+                log.append((pj, 1, sweep))
+            if rem := [j for j in row[pi] if j != pj]:
                 pj = min(rem, key=lambda c: (abs(row[pi][c]), c))
                 continue
             # Row and column are clear; the pivot must divide every entry
-            # left, else fold the offending row in and retry.
-            bad = None if p in (1, -1) else w.find_nondivisible(p)
+            # left, else fold the first offending row in and retry.
+            bad = None if p in (1, -1) else next(
+                (i for i, r in enumerate(row) if any(v % p for v in r.values())), None)
             if bad is None:
                 break
-            w.row_add(pi, bad, 1)
+            _add_line(row, col, pi, bad, 1)
         row[pi] = {}
         col[pj] = {}
-        w.divisors.append(abs(p))  # U, not kept, absorbs the sign
-        w.pivot_columns.append(pj)
-    return w, unit_columns
+        divisors.append(abs(p))  # U, not kept, absorbs the sign
+        pivots.append(pj)
+    return divisors, pivots, units
 
 
-def _lift_columns(w, cols, start, shift=0):
+def _lift_columns(log, pivots, cols, start, shift=0):
     """The entries (j, b - shift) of columns b = start.. of V, whose columns
     are the pivot columns in pivot order, then the others.
 
-    Each column tracked on the core is lifted through the kept pivot rows
-    in reverse pivot order, x[pj] = -u * sum_{j != pj} row[j] * x[j]: the
-    unit pass's column operations (col_j -= row[j] * u * col_pj), which
-    change only x[pj], so one pass lifts every column, on their rows.
+    V is the product of the logged column operations in log order, so
+    column b is that product applied to the unit vector at its column:
+    the log replayed in reverse, where (t, u, c) changes only x[t],
+    x[t] -= u * sum_{j != t} c[j] * x[j].  One pass makes every column
+    read, kept as V's rows.
     """
-    done = set(w.pivot_columns)
-    order = w.pivot_columns + [j for j in range(cols) if j not in done]
-    if not w.kept or start == cols:  # nothing to lift
-        return {(j, b - shift): v for b in range(start, cols) for j, v in w.V[order[b]].items()}
-    lines = {}  # line j: {b - shift: entry (j, b)}, none yet at a pivot
-    for b in range(start, cols):
-        for j, v in w.V[order[b]].items():
-            lines.setdefault(j, {})[b - shift] = v
-    for pj, u, prow in reversed(w.kept):
-        acc = {}
-        for j, v in prow.items():
-            if j in lines:
-                for b, x in lines[j].items():
-                    acc[b] = acc.get(b, 0) - u * v * x
-        lines[pj] = acc
+    done = set(pivots)
+    order = pivots + [j for j in range(cols) if j not in done]
+    lines = {order[b]: {b - shift: 1} for b in range(start, cols)}  # row j: {b - shift: entry}
+    for t, u, c in reversed(log):
+        line = lines.get(t, {})
+        for j, v in c.items():
+            if j != t and (x_j := lines.get(j)):
+                for b, x in x_j.items():
+                    line[b] = line.get(b, 0) - u * v * x
+        if line:
+            lines[t] = line
     return {(j, b): x for j, line in lines.items() for b, x in line.items() if x}
 
 
@@ -435,16 +386,18 @@ def smith_normal_form(matrix, keep_transforms=False):
     """Smith normal form of an integer matrix: a SmithDecomposition whose
     divisors satisfy d_1 | d_2 | ... | d_r, from one elimination with rows
     and columns left in place (_eliminate), which does not depend on the
-    flag.  keep_transforms, when true, also returns V's torsion and kernel
-    columns, lifted through the +-1 pass's pivot rows in one pass and made
-    a matrix once; when false, V is None and costs nothing.
+    flag.  keep_transforms, when true, also logs the elimination's column
+    operations and returns V's torsion and kernel columns, from one
+    reverse replay of that log (_lift_columns) made a matrix once; when
+    false, nothing is logged and V is None.
     """
-    w, unit_columns = _eliminate(matrix, keep_transforms)
+    log = [] if keep_transforms else None
+    divisors, pivots, units = _eliminate(matrix, log)
     n = matrix.cols
     V = None
     if keep_transforms:
-        V = IntegerMatrix._trusted(n, n, _lift_columns(w, n, w.divisors.count(1)))
-    return SmithDecomposition(w.divisors, matrix.rows, n, V=V, unit_columns=unit_columns)
+        V = IntegerMatrix._trusted(n, n, _lift_columns(log, pivots, n, divisors.count(1)))
+    return SmithDecomposition(divisors, matrix.rows, n, V=V, unit_columns=pivots[:units])
 
 
 # Miller-Rabin to the first 13 prime bases is proven correct below the least
@@ -562,15 +515,15 @@ def cokernel_structure(matrix):
 
 def integer_kernel(matrix):
     """Columns forming a basis of the integer kernel lattice: columns
-    rank.. of smith_normal_form's V, the only ones lifted.  Each pivot row
-    of the unit pass is a combination of rows, u = +-1 at its column pj and
-    0 at every earlier pivot column, and with the core of rows left (0 at
-    every pivot column) they give back every row; so the lift maps the
-    core's kernel lattice onto the matrix's.
+    rank.. of smith_normal_form's V, the only ones replayed.  V is
+    unimodular and U @ A @ V is the diagonal form, so A @ V is zero from
+    column rank on and its first rank columns are independent: those
+    columns of V span the kernel.
     """
-    w, _ = _eliminate(matrix, True)
-    n, r = matrix.cols, len(w.divisors)
-    return IntegerMatrix._trusted(n, n - r, _lift_columns(w, n, r, r))
+    log = []
+    divisors, pivots, _ = _eliminate(matrix, log)
+    n, r = matrix.cols, len(divisors)
+    return IntegerMatrix._trusted(n, n - r, _lift_columns(log, pivots, n, r, r))
 
 
 def soule_torsion_bound(matrix):

@@ -2,10 +2,10 @@
 
 Each one is an independent route to a quantity the program computes another
 way (Bareiss rank, the whole Smith transform V by a forward replay of the
-+-1 pass, homology from two boundaries, the cap duality check on a whole
-cocycle basis, orientation signs by a breadth-first search, translation
-actions decoded sheet by sheet, the projection of a cover read off its
-faces), or a small reader or helper the program itself never needs.
+elimination's log, homology from two boundaries, the cap duality check on a
+whole cocycle basis, orientation signs by a breadth-first search,
+translation actions decoded sheet by sheet, the projection of a cover read
+off its faces), or a small reader or helper the program itself never needs.
 """
 
 import math
@@ -49,27 +49,23 @@ def kernel_basis(matrix):
 
 def tracked_smith_transform(matrix):
     """The whole unimodular V of smith_normal_form's elimination, its
-    divisor-1 columns included, with U @ A @ V diagonal: the unit pass's
-    column operations replayed forward on the identity (col_j -= row[j] *
-    u * col_pj for each kept pivot row, in pivot order), times the core's
-    tracked V.  The reference that the program's lifted columns are
-    checked against."""
-    w, _ = _eliminate(matrix, True)
+    divisor-1 columns included, with U @ A @ V diagonal: the logged column
+    operations replayed forward on the identity (col_j -= u * c[j] * col_t
+    for each (t, u, c) in log order), its columns put in pivot order.  The
+    reference that the program's reverse replay is checked against."""
+    log = []
+    _, pivots, _ = _eliminate(matrix, log)
     n = matrix.cols
-    unit = [{j: 1} for j in range(n)]
-    for pj, u, prow in w.kept:
-        for j, v in prow.items():
-            if j != pj:
-                for i, x in unit[pj].items():
-                    unit[j][i] = unit[j].get(i, 0) - v * u * x
-    done = set(w.pivot_columns)
-    order = w.pivot_columns + [j for j in range(n) if j not in done]
-    entries = {}
-    for b, c in enumerate(order):
-        for j, x in w.V.get(c, {c: 1}).items():
-            for i, v in unit[j].items():
-                entries[i, b] = entries.get((i, b), 0) + x * v
-    return IntegerMatrix(n, n, entries)
+    columns = [{j: 1} for j in range(n)]
+    for t, u, c in log:
+        for j, v in c.items():
+            if j != t:
+                for i, x in columns[t].items():
+                    columns[j][i] = columns[j].get(i, 0) - u * v * x
+    done = set(pivots)
+    order = pivots + [j for j in range(n) if j not in done]
+    return IntegerMatrix(n, n, {(i, b): x for b, j in enumerate(order)
+                                for i, x in columns[j].items()})
 
 
 def _boundary_or_zero(complex, k):

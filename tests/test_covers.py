@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -44,7 +45,7 @@ from oracles import (
     reduction_by_decoding,
     tracked_smith_transform,
 )
-from test_dimension3 import sol
+from test_dimension3 import delta_product, sol
 
 Z = FgAbelianGroup
 
@@ -492,6 +493,17 @@ def _solve_edges(base, known):
     return [perms[e] for e in range(base.counts[1])]
 
 
+def _solved_action(base, known, label):
+    """The action of _solve_edges(base, known) with sheet s renamed label[s]."""
+    perms = []
+    for perm in _solve_edges(base, known):
+        relabelled = [None] * len(label)
+        for s, image in enumerate(perm):
+            relabelled[label[s]] = label[image]
+        perms.append(relabelled)
+    return PermutationAction(len(label), perms)
+
+
 @st.composite
 def klein_bottle_or_genus2_actions(draw):
     """(base, action) for a connected cover of degree at most 24.  The Klein
@@ -510,14 +522,7 @@ def klein_bottle_or_genus2_actions(draw):
         base, n = surface2(), draw(st.integers(1, 24))
         x, y = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
         known = {0: x, 1: y, 2: y, 3: x}
-    label = draw(st.permutations(range(n)))
-    perms = []
-    for perm in _solve_edges(base, known):
-        relabelled = [None] * n
-        for s, image in enumerate(perm):
-            relabelled[label[s]] = label[image]
-        perms.append(relabelled)
-    action = PermutationAction(n, perms)
+    action = _solved_action(base, known, draw(st.permutations(range(n))))
     assume(is_transitive(action))
     return base, action
 
@@ -540,6 +545,55 @@ def test_random_klein_bottle_and_genus2_covers(drawn):
         assert all(duality_report(cover).values())
     else:
         assert check_index2_reduction(cover, primes).all_pass
+
+
+@st.composite
+def three_torus_actions(draw):
+    """(base, action, c) on at most 24 sheets: the base is torus x circle,
+    whose edges 0, 1 and 2 (the circle's edge and the torus's edges 0 and
+    1) translate G = Z/a x Z/b x Z/e by three drawn elements, so they
+    commute; c counts the cosets of the subgroup H they generate, the
+    orbits.  The other edges are solved from the triangles, and sheets are
+    relabelled at random."""
+    base = delta_product(builtin("torus2"), builtin("circle"))
+    a = draw(st.integers(1, 24))
+    b = draw(st.integers(1, 24 // a))
+    sizes = (a, b, draw(st.integers(1, 24 // (a * b))))
+    sheets = list(product(*map(range, sizes)))
+    gens = [draw(st.sampled_from(sheets)) for _ in range(3)]
+
+    def shift(x, g):
+        return tuple((u + v) % m for u, v, m in zip(x, g, sizes))
+
+    index = {x: s for s, x in enumerate(sheets)}
+    known = {e: [index[shift(x, g)] for x in sheets] for e, g in enumerate(gens)}
+    span = {sheets[0]}
+    while len(grown := span | {shift(h, g) for h in span for g in gens}) > len(span):
+        span = grown
+    action = _solved_action(base, known, draw(st.permutations(range(len(sheets)))))
+    return base, action, len(sheets) // len(span)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(three_torus_actions())
+def test_random_three_torus_covers_are_three_tori(drawn):
+    # pi_1 of the 3-torus is Z^3, so three commuting permutations of edges
+    # 0, 1 and 2 extend to an action, and each of its c orbits is covered by
+    # a 3-torus: H = (Z^c, Z^3c, Z^3c, Z^c) with no torsion, and the same F_p
+    # dimensions.  d_2 is eliminated over Z, and cap duality reads
+    # integer_kernel in degrees 1 and 2, which no surface cover reaches.
+    base, action, c = drawn
+    assert base.counts == (1, 7, 12, 6)
+    assert validate_action(edge_path_presentation(base), action).ok
+    cover, _ = build_cover(base, action)
+    primes = (2, 3, 5)
+    profile = homology_profile(cover, primes)
+    expected = [c, 3 * c, 3 * c, c]
+    assert [(g.free_rank, g.torsion) for g in profile.groups] == [(b, ()) for b in expected]
+    assert all([profile.fp_dim(k, p) for k in range(4)] == expected for p in primes)
+    assert orient(cover) is not None
+    assert check_bounds(cover, primes).all_pass
+    assert all(duality_report(cover).values())
 
 
 # ---------------------------------------------------------------------------

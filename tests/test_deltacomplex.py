@@ -177,6 +177,17 @@ def test_validate_names_each_malformed_item(counts, faces, problem):
     assert report.problems == [problem]
 
 
+def test_validate_stops_at_the_first_problem():
+    # The degree-16384 torus cover's faces under the counts (1, 1, 32768):
+    # its row count and nearly every face index are wrong (196,601 problems
+    # when each was listed), and only the first is named.
+    torus = builtin("torus2")
+    cover, _ = build_cover(torus, mod_power_tower(torus, 2, 7).levels[-1].action)
+    assert cover.counts == (16384, 49152, 32768)
+    report = validate_complex(DeltaComplex((1, 1, 32768), {1: cover.faces[1], 2: cover.faces[2]}))
+    assert report.problems == ["dimension 1: 49152 face lists for 1 simplices"]
+
+
 def test_every_reader_of_faces_refuses_an_invalid_complex():
     # a torus whose second triangle names a missing edge 7: past the gate,
     # each reader would run into it with an IndexError or a KeyError

@@ -6,13 +6,19 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homtower.covers import build_cover, mod_power_tower, orientation_double_cover
+from homtower.covers import (
+    build_cover,
+    edge_path_presentation,
+    mod_power_tower,
+    orientation_double_cover,
+)
 from homtower.deltacomplex import BUILTIN_NAMES, boundary_matrix, builtin
 from homtower.intlinalg import (
     ExactnessViolation,
     FgAbelianGroup,
     IntegerMatrix,
-    _SmithWorker,
+    _clear_unit_pivots,
+    _eliminate,
     cokernel_structure,
     integer_kernel,
     is_prime,
@@ -32,6 +38,7 @@ from oracles import (
     rank_over_rationals,
     tracked_smith_transform,
 )
+from test_dimension3 import sol
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +306,26 @@ def assert_smith_certificate(a):
     return assert_v_certificate(a)
 
 
+def sol_relator_matrix():
+    """The 65 x 128 relator matrix of the degree-8 cyclic cover of the Sol
+    bundle (level 3 of its mod-2 tower), with torsion Z/21 + Z/105 =
+    coker(A^8 - I): its +-1 pass leaves a core that takes a logged column
+    sweep, both ways round."""
+    bundle = sol()
+    cover, _ = build_cover(bundle, mod_power_tower(bundle, 2, 3).levels[-1].action)
+    return edge_path_presentation(cover).relator_matrix()
+
+
 def test_smith_transforms_reconstruct():
     rng = random.Random("snf-transforms")
     small = [random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), 9) for _ in range(80)]
+    sol_relators = sol_relator_matrix()
+    assert (sol_relators.rows, sol_relators.cols) == (65, 128)
+    assert assert_smith_certificate(sol_relators).nontrivial_divisors() == (21, 105)
+    for a in (sol_relators, sol_relators.transpose()):
+        log = []
+        _eliminate(a, log)
+        assert any(t not in c for t, _, c in log)  # a core sweep: a pivot row holds its t
     for a in small + cover_boundaries():
         assert_smith_certificate(a)
         v = tracked_smith_transform(a)
@@ -365,11 +389,12 @@ def test_unit_pass_hands_its_core_to_the_pivot_loop(values):
 
 def unit_pass_core(a):
     """Run the unit pass alone; return its count of ones and the core left."""
-    w = _SmithWorker(a, False)
-    w.clear_unit_pivots()
-    ones = len(w.divisors)
-    core = {(i, j): v for i, r in enumerate(w.row) for j, v in r.items()}
-    assert core == {(i, j): v for j, c in enumerate(w.col) for i, v in c.items()}
+    row, col = [dict() for _ in range(a.rows)], [dict() for _ in range(a.cols)]
+    for (i, j), v in a.items():
+        row[i][j] = col[j][i] = v
+    ones = len(_clear_unit_pivots(row, col, None))
+    core = {(i, j): v for i, r in enumerate(row) for j, v in r.items()}
+    assert core == {(i, j): v for j, c in enumerate(col) for i, v in c.items()}
     return ones, core
 
 
