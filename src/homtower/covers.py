@@ -5,15 +5,15 @@ per edge outside the spanning tree _spanning_forest (the unit columns of
 d_1's Smith form) with one relator per 2-simplex: reading the triangle
 boundary as the edge path (face 2)(face 0)(face 1)^-1 and dropping tree edges.
 
-A cover of degree d is described by one sheet permutation per edge (identity
-on tree edges) satisfying every relator.  Lifted simplices are anchored at
-their vertex-0 corner: the copy (s, sheet) has faces (face_i s, sheet) for
-i >= 1, while face 0, whose anchor is vertex 1, lives on the sheet reached
-through the [v0, v1] edge of s.  The relator condition is exactly what makes
-the lifted face maps close up into a complex.  An action is validated against
-the relators when a cover is built from it, and every constructed cover is
-certified by its face identities.  The orientation double cover is the cover
-of the orientation character.
+A cover of degree d is described by one sheet permutation per edge; edge e
+runs from sheet s to sheet perm[s].  Lifted simplices are anchored at their
+vertex-0 corner: the copy (s, sheet) has faces (face_i s, sheet) for i >= 1,
+while face 0, whose anchor is vertex 1, lives on the sheet reached through
+the [v0, v1] edge of s.  The lifted face maps close up into a complex
+exactly when every triangle closes on every sheet (validate_action), which
+is checked when a cover is built from the action, and every constructed
+cover is certified by its face identities.  The orientation double cover is
+the cover of the orientation character.
 """
 
 import heapq
@@ -39,12 +39,10 @@ from .intlinalg import IntegerMatrix, smith_normal_form
 class Presentation:
     """Edge-path presentation of the fundamental group of a complex."""
 
-    __slots__ = ("edge_count", "tree_edges", "generator_edges", "generator_of_edge",
-                 "relators")
+    __slots__ = ("edge_count", "generator_edges", "generator_of_edge", "relators")
 
-    def __init__(self, edge_count, tree_edges, generator_edges, relators):
+    def __init__(self, edge_count, generator_edges, relators):
         self.edge_count = edge_count
-        self.tree_edges = frozenset(tree_edges)
         self.generator_edges = tuple(generator_edges)
         self.generator_of_edge = {e: g for g, e in enumerate(self.generator_edges)}
         self.relators = tuple(tuple(word) for word in relators)
@@ -81,7 +79,7 @@ def edge_path_presentation(complex):
                 if e not in tree:
                     word.append((gen_of[e], exp))
             relators.append(tuple(word))
-    return Presentation(complex.counts[1], tree, generator_edges, relators)
+    return Presentation(complex.counts[1], generator_edges, relators)
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +229,36 @@ class PermutationAction:
         return f"<PermutationAction degree={self.degree} on {len(self.edge_perms)} edges>"
 
 
-def _invert_perm(perm):
-    out = [0] * len(perm)
-    for i, v in enumerate(perm):
-        out[v] = i
-    return tuple(out)
+def validate_action(complex, action):
+    """Check that the action has one permutation per edge and that every
+    2-simplex (f0, f1, f2) closes on every sheet: the path along edge f2
+    and then edge f0 ends where edge f1 does, p0[p2[s]] = p1[s].
 
-
-def validate_action(presentation, action):
-    """Check tree edges act trivially and every relator acts trivially.
-
-    Returns a ValidationReport naming the first failing relator with the
-    permutation its word evaluates to.
+    This is exactly the face identities of the cover that build_cover makes
+    from a valid base.  On the lift of a 2-simplex to sheet s, d_0 d_1 =
+    d_0 d_0 is the vertex reached along f1 against the one reached along f2
+    and then f0, which is the relation above; d_0 d_2 = d_1 d_0 and d_1 d_2 =
+    d_1 d_1 compare sheets that the anchoring makes equal, so they hold
+    whenever the base's do.  On a k-simplex, k > 2, every identity but
+    d_0 d_1 = d_0 d_0 compares sheets made equal in the same way (a face
+    j >= 2 keeps vertices 0 and 1, and with them the [v0, v1] edge), and
+    that one is the relation of the 2-face on vertices 0, 1 and 2.  Returns
+    a ValidationReport naming the first 2-simplex that fails and its first
+    bad sheet.
     """
-    problems = []
-    if len(action.edge_perms) != presentation.edge_count:
-        problems.append(
-            f"action covers {len(action.edge_perms)} edges, complex has "
-            f"{presentation.edge_count}")
-        return ValidationReport(problems)
-    identity = tuple(range(action.degree))
-    for e in sorted(presentation.tree_edges):
-        if action.edge_perms[e] != identity:
-            problems.append(f"tree edge {e} must act as the identity, got "
-                            f"{action.edge_perms[e]}")
-            return ValidationReport(problems)
-    for idx, word in enumerate(presentation.relators):
-        # evaluated[s] is the sheet that the word's path from sheet s ends on
-        evaluated = identity
-        for g, e in word:
-            perm = action.edge_perms[presentation.generator_edges[g]]
-            if e != 1:
-                perm = _invert_perm(perm)
-            evaluated = tuple(perm[s] for s in evaluated)
-        if evaluated != identity:
-            pretty = " ".join(
-                f"g{g}" if e == 1 else f"g{g}^-1" for g, e in word) or "(empty)"
-            problems.append(
-                f"relator {idx} (2-simplex {idx}, "
-                f"word {pretty}) evaluates to {evaluated}")
-            return ValidationReport(problems)
-    return ValidationReport(problems)
+    _valid(complex)
+    perms = action.edge_perms
+    edges = complex.counts[1] if complex.dim else 0
+    if len(perms) != edges:
+        return ValidationReport([f"action covers {len(perms)} edges, complex has {edges}"])
+    for t, (f0, f1, f2) in enumerate(complex.faces[2] if complex.dim >= 2 else ()):
+        path = tuple(map(perms[f0].__getitem__, perms[f2]))
+        if path != perms[f1]:
+            s = next(s for s, (a, b) in enumerate(zip(path, perms[f1])) if a != b)
+            return ValidationReport([
+                f"2-simplex {t}, sheet {s}: edges {f2} then {f0} reach sheet {path[s]}, "
+                f"edge {f1} reaches {perms[f1][s]}"])
+    return ValidationReport([])
 
 
 def action_to_json(action):
@@ -283,13 +270,14 @@ def action_to_json(action):
 # Cover construction
 
 def build_cover(complex, action):
-    """The covering complex described by a validated permutation action.
+    """The covering complex described by a permutation action, which
+    validate_action checks first; the base need not be connected.
 
     Returns (cover, degree); cover simplex (base, sheet) has index
     base * degree + sheet.  The cover's face identities certify it and are
     cached as its validation; a valid base and action fix every index's range.
     """
-    report = validate_action(edge_path_presentation(complex), action)
+    report = validate_action(complex, action)
     if not report.ok:
         raise ValueError(f"invalid action: {report.problems[0]}")
     d = action.degree
@@ -493,8 +481,8 @@ def mod_power_tower(complex, modulus, levels):
     Levels with a stagnating quotient order truncate the tower with a
     warning; one whose cover would have more than MAX_SIMPLICES
     simplices is refused with ValueError.  Level actions are not validated
-    here: build_cover validates an action against the relators when it
-    builds the level's cover.  The residual flag is set only when the
+    here: build_cover validates an action against the base's triangles when
+    it builds the level's cover.  The residual flag is set only when the
     presentation provably gives an abelian group and every torsion
     coefficient of H_1 has all its prime factors dividing m; in that case the
     kernels of pi_1 -> H_1 tensor Z/m^i really do intersect trivially.

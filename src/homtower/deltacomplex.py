@@ -50,9 +50,10 @@ class DeltaComplex:
     the face lists of dimension k) as faces[k], a tuple of tuples, None
     where a dimension is missing (face lists of another shape are kept as
     given, and faces that is not a mapping as None).  validate_complex
-    makes every check; boundary_matrix, homology_profile, orient and
-    covers.edge_path_presentation, and so everything built on them, raise
-    ValueError through _valid before they read a face."""
+    makes every check; boundary_matrix, homology_profile, orient,
+    covers.edge_path_presentation and covers.validate_action, and so
+    everything built on them, raise ValueError through _valid before they
+    read a face."""
 
     __slots__ = ("counts", "faces", "name", "_cache")
 

@@ -73,7 +73,7 @@ def test_torus_presentation():
 
 def test_sphere_presentation_has_trivial_abelianization():
     p = edge_path_presentation(builtin("sphere2"))
-    assert len(p.tree_edges) == 3
+    assert len(set(range(p.edge_count)) - set(p.generator_edges)) == 3  # a spanning tree
     assert p.generator_count == 3
     assert abelianization(p) == Z(0)
 
@@ -172,11 +172,11 @@ def test_proves_abelian_verdict_does_not_depend_on_untouched_relators():
     # where the relators left would prove the group abelian
     long_word = ((1, 1), (2, 1)) * MAX_WORD_LENGTH
     commutator = ((1, 1), (2, 1), (1, -1), (2, -1))
-    p = Presentation(3, (), range(3), [((0, 1),), long_word])
+    p = Presentation(3, range(3), [((0, 1),), long_word])
     assert proves_abelian(p) is proves_abelian_scanning_every_relator(p) is False
-    p = Presentation(3, (), range(3), [((0, 1),), long_word, commutator])
+    p = Presentation(3, range(3), [((0, 1),), long_word, commutator])
     assert proves_abelian(p) is proves_abelian_scanning_every_relator(p) is False
-    p = Presentation(3, (), range(3), [((0, 1),), commutator])
+    p = Presentation(3, range(3), [((0, 1),), commutator])
     assert proves_abelian(p) is proves_abelian_scanning_every_relator(p) is True
 
 
@@ -196,7 +196,7 @@ def presentations(draw):
             lambda gh: ((gh[0], 1), (gh[1], 1), (gh[0], -1), (gh[1], -1))),
         words(generators, MAX_WORD_LENGTH - 8, MAX_WORD_LENGTH + 4),
     ), max_size=8))
-    return Presentation(generators, (), range(generators), relators)
+    return Presentation(generators, range(generators), relators)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -209,66 +209,93 @@ def test_proves_abelian_matches_the_reference_on_small_presentations(p):
 # Actions
 
 def test_validate_action_circle_cycle():
-    p = edge_path_presentation(builtin("circle"))
     action = PermutationAction(3, [(1, 2, 0)])
-    assert validate_action(p, action).ok
+    assert validate_action(builtin("circle"), action).ok
     assert is_transitive(action)
 
 
 def test_validate_action_torus_commuting():
-    p = edge_path_presentation(builtin("torus2"))
+    torus = builtin("torus2")
     # both square generators the same transposition forces the diagonal
     # to act trivially
     swap = (1, 0)
     ident = (0, 1)
     for perms in ([swap, swap, ident],):
         action = PermutationAction(2, perms)
-        assert validate_action(p, action).ok
+        assert validate_action(torus, action).ok
 
 
 def test_validate_action_noncommuting_fails_with_relator():
-    p = edge_path_presentation(builtin("torus2"))
     a = (1, 2, 0)
     b = (1, 0, 2)
     action = PermutationAction(3, [a, b, (0, 1, 2)])
-    report = validate_action(p, action)
+    report = validate_action(builtin("torus2"), action)
     assert not report.ok
-    assert "relator" in report.problems[0]
+    assert report.problems[0].startswith("2-simplex 0, sheet ")
 
 
-def _walk_relator(presentation, action, word):
-    """Per-sheet reference: follow the word's edge path from every sheet."""
-    out = []
-    for start in range(action.degree):
-        s = start
-        for g, e in word:
-            perm = action.edge_perms[presentation.generator_edges[g]]
-            s = perm[s] if e == 1 else perm.index(s)
-        out.append(s)
-    return tuple(out)
+def _walk_triangle(action, triangle, start):
+    """Per-sheet reference: the sheets that the path along face 2 and then
+    face 0 of a triangle, and the path along its face 1, reach from `start`."""
+    f0, f1, f2 = triangle
+    perms = action.edge_perms
+    return perms[f0][perms[f2][start]], perms[f1][start]
+
+
+def _open_sheets(base, action):
+    """The (2-simplex, sheet) pairs, in order, whose two walks part."""
+    return [(t, s) for t, triangle in enumerate(base.faces[2]) for s in range(action.degree)
+            if len(set(_walk_triangle(action, triangle, s))) == 2]
 
 
 def test_validate_action_relator_permutation_matches_sheet_walk():
-    p = edge_path_presentation(builtin("torus2"))
-    action = PermutationAction(3, [(1, 2, 0), (0, 2, 1), (2, 0, 1)])
-    word = p.relators[0]
-    assert any(e == -1 for _, e in word)
-    walked = _walk_relator(p, action, word)
-    assert walked != (0, 1, 2)
-    report = validate_action(p, action)
-    assert not report.ok
-    assert report.problems[0].startswith("relator 0 ")
-    assert report.problems[0].endswith(f"evaluates to {walked}")
+    # edge 2 is edge 1 then edge 0, so triangle 0 closes; triangle 1 asks
+    # that edges 0 and 1 commute, which they do on sheet 0 alone
+    torus = builtin("torus2")
+    action = PermutationAction(4, [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 1, 2)])
+    t, s = _open_sheets(torus, action)[0]
+    assert (t, s) == (1, 1)
+    (f0, f1, f2), (around, along) = torus.faces[2][t], _walk_triangle(action, torus.faces[2][t], s)
+    report = validate_action(torus, action)
+    assert report.problems == [f"2-simplex {t}, sheet {s}: edges {f2} then {f0} reach "
+                               f"sheet {around}, edge {f1} reaches {along}"]
 
 
-def test_validate_action_tree_edges_must_be_identity():
-    p = edge_path_presentation(builtin("rp2"))
-    tree_edge = min(p.tree_edges)
-    perms = [(0, 1)] * 3
-    perms[tree_edge] = (1, 0)
-    report = validate_action(p, PermutationAction(2, perms))
-    assert not report.ok
-    assert "tree edge" in report.problems[0]
+def test_validate_action_lets_a_tree_edge_act():
+    # the tree edge 0 of rp2 swaps the sheets, and so does edge 1: both
+    # triangles close on both sheets, and the cover is two copies of rp2
+    rp2 = builtin("rp2")
+    assert deltacomplex._spanning_forest(rp2) == (0,)
+    swap, ident = (1, 0), (0, 1)
+    action = PermutationAction(2, [swap, swap, ident])
+    assert validate_action(rp2, action).ok
+    cover, _ = build_cover(rp2, action)
+    assert validate_complex(cover).ok and cover.component_count() == 2
+    # the tree edge alone swapping leaves the first triangle open
+    report = validate_action(rp2, PermutationAction(2, [swap, ident, ident]))
+    assert report.problems == ["2-simplex 0, sheet 0: edges 2 then 1 reach sheet 0, "
+                               "edge 0 reaches 1"]
+
+
+def test_build_cover_takes_a_disconnected_base():
+    # no presentation is read, so a base of two circles is covered as it is
+    two_circles = DeltaComplex((2, 2), {1: [(0, 0), (1, 1)]})
+    assert not two_circles.is_connected()
+    action = PermutationAction(3, [(1, 2, 0), (0, 2, 1)])
+    assert validate_action(two_circles, action).ok
+    cover, degree = build_cover(two_circles, action)
+    assert validate_complex(cover).ok
+    assert (cover.counts, degree, cover.component_count()) == ((6, 6), 3, 3)
+
+
+def test_build_cover_refuses_an_action_of_the_wrong_length():
+    torus = builtin("torus2")
+    with pytest.raises(ValueError, match="invalid action: action covers 2 edges, "
+                                         "complex has 3"):
+        build_cover(torus, PermutationAction(2, [(0, 1)] * 2))
+    assert validate_action(DeltaComplex((1,), {}), PermutationAction(2, [])).ok
+    assert validate_action(DeltaComplex((1,), {}), PermutationAction(2, [(0, 1)])).problems == [
+        "action covers 1 edges, complex has 0"]
 
 
 def test_action_json_round_trip_and_errors():
@@ -327,10 +354,9 @@ def test_circle_five_fold_cover_keeps_circle_homology():
 
 def test_torus_degree2_cover_is_a_torus():
     torus = builtin("torus2")
-    p = edge_path_presentation(torus)
     # send one square generator to the swap; the diagonal follows suit
     action = PermutationAction(2, [(1, 0), (0, 1), (1, 0)])
-    assert validate_action(p, action).ok
+    assert validate_action(torus, action).ok
     cover, _ = build_cover(torus, action)
     assert cover.euler_characteristic() == 0
     profile = homology_profile(cover, (2,))
@@ -397,6 +423,53 @@ def test_cover_certificate_catches_a_bad_construction(monkeypatch):
     with pytest.raises(AssertionError, match=r"constructed cover failed validation: face "
                                              r"identity d_0 d_1 = d_0 d_0 fails on 2-simplex 0"):
         build_cover(builtin("torus2"), bad)
+
+
+@st.composite
+def small_actions(draw):
+    """(base, action) on at most 4 sheets, for torus2, klein_bottle, rp2 and
+    the 3-dimensional Sol bundle: either every edge a random permutation, or
+    a level-1 action of a mod-m tower (valid by construction) with its sheets
+    relabelled at random and, half the time, one edge redrawn."""
+    base = draw(st.sampled_from([builtin("torus2"), builtin("klein_bottle"),
+                                 builtin("rp2"), sol()]))
+    edges = base.counts[1]
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 4))
+        return base, PermutationAction(degree, [draw(st.permutations(range(degree)))
+                                                for _ in range(edges)])
+    levels = [level for m in (2, 3, 4) for level in mod_power_tower(base, m, 1).levels
+              if level.degree <= 4]
+    level = draw(st.sampled_from(levels))
+    label = draw(st.permutations(range(level.degree)))
+    perms = list(_solved_action(base, dict(enumerate(level.action.edge_perms)), label).edge_perms)
+    if draw(st.booleans()):
+        perms[draw(st.integers(0, edges - 1))] = draw(st.permutations(range(level.degree)))
+    return base, PermutationAction(level.degree, perms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_actions())
+def test_validate_action_is_exactly_the_cover_face_identities(drawn):
+    # With the gate out of the way, build_cover still certifies what it
+    # built by the cover's face identities; the gate passes exactly the
+    # actions whose covers pass them, and its first bad (triangle, sheet)
+    # is the cover's first bad 2-simplex
+    base, action = drawn
+    report = validate_action(base, action)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(covers, "validate_action", lambda *_: ValidationReport([]))
+        try:
+            build_cover(base, action)
+            failure = None
+        except AssertionError as caught:
+            failure = str(caught)
+    assert report.ok is (failure is None)
+    if failure is not None:
+        t, s = _open_sheets(base, action)[0]
+        assert report.problems[0].startswith(f"2-simplex {t}, sheet {s}: ")
+        assert failure.startswith("constructed cover failed validation: face identity d_0 d_1 "
+                                  f"= d_0 d_0 fails on 2-simplex {t * action.degree + s}: ")
 
 
 def test_tower_covers_skip_the_shape_pass(monkeypatch):
@@ -532,7 +605,7 @@ def klein_bottle_or_genus2_actions(draw):
 def test_random_klein_bottle_and_genus2_covers(drawn):
     # No closed form: the checks are those every finite cover satisfies.
     base, action = drawn
-    assert validate_action(edge_path_presentation(base), action).ok
+    assert validate_action(base, action).ok
     cover, degree = build_cover(base, action)
     assert cover.euler_characteristic() == degree * base.euler_characteristic()
     primes = (2, 3, 5)
@@ -584,7 +657,7 @@ def test_random_three_torus_covers_are_three_tori(drawn):
     # integer_kernel in degrees 1 and 2, which no surface cover reaches.
     base, action, c = drawn
     assert base.counts == (1, 7, 12, 6)
-    assert validate_action(edge_path_presentation(base), action).ok
+    assert validate_action(base, action).ok
     cover, _ = build_cover(base, action)
     primes = (2, 3, 5)
     profile = homology_profile(cover, primes)

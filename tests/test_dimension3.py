@@ -1,12 +1,18 @@
 """Three-dimensional complexes: the code paths for orientation, duality and
 bounds are dimension-generic, so exercise them beyond surfaces."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from homtower.bounds import check_bounds, check_index2_reduction, duality_report
-from homtower.covers import build_cover, mod_power_tower, orientation_double_cover
+from homtower.covers import (
+    PermutationAction,
+    build_cover,
+    mod_power_tower,
+    orientation_double_cover,
+    validate_action,
+)
 from homtower.deltacomplex import (
     BUILTIN_NAMES,
     DeltaComplex,
@@ -250,13 +256,19 @@ def sol():
     return DeltaComplex(SOL_COUNTS, SOL_FACES, name="sol")
 
 
+def _times_monodromy(matrix, modulus=None):
+    """matrix . A, its entries reduced mod `modulus` when one is given."""
+    out = tuple(tuple(sum(matrix[i][k] * SOL_MONODROMY[k][j] for k in range(2))
+                      for j in range(2)) for i in range(2))
+    return out if modulus is None else tuple(tuple(v % modulus for v in row) for row in out)
+
+
 def monodromy_torsion(n):
     """The invariant factors of coker(A^n - I), from one 2 x 2 Smith form:
     tors H_1 of the degree-n cyclic cover of the Sol bundle."""
     power = ((1, 0), (0, 1))
     for _ in range(n):
-        power = tuple(tuple(sum(power[i][k] * SOL_MONODROMY[k][j] for k in range(2))
-                            for j in range(2)) for i in range(2))
+        power = _times_monodromy(power)
     shifted = {(i, j): power[i][j] - (i == j) for i in range(2) for j in range(2)}
     return smith_normal_form(IntegerMatrix(2, 2, {pos: v for pos, v in shifted.items() if v}))
 
@@ -283,3 +295,56 @@ def test_sol_tower_matches_the_monodromy():
         torsion = monodromy_torsion(degree)
         assert torsion.rank == 2
         assert profile.group(1) == Z(1, torsion.nontrivial_divisors()), degree
+
+
+# An isomorphism rho from pi_1 of the Sol table onto Z^2 x|_A Z, where
+# (v, k)(w, l) = (v + A^k w, k + l): edge e goes to (SOL_RHO_FIBER[e],
+# SOL_RHO_CIRCLE[e]), and each triangle (f0, f1, f2) gives rho(f2) rho(f0) =
+# rho(f1).  rho is onto (edge 0 has k = 1, and edges 2 and 4 go to (-1, 0)
+# and (-1, -1), which span Z^2), and polycyclic groups are Hopfian.
+SOL_RHO_CIRCLE = (1, 0, 0, 0, 0, 0, 1, 1, 1)
+SOL_RHO_FIBER = ((4, 2), (-2, -1), (-1, 0), (-3, -2), (-1, -1), (-5, -3), (2, 1), (1, 0),
+                 (-1, -1))
+
+
+def sol_congruence_action(n, r):
+    """The regular action of G = (Z/n)^2 x|_A Z/r, ord(A mod n) dividing r,
+    through rho: sheets are the elements (x, y, k) in that order, and edge e
+    acts by right multiplication by rho(e).  The kernel of pi_1 -> G is
+    nZ^2 x| <A^r>, the bundle with monodromy A^r, so the cover has H_1 =
+    Z + coker(A^r - I), which is monodromy_torsion(r)."""
+    powers = [((1 % n, 0), (0, 1 % n))]  # A^k mod n for k = 0..r
+    for _ in range(r):
+        powers.append(_times_monodromy(powers[-1], n))
+    if powers[r] != powers[0]:
+        raise ValueError(f"the order of A mod {n} does not divide {r}")
+    sheets = list(product(range(n), range(n), range(r)))
+    index = {g: s for s, g in enumerate(sheets)}
+    perms = []
+    for (a, b), l in zip(SOL_RHO_FIBER, SOL_RHO_CIRCLE):
+        perm = []
+        for x, y, k in sheets:
+            (p, q), (u, w) = powers[k]
+            perm.append(index[(x + p * a + q * b) % n, (y + u * a + w * b) % n, (k + l) % r])
+        perms.append(perm)
+    return PermutationAction(len(sheets), perms)
+
+
+@pytest.mark.parametrize("n, r", [(2, 3), (2, 6), (3, 4), (4, 3), (3, 8), (5, 10)])
+def test_sol_congruence_covers_match_the_monodromy(n, r):
+    # covers of a 3-dimensional base through a non-abelian quotient of its
+    # pi_1, whose H_1 has torsion: the closed form Z + coker(A^r - I), and
+    # the checks that every finite cover of a closed orientable 3-manifold
+    # passes
+    bundle = sol()
+    action = sol_congruence_action(n, r)
+    assert validate_action(bundle, action).ok
+    cover, degree = build_cover(bundle, action)
+    assert degree == n * n * r and cover.is_connected()
+    primes = (2, 3, 5)
+    profile = homology_profile(cover, primes)
+    assert profile.group(1) == Z(1, monodromy_torsion(r).nontrivial_divisors())
+    assert cover.euler_characteristic() == 0
+    assert all(profile.fp_dim(k, p) >= profile.betti(k) for k in range(4) for p in primes)
+    assert check_bounds(cover, primes).all_pass
+    assert all(duality_report(cover).values())

@@ -177,9 +177,9 @@ def test_run_tower_validates_each_level_action_once(monkeypatch):
     calls = []
     original = covers.validate_action
 
-    def counting(presentation, action):
+    def counting(complex, action):
         calls.append(action.degree)
-        return original(presentation, action)
+        return original(complex, action)
 
     monkeypatch.setattr(covers, "validate_action", counting)
     tower = mod_power_tower(builtin("torus2"), 2, 3)
@@ -198,7 +198,7 @@ def test_corrupted_level_action_is_rejected():
     corrupted = Tower(tower.base, tower.modulus, [tower.levels[0], bad],
                       tower.residual, tower.warnings)
     with pytest.raises(RuntimeError,
-                       match=r"tower level 2 failed: invalid action: relator \d+ "):
+                       match=r"tower level 2 failed: invalid action: 2-simplex \d+, sheet \d+: "):
         run_tower(corrupted, primes=(2,))
 
 
