@@ -39,12 +39,11 @@ from .intlinalg import IntegerMatrix, smith_normal_form
 class Presentation:
     """Edge-path presentation of the fundamental group of a complex."""
 
-    __slots__ = ("edge_count", "generator_edges", "generator_of_edge", "relators")
+    __slots__ = ("edge_count", "generator_edges", "relators")
 
     def __init__(self, edge_count, generator_edges, relators):
         self.edge_count = edge_count
         self.generator_edges = tuple(generator_edges)
-        self.generator_of_edge = {e: g for g, e in enumerate(self.generator_edges)}
         self.relators = tuple(tuple(word) for word in relators)
 
     @property
@@ -356,69 +355,7 @@ def orientation_double_cover(complex):
 
 
 # ---------------------------------------------------------------------------
-# Abelianization quotients and towers
-
-class AbelianQuotient:
-    """H_1(X; Z) tensor Z/m in explicit coordinates.
-
-    Coordinates come from one Smith transform of the relator matrix A,
-    shared across all moduli, so the reduction maps between the quotients
-    for m^i and m^{i+1} are literally componentwise.  It is V_t of A^T:
-    U_t A^T V_t = D gives V_t^T A U_t^T = D^T, so V_t^T is a U for A, and
-    coordinate i of generator g is entry (g, i) of V_t, read only where
-    gcd(d_i, m) > 1 or i >= rank, the columns V_t keeps.  Sheet s is the
-    element whose coordinates are the digits of s in the mixed radix of
-    `moduli`, the first most significant; the sheet maps act digit by digit,
-    so they are built as mixed-radix products (_radix_product), decoding no
-    sheet.
-    """
-
-    __slots__ = ("modulus", "coords", "moduli", "size", "_strides", "_shifts")
-
-    def __init__(self, presentation, snf, modulus):
-        gens = presentation.generator_count
-        divisors = snf.divisors
-        full = [math.gcd(div, modulus) for div in divisors]
-        full.extend([modulus] * (gens - len(divisors)))
-        self.modulus = modulus
-        self.coords = tuple(i for i, q in enumerate(full) if q > 1)
-        self.moduli = tuple(full[i] for i in self.coords)
-        self.size = math.prod(self.moduli)
-        strides = []
-        acc = 1
-        for q in reversed(self.moduli):
-            strides.append(acc)
-            acc *= q
-        self._strides = tuple(reversed(strides))
-        images = []
-        for e in range(presentation.edge_count):
-            g = presentation.generator_of_edge.get(e)
-            if g is None:
-                images.append((0,) * len(self.coords))
-            else:
-                images.append(tuple(snf.V.entry(g, i) % q
-                                    for i, q in zip(self.coords, self.moduli)))
-        self._shifts = tuple(images)
-
-    def action(self):
-        """The translation action on the quotient's elements: edge e moves
-        every sheet by its image in the quotient (size 1 gives the degree-1
-        identity action)."""
-        perms = [_radix_product([[(v + t) % q * stride for v in range(q)]
-                                 for t, q, stride in zip(shift, self.moduli, self._strides)])
-                 for shift in self._shifts]
-        return PermutationAction(self.size, perms)
-
-    def reduction_to(self, coarser):
-        """Sheet map to the quotient for a modulus dividing this one (a
-        coordinate it lacks contributes nothing)."""
-        target = dict(zip(coarser.coords, zip(coarser.moduli, coarser._strides)))
-        tables = []
-        for c, q in zip(self.coords, self.moduli):
-            q2, stride = target.get(c, (1, 0))
-            tables.append([v % q2 * stride for v in range(q)])
-        return tuple(_radix_product(tables))
-
+# Abelianization towers
 
 def _radix_product(tables):
     """The sheet map sending each sheet to the sum over coordinates c of
@@ -430,27 +367,20 @@ def _radix_product(tables):
     return out
 
 
-def _presentation_smith(complex):
-    """The presentation and the Smith form, with V, of its transposed
-    relator matrix (see AbelianQuotient)."""
-    presentation = edge_path_presentation(complex)
-    return presentation, smith_normal_form(presentation.relator_matrix().transpose(), True)
-
-
 class TowerLevel:
-    __slots__ = ("modulus", "degree", "action", "quotient")
+    __slots__ = ("modulus", "degree", "action", "sheet_map")
 
-    def __init__(self, modulus, action, quotient):
+    def __init__(self, modulus, action, sheet_map=None):
         self.modulus = modulus
         self.degree = action.degree
         self.action = action
-        self.quotient = quotient
+        self.sheet_map = sheet_map  # each sheet's sheet on the level below; None on level 1
 
 
 class Tower:
     """A nested family of finite regular covers from mod-m^i abelianization
-    quotients, whose reduction certificates between levels were verified
-    when it was built."""
+    quotients, whose sheet maps between levels were verified when it was
+    built."""
 
     __slots__ = ("base", "modulus", "levels", "residual", "warnings")
 
@@ -466,53 +396,85 @@ class Tower:
         return tuple(level.degree for level in self.levels)
 
 
-def _verify_certificate(finer, coarser, sheet_map):
-    """The reduction must intertwine the two levels' actions edgewise."""
+def _verify_certificate(finer, coarser):
+    """finer.sheet_map must intertwine the two levels' actions edgewise:
+    sheet_map[hi[s]] = lo[sheet_map[s]] (comprehensions, since map over a
+    tuple's __getitem__ costs a wrapper call per sheet)."""
+    sheet_map = finer.sheet_map
     for e, (hi, lo) in enumerate(zip(finer.action.edge_perms, coarser.action.edge_perms)):
-        for s in range(finer.degree):
-            if sheet_map[hi[s]] != lo[sheet_map[s]]:
-                raise AssertionError(
-                    f"nesting certificate broken at edge {e}, sheet {s}")
+        up, down = [sheet_map[s] for s in hi], [lo[s] for s in sheet_map]
+        if up != down:
+            s = next(s for s, (a, b) in enumerate(zip(up, down)) if a != b)
+            raise AssertionError(f"nesting certificate broken at edge {e}, sheet {s}")
 
 
 def mod_power_tower(complex, modulus, levels):
     """Tower whose level i covers come from H_1 tensor Z/m^i.
 
+    The coordinates come from one Smith form, with V, of the transposed
+    relator matrix A^T: U_t A^T V_t = D gives V_t^T A U_t^T = D^T, so V_t^T
+    is a U for A, and coordinate c of generator g is entry (g, c) of V_t.
+    With the divisors d_c padded by 0 for the kernel columns, level i has
+    moduli gcd(d_c, m^i) on the coordinates c with gcd(d_c, m) > 1, the same
+    at every level and among the columns V_t keeps.  Sheet s is the element
+    whose coordinates are the digits of s in that mixed radix, the first
+    most significant.  Edge e translates every sheet by its generator's
+    coordinates (a tree edge by 0), and a level's sheet map to the level
+    below reduces each digit; both are mixed-radix products
+    (_radix_product), decoding no sheet, and each sheet map is verified.
+
     Levels with a stagnating quotient order truncate the tower with a
     warning; one whose cover would have more than MAX_SIMPLICES
-    simplices is refused with ValueError.  Level actions are not validated
-    here: build_cover validates an action against the base's triangles when
-    it builds the level's cover.  The residual flag is set only when the
-    presentation provably gives an abelian group and every torsion
-    coefficient of H_1 has all its prime factors dividing m; in that case the
-    kernels of pi_1 -> H_1 tensor Z/m^i really do intersect trivially.
+    simplices is refused with ValueError, before any permutation is built.
+    Level actions are not validated here: build_cover validates an action
+    against the base's triangles when it builds the level's cover.  The
+    residual flag is set only when the presentation provably gives an
+    abelian group and every torsion coefficient of H_1 has all its prime
+    factors dividing m; in that case the kernels of pi_1 -> H_1 tensor Z/m^i
+    really do intersect trivially.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    presentation, snf = _presentation_smith(complex)
-    quotients = []
-    warning_list = []
+    presentation = edge_path_presentation(complex)
+    snf = smith_normal_form(presentation.relator_matrix().transpose(), True)
+    divisors = snf.divisors + (0,) * (snf.cols - snf.rank)
+    coords = [c for c, d in enumerate(divisors) if math.gcd(d, modulus) > 1]
+    radices, warning_list = [], []
     for i in range(1, levels + 1):
-        q = AbelianQuotient(presentation, snf, modulus ** i)
-        if quotients and q.size <= quotients[-1].size:
+        moduli = [math.gcd(divisors[c], modulus ** i) for c in coords]
+        size = math.prod(moduli)
+        if radices and size <= math.prod(radices[-1]):
             warning_list.append(
-                f"tower truncated at level {len(quotients)}: quotient order "
-                f"stagnates at {q.size}")
+                f"tower truncated at level {len(radices)}: quotient order "
+                f"stagnates at {size}")
             break
-        if q.size == 1:
+        if size == 1:
             warning_list.append("level 1 quotient is trivial; tower is empty")
             break
-        if (simplices := q.size * sum(complex.counts)) > MAX_SIMPLICES:
-            raise ValueError(f"tower level {i} has degree {q.size}: its cover would have "
+        if (simplices := size * sum(complex.counts)) > MAX_SIMPLICES:
+            raise ValueError(f"tower level {i} has degree {size}: its cover would have "
                              f"{simplices} simplices, more than {MAX_SIMPLICES}")
-        quotients.append(q)
-    tower_levels = [TowerLevel(q.modulus, q.action(), q) for q in quotients]
-    for finer, coarser in zip(tower_levels[1:], tower_levels[:-1]):
-        _verify_certificate(finer, coarser, finer.quotient.reduction_to(coarser.quotient))
-    abelian = proves_abelian(presentation)
-    torsion = snf.nontrivial_divisors()
-    torsion_ok = all(_divides_a_power_of(t, modulus) for t in torsion)
-    residual = abelian and torsion_ok
+        radices.append(moduli)
+    # every level's moduli divide the top level's, so shifts reduced there serve all
+    top = radices[-1] if radices else []
+    shifts = [[0] * len(coords)] * presentation.edge_count  # a tree edge shifts by 0
+    for g, e in enumerate(presentation.generator_edges):
+        shifts[e] = [snf.V.entry(g, c) % q for c, q in zip(coords, top)]
+    tower_levels, places = [], None
+    for i, moduli in enumerate(radices, start=1):
+        below, places = places, [math.prod(moduli[c + 1:]) for c in range(len(moduli))]
+        action = PermutationAction(math.prod(moduli), [
+            _radix_product([[(v + t) % q * place for v in range(q)]
+                            for t, q, place in zip(shift, moduli, places)])
+            for shift in shifts])
+        sheet_map = None if below is None else tuple(_radix_product([
+            [v % q_below * place for v in range(q)]
+            for q, q_below, place in zip(moduli, radices[i - 2], below)]))
+        tower_levels.append(TowerLevel(modulus ** i, action, sheet_map))
+    for finer, coarser in zip(tower_levels[1:], tower_levels):
+        _verify_certificate(finer, coarser)
+    residual = proves_abelian(presentation) and all(
+        _divides_a_power_of(t, modulus) for t in snf.nontrivial_divisors())
     return Tower(complex, modulus, tower_levels, residual, warning_list)

@@ -174,7 +174,11 @@ def _is_count_list(values, n):
 def _cache_entry_problem(data, base, degree, primes):
     """Why a parsed entry cannot be the level of this degree over `base`, or
     None when it has every key and passes the checks every computed level
-    passes."""
+    passes: the counts, the Euler characteristic of the Betti numbers and of
+    each prime's F_p dimensions, F_p dimensions at least the Betti numbers
+    and equal to them where p divides neither adjacent torsion order (the
+    part of the universal coefficient identity that torsion orders fix), and
+    positive torsion orders."""
     if not (isinstance(data, dict)
             and all(key in data for key in
                     ("degree", "counts", "betti_q", "fp_dims", "torsion_orders"))
@@ -188,17 +192,25 @@ def _cache_entry_problem(data, base, degree, primes):
     if not (type(data["degree"]) is int and data["degree"] == degree
             and _is_count_list(counts, n) and counts == [degree * c for c in base.counts]):
         return "the counts are not the degree times the base counts"
-    if not (_is_count_list(betti, n) and sum((-1) ** k * b for k, b in enumerate(betti))
-            == degree * base.euler_characteristic()):
+    chi = degree * base.euler_characteristic()
+    if not (_is_count_list(betti, n) and sum((-1) ** k * b for k, b in enumerate(betti)) == chi):
         return "the Betti numbers do not give the degree times the base Euler characteristic"
-    for p in primes:
-        dims = data["fp_dims"][str(p)]
-        if not (_is_count_list(dims, n) and all(d >= b for d, b in zip(dims, betti))):
-            return f"a mod-{p} dimension is below the Betti number"
     orders = data["torsion_orders"]
     if not (isinstance(orders, list) and len(orders) == n and all(
             isinstance(t, str) and t.isdecimal() and from_decimal(t) > 0 for t in orders)):
         return "the torsion orders are not positive integers"
+    orders = [1] + [from_decimal(t) for t in orders]  # orders[k + 1] is that of H_k
+    for p in primes:
+        dims = data["fp_dims"][str(p)]
+        if not (_is_count_list(dims, n) and all(d >= b for d, b in zip(dims, betti))):
+            return f"a mod-{p} dimension is below the Betti number"
+        if sum((-1) ** k * d for k, d in enumerate(dims)) != chi:
+            return (f"the mod-{p} dimensions do not give the degree times the base "
+                    f"Euler characteristic")
+        # universal coefficients: dim_k = b_k unless p divides tors H_k or tors H_{k-1}
+        if any(d != b for k, (d, b) in enumerate(zip(dims, betti))
+               if orders[k] % p and orders[k + 1] % p):
+            return f"a mod-{p} dimension is not the Betti number where {p} divides no torsion"
     return None
 
 
@@ -247,8 +259,7 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
     (cache schema, base complex, action, primes), so re-running a tower is
     instant.  Entries are written through a temporary file, and one that does
     not parse, lacks a key or fails the consistency checks of a computed
-    level (counts, Euler characteristic, F_p dimensions at least the Betti
-    numbers, positive torsion orders) is recomputed with a warning.
+    level (_cache_entry_problem) is recomputed with a warning.
     Construction failures carry the level index.
     """
     primes = tuple(primes)

@@ -13,12 +13,11 @@ from collections import deque
 
 from homtower.covers import (
     MAX_WORD_LENGTH,
-    AbelianQuotient,
     PermutationAction,
     _canonical_rotation,
     _cyclic_reduce,
     _invert,
-    _presentation_smith,
+    edge_path_presentation,
 )
 from homtower.deltacomplex import (
     FundamentalCycle,
@@ -181,12 +180,35 @@ def abelianization(presentation):
     return cokernel_structure(presentation.relator_matrix())
 
 
+def presentation_smith(complex):
+    """The edge-path presentation and the Smith form, with V, of its
+    transposed relator matrix: V^T of the transpose is a U for the relator
+    matrix, so its columns are the coordinates of H_1."""
+    presentation = edge_path_presentation(complex)
+    return presentation, smith_normal_form(presentation.relator_matrix().transpose(), True)
+
+
+def quotient_coordinates(complex, modulus):
+    """H_1(X) tensor Z/m in Smith coordinates, for this modulus alone:
+    (coords, moduli, shifts).  Coordinate c has modulus gcd(d_c, m), m on a
+    kernel column, and is kept where that is > 1; generator g shifts
+    coordinate c by entry (g, c) of V, and a tree edge shifts by 0."""
+    presentation, snf = presentation_smith(complex)
+    full = [math.gcd(d, modulus) for d in snf.divisors] + [modulus] * (snf.cols - snf.rank)
+    coords = tuple(c for c, q in enumerate(full) if q > 1)
+    moduli = tuple(full[c] for c in coords)
+    shifts = [(0,) * len(coords)] * presentation.edge_count
+    for g, e in enumerate(presentation.generator_edges):
+        shifts[e] = tuple(snf.V.entry(g, c) % q for c, q in zip(coords, moduli))
+    return coords, moduli, shifts
+
+
 def abelianization_action(complex, modulus):
-    """The translation action of pi_1 on H_1(X) tensor Z/m, from the quotient
-    that mod_power_tower builds for its first level (degree 1 when the
-    quotient is trivial)."""
-    presentation, snf = _presentation_smith(complex)
-    return AbelianQuotient(presentation, snf, modulus).action()
+    """The translation action of pi_1 on H_1(X) tensor Z/m, decoded sheet by
+    sheet from quotient_coordinates (degree 1 when the quotient is
+    trivial)."""
+    _, moduli, shifts = quotient_coordinates(complex, modulus)
+    return action_by_decoding(moduli, shifts)
 
 
 def index2_record(report, kind, degree, prime=None):
@@ -326,26 +348,28 @@ def _mixed_radix(moduli):
     return decode, encode
 
 
-def action_by_decoding(quotient):
-    """AbelianQuotient.action() sheet by sheet: decode each sheet into its
-    digits, translate them by the edge's shift, encode the result."""
-    decode, encode = _mixed_radix(quotient.moduli)
-    sheets = [decode(s) for s in range(quotient.size)]
-    return PermutationAction(quotient.size, [
-        [encode(tuple((v + t) % q for v, t, q in zip(digits, shift, quotient.moduli)))
+def action_by_decoding(moduli, shifts):
+    """The translation action sheet by sheet: decode each sheet into its
+    digits in the mixed radix of `moduli`, translate them by the edge's
+    shift, encode the result."""
+    decode, encode = _mixed_radix(moduli)
+    sheets = [decode(s) for s in range(math.prod(moduli))]
+    return PermutationAction(len(sheets), [
+        [encode(tuple((v + t) % q for v, t, q in zip(digits, shift, moduli)))
          for digits in sheets]
-        for shift in quotient._shifts])
+        for shift in shifts])
 
 
 def reduction_by_decoding(finer, coarser):
-    """AbelianQuotient.reduction_to() sheet by sheet: decode each sheet of
-    the finer quotient, reduce the digits of the coarser one's coordinates,
-    encode them there."""
-    decode, _ = _mixed_radix(finer.moduli)
-    _, encode = _mixed_radix(coarser.moduli)
-    positions = [finer.coords.index(c) for c in coarser.coords]
-    return tuple(encode(tuple(decode(s)[p] % q for p, q in zip(positions, coarser.moduli)))
-                 for s in range(finer.size))
+    """The sheet map between two quotients (coords, moduli, ...) sheet by
+    sheet: decode each sheet of the finer one, reduce the digits of the
+    coarser one's coordinates, encode them there."""
+    (fine_coords, fine_moduli, *_), (coarse_coords, coarse_moduli, *_) = finer, coarser
+    decode, _ = _mixed_radix(fine_moduli)
+    _, encode = _mixed_radix(coarse_moduli)
+    positions = [fine_coords.index(c) for c in coarse_coords]
+    return tuple(encode(tuple(decode(s)[p] % q for p, q in zip(positions, coarse_moduli)))
+                 for s in range(math.prod(fine_moduli)))
 
 
 def proves_abelian_scanning_every_relator(presentation):

@@ -13,6 +13,7 @@ from homtower.covers import (
     MAX_WORD_LENGTH,
     Presentation,
     PermutationAction,
+    TowerLevel,
     _verify_certificate,
     action_to_json,
     build_cover,
@@ -40,8 +41,10 @@ from oracles import (
     action_by_decoding,
     chain_h1,
     is_transitive,
+    presentation_smith,
     projection_from_faces,
     proves_abelian_scanning_every_relator,
+    quotient_coordinates,
     reduction_by_decoding,
     tracked_smith_transform,
 )
@@ -133,12 +136,12 @@ def cyclic_klein_cover(degree):
 
 
 def test_presentation_transform_keeps_only_the_coordinate_columns():
-    # AbelianQuotient reads V of the transposed relator matrix only where
+    # mod_power_tower reads V of the transposed relator matrix only where
     # d_c > 1 or c >= rank; its divisor-1 columns are empty, so on the
     # degree-255 cyclic Klein cover V has about one nonzero per generator,
     # where the whole tracked transform has 65030
     cover = cyclic_klein_cover(255)
-    presentation, snf = covers._presentation_smith(cover)
+    presentation, snf = presentation_smith(cover)
     assert presentation.generator_count == 511 and snf.nontrivial_divisors() == (2,)
     assert snf.V.nnz() <= presentation.generator_count + 1
     whole = tracked_smith_transform(presentation.relator_matrix().transpose())
@@ -707,13 +710,16 @@ def test_rp2_tower_mod3_is_empty():
 
 
 def test_tower_functoriality_exhaustive():
-    # projecting the level-2 cover through the certificate and then to the
+    # projecting the level-2 cover through its sheet map and then to the
     # base agrees with the direct projection, simplex by simplex
-    base = builtin("torus2")
-    tower = mod_power_tower(base, 2, 2)
-    hi = tower.levels[1]
-    lo = tower.levels[0]
-    phi = hi.quotient.reduction_to(lo.quotient)
+    for name, modulus in (("torus2", 2), ("klein_bottle", 4)):
+        _check_sheet_map_projects(mod_power_tower(builtin(name), modulus, 2))
+
+
+def _check_sheet_map_projects(tower):
+    base = tower.base
+    lo, hi = tower.levels
+    phi = hi.sheet_map
     hi_cover, _ = build_cover(base, hi.action)
     lo_cover, _ = build_cover(base, lo.action)
     d_hi, d_lo = hi.degree, lo.degree
@@ -733,27 +739,53 @@ def test_tower_functoriality_exhaustive():
                     lo_cover.faces[k][mapped][i], (k, idx, i)
 
 
+# the moduli of the top level of each tower below, by base and modulus
+TOP_MODULI = {
+    ("torus2", 2): (32, 32),
+    ("torus2", 3): (27, 27),
+    ("klein_bottle", 2): (2, 16),
+    ("klein_bottle", 4): (2, 64),
+    ("klein_bottle", 6): (2, 36),
+    ("surface", 2): (4, 4, 4, 4),
+    ("rp2", 2): (2,),
+    ("rp2", 4): (2,),
+    ("circle", 6): (216,),
+}
+
+
 @pytest.mark.parametrize("name, genus, modulus, levels", [
     ("torus2", None, 2, 5),
     ("torus2", None, 3, 3),
     ("klein_bottle", None, 2, 4),
+    ("klein_bottle", None, 4, 3),
+    ("klein_bottle", None, 6, 2),
     ("surface", 2, 2, 2),
     ("rp2", None, 2, 3),
+    ("rp2", None, 4, 3),
+    ("circle", None, 6, 3),
 ])
 def test_mixed_radix_actions_match_sheet_by_sheet_decoding(name, genus, modulus, levels):
-    # action() and reduction_to() are built as mixed-radix products; the
-    # oracle decodes and re-encodes every sheet
+    # the actions and sheet maps are built as mixed-radix products on
+    # coordinates fixed once for the tower; the oracle reads each level's
+    # quotient from the Smith form for that level's modulus alone, and
+    # decodes and re-encodes every sheet
     tower = mod_power_tower(builtin(name, genus), modulus, levels)
     assert tower.levels
-    for level in tower.levels:
-        assert level.action == action_by_decoding(level.quotient)
-    for finer_index, finer in enumerate(tower.levels):
-        for coarser in tower.levels[:finer_index]:
-            assert finer.quotient.reduction_to(coarser.quotient) == \
-                reduction_by_decoding(finer.quotient, coarser.quotient)
-    if name == "klein_bottle":
-        # H_1 = Z + Z/2, so the coordinates have different moduli
-        assert tower.levels[-1].quotient.moduli == (2, 16)
+    quotients = [quotient_coordinates(tower.base, level.modulus) for level in tower.levels]
+    assert len({coords for coords, _, _ in quotients}) == 1
+    # on the Klein bottle the torsion coordinate stays at 2 as the free one grows
+    assert quotients[-1][1] == TOP_MODULI[name, modulus]
+    for level, (_, moduli, shifts) in zip(tower.levels, quotients):
+        assert level.action == action_by_decoding(moduli, shifts)
+    assert tower.levels[0].sheet_map is None
+    for i, finer in enumerate(tower.levels):
+        # the sheet maps composed down to every coarser level
+        composed = tuple(range(finer.degree))
+        for j in range(i, 0, -1):
+            composed = tuple(map(tower.levels[j].sheet_map.__getitem__, composed))
+            assert composed == reduction_by_decoding(quotients[i], quotients[j - 1])
+    if name == "rp2":
+        assert tower.degrees == (2,) and "stagnates at 2" in tower.warnings[0]
 
 
 # sha256 of json.dumps(action_to_json(action)) for each level of four mod-2
@@ -803,12 +835,16 @@ def test_tower_actions_match_the_recorded_digests():
 def test_nesting_certificate_rejects_swapped_sheets():
     tower = mod_power_tower(builtin("torus2"), 2, 2)
     coarser, finer = tower.levels
-    sheet_map = list(finer.quotient.reduction_to(coarser.quotient))
-    _verify_certificate(finer, coarser, sheet_map)
+    _verify_certificate(finer, coarser)
+    sheet_map = list(finer.sheet_map)
     other = next(s for s in range(finer.degree) if sheet_map[s] != sheet_map[0])
     sheet_map[0], sheet_map[other] = sheet_map[other], sheet_map[0]
-    with pytest.raises(AssertionError, match="nesting certificate broken"):
-        _verify_certificate(finer, coarser, sheet_map)
+    # the first edge and sheet that a sheet-by-sheet check finds broken
+    e, s = next((e, s) for e, (hi, lo) in enumerate(zip(finer.action.edge_perms,
+                                                       coarser.action.edge_perms))
+                for s in range(finer.degree) if sheet_map[hi[s]] != lo[sheet_map[s]])
+    with pytest.raises(AssertionError, match=f"nesting certificate broken at edge {e}, sheet {s}$"):
+        _verify_certificate(TowerLevel(finer.modulus, finer.action, sheet_map), coarser)
 
 
 def test_tower_refuses_covers_too_large_to_build():

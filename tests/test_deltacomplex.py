@@ -870,9 +870,10 @@ def test_spanning_forest_is_the_smith_form_of_d1():
             assert set(range(c.counts[1])) - set(p.generator_edges) == set(forest), name
             if c.dim >= 2:
                 off = deltacomplex._boundary_off_rows(c, 2, forest)
+                generator_of = {e: g for g, e in enumerate(p.generator_edges)}
                 assert p.relator_matrix() == IntegerMatrix(
                     p.generator_count, c.counts[2],
-                    {(p.generator_of_edge[e], t): v for (e, t), v in off.items()}), name
+                    {(generator_of[e], t): v for (e, t), v in off.items()}), name
         edges = c.faces[1]
         seen_loop |= any(u == v for u, v in edges)
         seen_parallel |= len(set(map(frozenset, edges))) < len(edges)

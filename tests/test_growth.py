@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -194,7 +195,7 @@ def test_corrupted_level_action_is_rejected():
     perms = list(level.action.edge_perms)
     # a transposition commutes with no nontrivial translation of the sheets
     perms[0] = (1, 0) + tuple(range(2, level.degree))
-    bad = TowerLevel(level.modulus, PermutationAction(level.degree, perms), level.quotient)
+    bad = TowerLevel(level.modulus, PermutationAction(level.degree, perms), level.sheet_map)
     corrupted = Tower(tower.base, tower.modulus, [tower.levels[0], bad],
                       tower.residual, tower.warnings)
     with pytest.raises(RuntimeError,
@@ -241,6 +242,8 @@ def _tamper(data, damage):
         data["counts"][2] = False  # == 0, the count it replaces
     elif damage == "degree-float":
         data["degree"] = float(data["degree"])
+    elif damage == "fp-euler":
+        data["fp_dims"]["2"][1] = 3  # still at least the Betti number
 
 
 DAMAGE_WARNINGS = {
@@ -253,6 +256,7 @@ DAMAGE_WARNINGS = {
     "torsion": "torsion orders",
     "counts-false": "counts",
     "degree-float": "counts",
+    "fp-euler": "mod-2 dimensions do not give",
 }
 
 
@@ -281,6 +285,42 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     assert entry.read_text(encoding="utf-8") == text
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in tmp_path.glob("level-*.json"))
+
+
+def test_cache_entry_breaking_universal_coefficients_is_recomputed(tmp_path):
+    # (2, 3, 1) is at least the torus's Betti numbers (1, 2, 1) and has its
+    # Euler characteristic 0, but with no torsion every F_2 dimension must
+    # be the Betti number; a forged entry used to be served as it was
+    tower = mod_power_tower(builtin("torus2"), 2, 2)
+    fresh = run_tower(tower, (2, 3), cache_dir=str(tmp_path))
+    entries = sorted(tmp_path.glob("level-*.json"))
+    assert len(entries) == 2
+    for entry in entries:
+        data = json.loads(entry.read_text(encoding="utf-8"))
+        data["fp_dims"]["2"] = [2, 3, 1]
+        entry.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.warns(UserWarning) as caught:
+        again = run_tower(tower, (2, 3), cache_dir=str(tmp_path))
+    assert sorted(str(w.message) for w in caught) == sorted(
+        f"recomputing cache entry {entry}: a mod-2 dimension is not the Betti number "
+        f"where 2 divides no torsion" for entry in entries)
+    assert [level.fp_dims[2] for level in again.levels] == [(1, 2, 1)] * 2
+    assert json.dumps(again.to_json_dict()) == json.dumps(fresh.to_json_dict())
+
+
+def test_cache_serves_entries_whose_torsion_raises_a_mod_p_dimension(tmp_path, monkeypatch):
+    # the 3-fold cyclic covers of the Klein bottle keep its 2-torsion, so
+    # their F_2 dimensions (1, 2, 1) exceed the Betti numbers (1, 1, 0) in
+    # degrees 1 and 2, while the F_3 dimensions equal them
+    tower = mod_power_tower(builtin("klein_bottle"), 3, 2)
+    first = run_tower(tower, (2, 3), cache_dir=str(tmp_path))
+    assert [(level.betti_q, level.fp_dims) for level in first.levels] == [
+        ((1, 1, 0), {2: (1, 2, 1), 3: (1, 1, 0)})] * 2
+    monkeypatch.setattr(growth, "_compute_level", None)  # the cache must answer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        second = run_tower(tower, (2, 3), cache_dir=str(tmp_path))
+    assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
 
 def test_decimal_conversions_match_str_and_int_under_the_limit(default_digit_limit):
