@@ -251,8 +251,8 @@ def validate_action(complex, action):
     if len(perms) != edges:
         return ValidationReport([f"action covers {len(perms)} edges, complex has {edges}"])
     for t, (f0, f1, f2) in enumerate(complex.faces[2] if complex.dim >= 2 else ()):
-        path = tuple(map(perms[f0].__getitem__, perms[f2]))
-        if path != perms[f1]:
+        p0 = perms[f0]
+        if (path := [p0[s] for s in perms[f2]]) != list(perms[f1]):
             s = next(s for s, (a, b) in enumerate(zip(path, perms[f1])) if a != b)
             return ValidationReport([
                 f"2-simplex {t}, sheet {s}: edges {f2} then {f0} reach sheet {path[s]}, "

@@ -417,6 +417,14 @@ class HomologyProfile:
         return f"<HomologyProfile {body}>"
 
 
+def _uc_dims(groups, p):
+    """dim_{F_p} H_k by universal coefficients from the integral groups:
+    b_k + #{p | t : t in tors H_k} + #{p | t : t in tors H_{k-1}}."""
+    divisible = [sum(1 for t in g.torsion if t % p == 0) for g in groups]
+    return tuple(g.free_rank + divisible[k] + (divisible[k - 1] if k else 0)
+                 for k, g in enumerate(groups))
+
+
 def homology_profile(complex, primes=(2, 3, 5)):
     """Integral homology in every degree together with dim_{F_p} H_k.
 
@@ -429,9 +437,8 @@ def homology_profile(complex, primes=(2, 3, 5)):
     their own pass over d_{k-1} (see _boundary_off_rows), so the two stay
     independent: on a closed surface the cross-check compares two
     union-finds against eliminations.  The universal coefficient identity
-        dim_{F_p} H_k = b_k + #{p | t : t in tors H_k} + #{p | t : t in tors H_{k-1}}
-    is asserted internally for every degree and prime; a violation would mean
-    the integral and mod-p eliminations disagree and aborts loudly.
+    (_uc_dims) is asserted for every degree and prime; a violation would
+    mean the integral and mod-p eliminations disagree and aborts loudly.
     """
     primes = tuple(primes)
     key = ("profile", primes)
@@ -454,14 +461,11 @@ def homology_profile(complex, primes=(2, 3, 5)):
         ranks_p = [0] + [r[p] for r in fp_ranks] + [0]
         dims = tuple(complex.counts[k] - ranks_p[k] - ranks_p[k + 1]
                      for k in range(dim + 1))
-        for k in range(dim + 1):
-            t_here = sum(1 for t in groups[k].torsion if t % p == 0)
-            t_below = sum(1 for t in groups[k - 1].torsion if t % p == 0) if k else 0
-            expected = groups[k].free_rank + t_here + t_below
-            if dims[k] != expected:
+        for k, (found, expected) in enumerate(zip(dims, _uc_dims(groups, p))):
+            if found != expected:
                 raise AssertionError(
                     f"universal coefficient check failed at degree {k}, p={p}: "
-                    f"dim_F{p} = {dims[k]}, integral data gives {expected}")
+                    f"dim_F{p} = {found}, integral data gives {expected}")
         fp_dims[p] = dims
     profile = HomologyProfile(groups, fp_dims)
     complex._cache[key] = profile

@@ -15,8 +15,9 @@ import warnings
 from fractions import Fraction
 
 from .covers import action_to_json, build_cover
-from .deltacomplex import builtin_facts, complex_to_json, homology_profile
-from .intlinalg import from_decimal, to_decimal
+from .deltacomplex import (HomologyProfile, _uc_dims, builtin_facts, complex_to_json,
+                           homology_profile)
+from .intlinalg import FgAbelianGroup, from_decimal, to_decimal
 
 
 class LevelStats:
@@ -153,7 +154,7 @@ class GrowthReport:
 
 # Part of every cache key: change it whenever the entry layout or the way a
 # level is computed changes, so entries written by other versions are missed.
-_CACHE_SCHEMA = "homtower-level/2"
+_CACHE_SCHEMA = "homtower-level/3"
 
 
 def _level_cache_key(base, action, primes):
@@ -166,58 +167,15 @@ def _level_cache_key(base, action, primes):
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _is_count_list(values, n):
-    return (isinstance(values, list) and len(values) == n
-            and all(type(v) is int and v >= 0 for v in values))
-
-
-def _cache_entry_problem(data, base, degree, primes):
-    """Why a parsed entry cannot be the level of this degree over `base`, or
-    None when it has every key and passes the checks every computed level
-    passes: the counts, the Euler characteristic of the Betti numbers and of
-    each prime's F_p dimensions, F_p dimensions at least the Betti numbers
-    and equal to them where p divides neither adjacent torsion order (the
-    part of the universal coefficient identity that torsion orders fix), and
-    positive torsion orders."""
-    if not (isinstance(data, dict)
-            and all(key in data for key in
-                    ("degree", "counts", "betti_q", "fp_dims", "torsion_orders"))
-            and isinstance(data["fp_dims"], dict)
-            and all(str(p) in data["fp_dims"] for p in primes)):
-        return "a key is missing"
-    n = base.dim + 1
-    betti = data["betti_q"]
-    counts = data["counts"]
-    # types first: JSON false == 0 and 4.0 == 4
-    if not (type(data["degree"]) is int and data["degree"] == degree
-            and _is_count_list(counts, n) and counts == [degree * c for c in base.counts]):
-        return "the counts are not the degree times the base counts"
-    chi = degree * base.euler_characteristic()
-    if not (_is_count_list(betti, n) and sum((-1) ** k * b for k, b in enumerate(betti)) == chi):
-        return "the Betti numbers do not give the degree times the base Euler characteristic"
-    orders = data["torsion_orders"]
-    if not (isinstance(orders, list) and len(orders) == n and all(
-            isinstance(t, str) and t.isdecimal() and from_decimal(t) > 0 for t in orders)):
-        return "the torsion orders are not positive integers"
-    orders = [1] + [from_decimal(t) for t in orders]  # orders[k + 1] is that of H_k
-    for p in primes:
-        dims = data["fp_dims"][str(p)]
-        if not (_is_count_list(dims, n) and all(d >= b for d, b in zip(dims, betti))):
-            return f"a mod-{p} dimension is below the Betti number"
-        if sum((-1) ** k * d for k, d in enumerate(dims)) != chi:
-            return (f"the mod-{p} dimensions do not give the degree times the base "
-                    f"Euler characteristic")
-        # universal coefficients: dim_k = b_k unless p divides tors H_k or tors H_{k-1}
-        if any(d != b for k, (d, b) in enumerate(zip(dims, betti))
-               if orders[k] % p and orders[k + 1] % p):
-            return f"a mod-{p} dimension is not the Betti number where {p} divides no torsion"
-    return None
-
-
 def _load_cached_level(path, base, degree, primes):
-    """The data of a cached level, its torsion orders as ints, or None when
-    there is no entry; an entry that does not parse or fails
-    `_cache_entry_problem` is ignored with a warning."""
+    """The profile of a cached level, or None when there is no entry.
+
+    An entry is the level's integral homology, one [free rank, [invariant
+    factors as decimal strings]] pair per degree; the F_p dimensions follow
+    by universal coefficients (_uc_dims).  An entry that does not parse, has
+    another shape, fails FgAbelianGroup's checks or whose Betti numbers do
+    not give degree times the base Euler characteristic is ignored with a
+    warning."""
     if not os.path.exists(path):
         return None
     try:
@@ -226,24 +184,30 @@ def _load_cached_level(path, base, degree, primes):
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         warnings.warn(f"recomputing unreadable cache entry {path}: {exc}")
         return None
-    problem = _cache_entry_problem(data, base, degree, primes)
-    if problem is not None:
-        warnings.warn(f"recomputing cache entry {path}: {problem}")
-        return None
-    return dict(data, torsion_orders=[from_decimal(t) for t in data["torsion_orders"]])
+    # types first: JSON false == 0, and FgAbelianGroup would take it as a rank
+    if not (isinstance(data, list) and len(data) == base.dim + 1 and all(
+            isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int
+            and isinstance(pair[1], list)
+            and all(isinstance(t, str) and t.isdecimal() for t in pair[1])
+            for pair in data)):
+        problem = "it is not one [free rank, [invariant factors]] pair per degree"
+    else:
+        try:
+            groups = [FgAbelianGroup(rank, map(from_decimal, factors)) for rank, factors in data]
+        except ValueError as exc:
+            problem = str(exc)
+        else:
+            if (sum((-1) ** k * g.free_rank for k, g in enumerate(groups))
+                    == degree * base.euler_characteristic()):
+                return HomologyProfile(groups, {p: _uc_dims(groups, p) for p in primes})
+            problem = "the Betti numbers do not give the degree times the base Euler characteristic"
+    warnings.warn(f"recomputing cache entry {path}: {problem}")
+    return None
 
 
 def _compute_level(base, level, primes):
     cover, _ = build_cover(base, level.action)
-    profile = homology_profile(cover, primes)
-    dim = base.dim
-    return {
-        "degree": level.degree,
-        "counts": list(cover.counts),
-        "betti_q": [profile.betti(k) for k in range(dim + 1)],
-        "fp_dims": {str(p): [profile.fp_dim(k, p) for k in range(dim + 1)] for p in primes},
-        "torsion_orders": [profile.torsion_order(k) for k in range(dim + 1)],
-    }
+    return homology_profile(cover, primes)
 
 
 class TowerLevelError(RuntimeError):
@@ -255,41 +219,39 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
     """Build every level cover, compute its homology profile and assemble
     the growth report.
 
-    With cache_dir set, per-level results are stored under a content hash of
-    (cache schema, base complex, action, primes), so re-running a tower is
-    instant.  Entries are written through a temporary file, and one that does
-    not parse, lacks a key or fails the consistency checks of a computed
-    level (_cache_entry_problem) is recomputed with a warning.
+    With cache_dir set, each level's integral homology is stored under a
+    content hash of (cache schema, base complex, action, primes), so
+    re-running a tower is instant, and its F_p dimensions are rederived by
+    universal coefficients.  Entries are written through a temporary file,
+    and one that _load_cached_level refuses is recomputed with a warning.
     Construction failures carry the level index.
     """
     primes = tuple(primes)
     levels = []
     for idx, level in enumerate(tower.levels, start=1):
-        data = None
+        profile = None
         cache_path = None
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
             key = _level_cache_key(tower.base, level.action, primes)
             cache_path = os.path.join(cache_dir, f"level-{key}.json")
-            data = _load_cached_level(cache_path, tower.base, level.degree, primes)
-        if data is None:
+            profile = _load_cached_level(cache_path, tower.base, level.degree, primes)
+        if profile is None:
             try:
-                data = _compute_level(tower.base, level, primes)
+                profile = _compute_level(tower.base, level, primes)
             except Exception as exc:
                 raise TowerLevelError(f"tower level {idx} failed: {exc}") from exc
             if cache_path is not None:
                 tmp_path = f"{cache_path}.{os.getpid()}.tmp"
-                entry = dict(data, torsion_orders=[to_decimal(t) for t in data["torsion_orders"]])
+                entry = [[g.free_rank, [to_decimal(t) for t in g.torsion]] for g in profile.groups]
                 with open(tmp_path, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+                    json.dump(entry, fh, separators=(",", ":"))
                 os.replace(tmp_path, cache_path)
-        stats = LevelStats(
-            idx, level.modulus, data["degree"],
-            data["betti_q"],
-            {p: data["fp_dims"][str(p)] for p in primes},
-            data["torsion_orders"],
-            data["counts"])
-        levels.append(stats)
+        levels.append(LevelStats(
+            idx, level.modulus, level.degree,
+            [g.free_rank for g in profile.groups], profile.fp_dims,
+            [g.torsion_order for g in profile.groups],
+            [level.degree * c for c in tower.base.counts]))
     return GrowthReport(tower.base.name or "custom", tower.base.dim, tower.modulus,
                         primes, tower.residual, tower.warnings, levels,
                         all(builtin_facts(tower.base)))

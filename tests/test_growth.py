@@ -7,9 +7,10 @@ import pytest
 from homtower import cli, growth
 from homtower.bounds import rank_bound_value, torsion_bound_value
 from homtower.covers import mod_power_tower
-from homtower.deltacomplex import DeltaComplex, builtin
+from homtower.deltacomplex import DeltaComplex, HomologyProfile, builtin
 from homtower.growth import gap_consistency_check, run_tower
 from homtower.intlinalg import FgAbelianGroup, from_decimal, to_decimal
+from test_dimension3 import sol
 
 
 def torus_report(levels=4, primes=(2,)):
@@ -206,12 +207,27 @@ def test_corrupted_level_action_is_rejected():
 # ---------------------------------------------------------------------------
 # Caching and serialization
 
-def test_cache_round_trip(tmp_path):
-    tower = mod_power_tower(builtin("torus2"), 2, 2)
-    first = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+ROUND_TRIP_TOWERS = {
+    "torus2-m2-L2": (lambda: builtin("torus2"), 2, 2, (2,)),
+    # F_2 dimensions above the Betti numbers: the covers keep 2-torsion
+    "klein_bottle-m2-L3": (lambda: builtin("klein_bottle"), 2, 3, (2, 3)),
+    "klein_bottle-m3-L2": (lambda: builtin("klein_bottle"), 3, 2, (2, 3)),
+    "rp2-m2-L2": (lambda: builtin("rp2"), 2, 2, (2, 3)),
+    "sol-m2-L6": (sol, 2, 6, (2, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_TOWERS))
+def test_cache_round_trip(tmp_path, monkeypatch, name):
+    make_base, modulus, levels, primes = ROUND_TRIP_TOWERS[name]
+    tower = mod_power_tower(make_base(), modulus, levels)
+    first = run_tower(tower, primes, cache_dir=str(tmp_path))
     files = list(tmp_path.glob("level-*.json"))
-    assert len(files) == 2
-    second = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
+    assert len(files) == len(tower.levels)
+    monkeypatch.setattr(growth, "_compute_level", None)  # the cache must answer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        second = run_tower(tower, primes, cache_dir=str(tmp_path))
     assert json.dumps(first.to_json_dict(), sort_keys=True) == \
         json.dumps(second.to_json_dict(), sort_keys=True)
 
@@ -225,38 +241,45 @@ def test_cache_key_carries_schema(tmp_path, monkeypatch):
 
 
 def _tamper(data, damage):
+    """Damage an entry of the torus2 tower, [[1, []], [2, []], [1, []]], or
+    for counts-false one of a circle as a 2-complex, [[1, []], [1, []], [0, []]]."""
     if damage == "drop-key":
-        del data["betti_q"]
+        del data[2]  # a degree dropped
     elif damage == "betti-999":
-        data["betti_q"][1] = 999
-    elif damage == "betti-and-fp-1":
-        # every F_p dimension is still at least the Betti number; only the
-        # Euler characteristic gives it away
-        data["betti_q"][1] = 1
-        data["fp_dims"]["2"][1] = 1
-    elif damage == "counts":
-        data["counts"][0] += 1
-    elif damage == "torsion":
-        data["torsion_orders"][0] = "0"
+        data[1][0] = 999
     elif damage == "counts-false":
-        data["counts"][2] = False  # == 0, the count it replaces
+        data[2][0] = False  # == 0, the free rank it replaces
     elif damage == "degree-float":
-        data["degree"] = float(data["degree"])
-    elif damage == "fp-euler":
-        data["fp_dims"]["2"][1] = 3  # still at least the Betti number
+        data[1][0] = 2.0  # == 2, likewise
+    elif damage == "rank-negative":
+        data[0][0] = -1
+    elif damage == "torsion":
+        data[1][1] = ["0"]
+    elif damage == "factor-1":
+        data[1][1] = ["1"]
+    elif damage == "chain":
+        data[1][1] = ["3", "2"]
+    elif damage == "non-decimal":
+        data[1][1] = ["2.5"]  # int(Decimal("2.5")) would read it as 2
+    elif damage == "parent-layout":  # an entry as schema homtower-level/2 wrote it
+        return {"betti_q": [1, 2, 1], "counts": [4, 12, 8], "degree": 4,
+                "fp_dims": {"2": [1, 2, 1]}, "torsion_orders": ["1", "1", "1"]}
+    return data
 
 
 DAMAGE_WARNINGS = {
     "truncate": "unreadable",
     "nest": "unreadable",
-    "drop-key": "a key is missing",
+    "drop-key": "pair per degree",
     "betti-999": "Euler characteristic",
-    "betti-and-fp-1": "Euler characteristic",
-    "counts": "counts",
-    "torsion": "torsion orders",
-    "counts-false": "counts",
-    "degree-float": "counts",
-    "fp-euler": "mod-2 dimensions do not give",
+    "counts-false": "pair per degree",
+    "degree-float": "pair per degree",
+    "rank-negative": "free rank must be nonnegative",
+    "torsion": "torsion coefficient 0 < 2",
+    "factor-1": "torsion coefficient 1 < 2",
+    "chain": "divisibility chain",
+    "non-decimal": "pair per degree",
+    "parent-layout": "pair per degree",
 }
 
 
@@ -275,37 +298,14 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damage):
     elif damage == "nest":  # the JSON decoder runs out of recursion depth
         entry.write_text("[" * 200000, encoding="utf-8")
     else:
-        data = json.loads(text)
-        _tamper(data, damage)
-        entry.write_text(json.dumps(data), encoding="utf-8")
+        entry.write_text(json.dumps(_tamper(json.loads(text), damage)), encoding="utf-8")
     with pytest.warns(UserWarning, match=f"recomputing.*{DAMAGE_WARNINGS[damage]}"):
         again = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
-    # compared as text: False == 0 and 4.0 == 4, so parsed JSON would hide the damage
+    # compared as text: False == 0 and 2.0 == 2, so parsed JSON would hide the damage
     assert json.dumps(again.to_json_dict()) == json.dumps(fresh.to_json_dict())
     assert entry.read_text(encoding="utf-8") == text
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         p.name for p in tmp_path.glob("level-*.json"))
-
-
-def test_cache_entry_breaking_universal_coefficients_is_recomputed(tmp_path):
-    # (2, 3, 1) is at least the torus's Betti numbers (1, 2, 1) and has its
-    # Euler characteristic 0, but with no torsion every F_2 dimension must
-    # be the Betti number; a forged entry used to be served as it was
-    tower = mod_power_tower(builtin("torus2"), 2, 2)
-    fresh = run_tower(tower, (2, 3), cache_dir=str(tmp_path))
-    entries = sorted(tmp_path.glob("level-*.json"))
-    assert len(entries) == 2
-    for entry in entries:
-        data = json.loads(entry.read_text(encoding="utf-8"))
-        data["fp_dims"]["2"] = [2, 3, 1]
-        entry.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.warns(UserWarning) as caught:
-        again = run_tower(tower, (2, 3), cache_dir=str(tmp_path))
-    assert sorted(str(w.message) for w in caught) == sorted(
-        f"recomputing cache entry {entry}: a mod-2 dimension is not the Betti number "
-        f"where 2 divides no torsion" for entry in entries)
-    assert [level.fp_dims[2] for level in again.levels] == [(1, 2, 1)] * 2
-    assert json.dumps(again.to_json_dict()) == json.dumps(fresh.to_json_dict())
 
 
 def test_cache_serves_entries_whose_torsion_raises_a_mod_p_dimension(tmp_path, monkeypatch):
@@ -346,15 +346,16 @@ def test_torsion_past_the_digit_limit(tmp_path, monkeypatch, default_digit_limit
     real = growth._compute_level
 
     def with_big_torsion(*args):
-        data = real(*args)
-        data["torsion_orders"][1] = big
-        return data
+        profile = real(*args)
+        groups = list(profile.groups)
+        groups[1] = FgAbelianGroup(groups[1].free_rank, (big,))  # odd: F_2 dims unchanged
+        return HomologyProfile(groups, profile.fp_dims)
 
     tower = mod_power_tower(builtin("torus2"), 2, 1)
     monkeypatch.setattr(growth, "_compute_level", with_big_torsion)
     first = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
     (entry,) = tmp_path.glob("level-*.json")
-    assert json.loads(entry.read_text(encoding="utf-8"))["torsion_orders"] == ["1", text, "1"]
+    assert json.loads(entry.read_text(encoding="utf-8")) == [[1, []], [2, [text]], [1, []]]
     monkeypatch.setattr(growth, "_compute_level", None)  # the cache must answer
     second = run_tower(tower, primes=(2,), cache_dir=str(tmp_path))
     for report in (first, second):
