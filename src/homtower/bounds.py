@@ -216,19 +216,15 @@ def check_index2_reduction(complex, primes=(2, 3, 5)):
 def duality_report(complex):
     """Poincare duality diagnostics for an oriented closed pseudomanifold:
     numeric symmetry of Betti numbers and torsion plus the cap product
-    isomorphism check, all read from the integral homology."""
+    isomorphism check, all read from the cap-duality records: record k
+    compares H^{n-k} = Z^{b_{n-k}} + tors H_{n-k-1} with H_k."""
     cycle = orient(complex)
     if cycle is None:
         raise NonOrientableError("duality check needs an orientable complex")
-    profile = homology_profile(complex, ())
-    n = complex.dim
-    betti_symmetric = all(profile.betti(k) == profile.betti(n - k)
-                          for k in range(n + 1))
-    torsion_symmetric = all(
-        profile.torsion_order(k) == profile.torsion_order(n - k - 1)
-        for k in range(n))
+    report = cap_duality_check(complex, cycle)
     return {
-        "betti_symmetric": betti_symmetric,
-        "torsion_symmetric": torsion_symmetric,
-        "cap_isomorphisms": cap_duality_check(complex, cycle).all_isomorphisms,
+        "betti_symmetric": all(r.source.free_rank == r.target.free_rank for r in report.records),
+        "torsion_symmetric": all(r.source.torsion_order == r.target.torsion_order
+                                 for r in report.records),
+        "cap_isomorphisms": report.all_isomorphisms,
     }

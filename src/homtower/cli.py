@@ -276,9 +276,9 @@ def cmd_tower(args):
              f"residual: {str(report.residual).lower()}"]
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
-    for level in report.levels:
+    for i, level in enumerate(report.levels):
         norm = ", ".join(
-            f"b_{k}/deg={level.normalized_betti(k)}" for k in range(report.dim + 1))
+            f"b_{k}/deg={report.betti_series(k)[i]}" for k in range(report.dim + 1))
         lines.append(
             f"level {level.index}: degree {level.degree}, betti {list(level.betti_q)}, "
             f"log torsion {[round(level.log_torsion(k), 6) for k in range(report.dim + 1)]}, "

@@ -481,9 +481,10 @@ class FundamentalCycle:
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        signs = tuple(int(s) for s in signs)
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("fundamental cycle coefficients must be +-1")
+        signs = tuple(signs)
+        for s in signs:  # type(), so a bool is refused too
+            if type(s) is not int or s not in (-1, 1):
+                raise ValueError(f"fundamental cycle coefficient {s!r} is not the int 1 or -1")
         self.signs = signs
 
     def __eq__(self, other):

@@ -1,10 +1,10 @@
 """Homology growth along towers of finite covers.
 
 A tower run records, per level, the Betti numbers, mod-p dimensions and
-torsion of the cover, plus everything divided by the covering degree.  The
-normalized Betti series are exact rationals; normalized log-torsion is a
-float computed from the exact torsion order.  Reports state the computed
-finite series and their deltas only; no limit is ever claimed.
+torsion of the cover, and GrowthReport.series divides each by the degree:
+exact rationals for the Betti series, floats of the exact torsion order's
+log for log-torsion.  Reports state the computed finite series and their
+deltas only; no limit is ever claimed.
 """
 
 import hashlib
@@ -21,97 +21,84 @@ from .intlinalg import FgAbelianGroup, from_decimal, to_decimal
 
 
 class LevelStats:
-    __slots__ = ("index", "modulus", "degree", "betti_q", "fp_dims",
-                 "torsion_orders", "counts")
+    """One tower level's numbers, read from its HomologyProfile."""
 
-    def __init__(self, index, modulus, degree, betti_q, fp_dims, torsion_orders, counts):
+    __slots__ = ("index", "modulus", "degree", "counts", "betti_q", "fp_dims",
+                 "torsion_orders")
+
+    def __init__(self, index, level, base_counts, profile):
         self.index = index
-        self.modulus = modulus
-        self.degree = degree
-        self.betti_q = tuple(betti_q)
-        self.fp_dims = {p: tuple(v) for p, v in fp_dims.items()}
-        self.torsion_orders = tuple(torsion_orders)
-        self.counts = tuple(counts)
+        self.modulus = level.modulus
+        self.degree = level.degree
+        self.counts = tuple(level.degree * c for c in base_counts)
+        self.betti_q = tuple(g.free_rank for g in profile.groups)
+        self.fp_dims = {p: tuple(dims) for p, dims in profile.fp_dims.items()}
+        self.torsion_orders = tuple(g.torsion_order for g in profile.groups)
 
     def log_torsion(self, k):
         return math.log(self.torsion_orders[k]) if self.torsion_orders[k] > 1 else 0.0
 
-    def normalized_betti(self, k):
-        return Fraction(self.betti_q[k], self.degree)
 
-    def normalized_fp(self, k, p):
-        return Fraction(self.fp_dims[p][k], self.degree)
-
-    def normalized_log_torsion(self, k):
-        return self.log_torsion(k) / self.degree
+def _trend_verdict(series):
+    """Where a normalized series starts to fall for good (1-based level
+    index), its last value and its last delta, all on its floats."""
+    series = [float(x) for x in series]
+    monotone_from = None
+    for start in range(len(series)):
+        if all(series[i + 1] <= series[i] + 1e-12 for i in range(start, len(series) - 1)):
+            monotone_from = start + 1
+            break
+    return {
+        "monotone_from_level": monotone_from,
+        "last": series[-1] if series else None,
+        "last_delta": (series[-1] - series[-2]) if len(series) >= 2 else None,
+    }
 
 
 class GrowthReport:
-    __slots__ = ("base_name", "dim", "modulus", "primes", "residual",
-                 "warnings", "levels", "amenable", "verdicts")
+    """A tower's levels and `series`, built once and read by every output:
+    each verdict key betti_q[k=..], betti_p[p=..,k=..], log_torsion[k=..]
+    to its values divided by the degree, level by level (Fractions for the
+    Betti numbers and F_p dimensions, floats for log torsion)."""
 
-    def __init__(self, base_name, dim, modulus, primes, residual, warnings, levels,
-                 amenable):
-        self.base_name = base_name
-        self.dim = dim
-        self.modulus = modulus
+    __slots__ = ("base_name", "dim", "modulus", "primes", "residual", "warnings",
+                 "levels", "amenable", "series", "verdicts")
+
+    def __init__(self, tower, primes, levels):
+        self.base_name = tower.base.name or "custom"
+        self.dim = tower.base.dim
+        self.modulus = tower.modulus
         self.primes = tuple(primes)
-        self.residual = residual
-        self.warnings = tuple(warnings)
-        self.levels = tuple(levels)
-        self.amenable = amenable  # builtin() recorded the base aspherical, pi_1 amenable
-        self.verdicts = self._trend_verdicts()
+        self.residual = tower.residual
+        self.warnings = tower.warnings
+        levels = self.levels = tuple(levels)
+        self.amenable = all(builtin_facts(tower.base))  # recorded aspherical, pi_1 amenable
+        self.series = {}
+        for k in range(self.dim + 1):
+            self.series[f"betti_q[k={k}]"] = [Fraction(lv.betti_q[k], lv.degree) for lv in levels]
+            for p in self.primes:
+                self.series[f"betti_p[p={p},k={k}]"] = [Fraction(lv.fp_dims[p][k], lv.degree)
+                                                        for lv in levels]
+            self.series[f"log_torsion[k={k}]"] = [lv.log_torsion(k) / lv.degree for lv in levels]
+        self.verdicts = {key: _trend_verdict(values) for key, values in self.series.items()}
 
     @property
     def degrees(self):
         return tuple(level.degree for level in self.levels)
 
     def betti_series(self, k):
-        return [level.normalized_betti(k) for level in self.levels]
-
-    def fp_series(self, k, p):
-        return [level.normalized_fp(k, p) for level in self.levels]
-
-    def log_torsion_series(self, k):
-        return [level.normalized_log_torsion(k) for level in self.levels]
-
-    def _series_map(self):
-        out = {}
-        for k in range(self.dim + 1):
-            out[f"betti_q[k={k}]"] = [float(x) for x in self.betti_series(k)]
-            for p in self.primes:
-                out[f"betti_p[p={p},k={k}]"] = [float(x) for x in self.fp_series(k, p)]
-            out[f"log_torsion[k={k}]"] = self.log_torsion_series(k)
-        return out
-
-    def _trend_verdicts(self):
-        verdicts = {}
-        for key, series in self._series_map().items():
-            monotone_from = None
-            for start in range(len(series)):
-                if all(series[i + 1] <= series[i] + 1e-12
-                       for i in range(start, len(series) - 1)):
-                    monotone_from = start + 1  # 1-based level index
-                    break
-            verdicts[key] = {
-                "monotone_from_level": monotone_from,
-                "last": series[-1] if series else None,
-                "last_delta": (series[-1] - series[-2]) if len(series) >= 2 else None,
-            }
-        return verdicts
+        return self.series[f"betti_q[k={k}]"]
 
     def to_json_dict(self):
-        levels = []
-        for level in self.levels:
+        levels, degrees = [], range(self.dim + 1)
+        for i, level in enumerate(self.levels):
+            betti = [self.series[f"betti_q[k={k}]"][i] for k in degrees]
             normalized = {
-                "betti_q": [str(level.normalized_betti(k)) for k in range(self.dim + 1)],
-                "betti_q_decimal": [float(level.normalized_betti(k))
-                                    for k in range(self.dim + 1)],
-                "betti_p": {str(p): [float(level.normalized_fp(k, p))
-                                     for k in range(self.dim + 1)]
-                            for p in self.primes},
-                "log_torsion": [level.normalized_log_torsion(k)
-                                for k in range(self.dim + 1)],
+                "betti_q": [str(x) for x in betti],
+                "betti_q_decimal": [float(x) for x in betti],
+                "betti_p": {str(p): [float(self.series[f"betti_p[p={p},k={k}]"][i])
+                                     for k in degrees] for p in self.primes},
+                "log_torsion": [self.series[f"log_torsion[k={k}]"][i] for k in degrees],
             }
             levels.append({
                 "level": level.index,
@@ -121,7 +108,7 @@ class GrowthReport:
                 "betti_q": list(level.betti_q),
                 "betti_p": {str(p): list(level.fp_dims[p]) for p in self.primes},
                 "torsion_order": [to_decimal(t) for t in level.torsion_orders],
-                "log_torsion": [level.log_torsion(k) for k in range(self.dim + 1)],
+                "log_torsion": [level.log_torsion(k) for k in degrees],
                 "normalized": normalized,
             })
         return {
@@ -142,13 +129,13 @@ class GrowthReport:
         header += [f"norm_betti_p{p}" for p in self.primes]
         header += ["norm_log_torsion"]
         yield tuple(header)
-        for level in self.levels:
+        for i, level in enumerate(self.levels):
             for k in range(self.dim + 1):
                 row = [level.index, level.degree, k, level.betti_q[k]]
                 row += [level.fp_dims[p][k] for p in self.primes]
-                row += [level.log_torsion(k), float(level.normalized_betti(k))]
-                row += [float(level.normalized_fp(k, p)) for p in self.primes]
-                row += [level.normalized_log_torsion(k)]
+                row += [level.log_torsion(k), float(self.series[f"betti_q[k={k}]"][i])]
+                row += [float(self.series[f"betti_p[p={p},k={k}]"][i]) for p in self.primes]
+                row += [self.series[f"log_torsion[k={k}]"][i]]
                 yield tuple(row)
 
 
@@ -184,10 +171,8 @@ def _load_cached_level(path, base, degree, primes):
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         warnings.warn(f"recomputing unreadable cache entry {path}: {exc}")
         return None
-    # types first: JSON false == 0, and FgAbelianGroup would take it as a rank
     if not (isinstance(data, list) and len(data) == base.dim + 1 and all(
-            isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int
-            and isinstance(pair[1], list)
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], list)
             and all(isinstance(t, str) and t.isdecimal() for t in pair[1])
             for pair in data)):
         problem = "it is not one [free rank, [invariant factors]] pair per degree"
@@ -247,14 +232,8 @@ def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
                 with open(tmp_path, "w", encoding="utf-8") as fh:
                     json.dump(entry, fh, separators=(",", ":"))
                 os.replace(tmp_path, cache_path)
-        levels.append(LevelStats(
-            idx, level.modulus, level.degree,
-            [g.free_rank for g in profile.groups], profile.fp_dims,
-            [g.torsion_order for g in profile.groups],
-            [level.degree * c for c in tower.base.counts]))
-    return GrowthReport(tower.base.name or "custom", tower.base.dim, tower.modulus,
-                        primes, tower.residual, tower.warnings, levels,
-                        all(builtin_facts(tower.base)))
+        levels.append(LevelStats(idx, level, tower.base.counts, profile))
+    return GrowthReport(tower, primes, levels)
 
 
 def gap_consistency_check(report, threshold):
@@ -269,7 +248,7 @@ def gap_consistency_check(report, threshold):
     `not-applicable`; the series are reported either way.
     """
     level = len(report.levels)
-    series_map = {key: series for key, series in report._series_map().items()
+    series_map = {key: [float(x) for x in values] for key, values in report.series.items()
                   if not key.startswith("betti_q")} if level else {}
     result = {
         "threshold": threshold,

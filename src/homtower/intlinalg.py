@@ -155,12 +155,12 @@ class FgAbelianGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank, torsion=()):
-        torsion = tuple(int(t) for t in torsion)
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        torsion = tuple(torsion)
+        if type(free_rank) is not int or free_rank < 0:  # type(), so a bool is refused too
+            raise ValueError(f"free rank {free_rank!r} is not an int >= 0")
         for t in torsion:
-            if t < 2:
-                raise ValueError(f"torsion coefficient {t} < 2")
+            if type(t) is not int or t < 2:
+                raise ValueError(f"torsion coefficient {t!r} is not an int >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion coefficients {torsion} violate the divisibility chain")

@@ -471,12 +471,18 @@ GOLDEN_JSON_SHA256 = {
         "4ea6a7ab66f807858ddd1cd1227d2afc1b59e83a9004fb8d21eb4921e12a6cee",
     "tower --builtin torus2 -m 2 -L 3 -p 2 3 5":
         "0736326d045ce282b3d4052da7f14b39583d3ddb9217c6037a78ae4fbf8bafc2",
+    "tower --builtin klein_bottle -m 3 -L 2 -p 2 3":
+        "af81ce786e0dcc12921e3dca56462bac214e46ac34c98c4a60aed5da35822e94",
+    "tower --builtin circle -m 6 -L 3 -p 2 3 5 7":
+        "723e64dc3d298028ec619b561dc68eb4ff1a07ba639565d703e5dfecbf893b8f",
     "verify --trials 20 --seed 3":
         "0a9b9dbd22ebb3db92f172bfea0d56e75100496202fad0a1729a8461800e3b5d",
 }
 
 
-# the --format pretty and --format csv bytes of the bound and verify reports
+# the --format pretty and --format csv bytes of the bound, tower and verify
+# reports; the tower runs cover torsion with F_2 above the Betti numbers
+# (klein_bottle) and a gap check that passes (circle)
 GOLDEN_TEXT_SHA256 = {
     "bounds --builtin torus2": {
         "pretty": "7bdc73d752bf261433b58075b51ca5ad9dd4d8d917f9f379bb659e15dc97a0f3",
@@ -490,6 +496,15 @@ GOLDEN_TEXT_SHA256 = {
     "bounds klein_63.json --via-double-cover": {
         "pretty": "a4b8b6ef5777b3ee343ce950ebe452be202e40695bdb915207fec2ab037bd7e9",
         "csv": "2ec5abbaa909f4c55ae0f0dd48383e34b0f05d548526f4cc0b97a4e3c9cc7f0e"},
+    "tower --builtin torus2 -m 2 -L 3 -p 2 3 5": {
+        "pretty": "f88c98f9a7f1cda415b707942665dc3770f2a9f793093c43ee4c0ac9fd3672ca",
+        "csv": "3b05257ce897e37bffadfdc6a9db85a21deef024113534df63561b391850d147"},
+    "tower --builtin klein_bottle -m 3 -L 2 -p 2 3": {
+        "pretty": "dea491882d7948718c8ff39c42fb5114c162c167959dc85095a27d76799b235c",
+        "csv": "8c1f7c7830be1c34712f77e6fa1323d63aa33787f79ae978322e8574784d518c"},
+    "tower --builtin circle -m 6 -L 3 -p 2 3 5 7": {
+        "pretty": "5c547925551411ab858847f89e5cd86425e15deb7baf7c4f8a96ae4a3701942b",
+        "csv": "c0975e5bad2811f7dd8253da14909e3a03a1c288217979affafbeb64561d4726"},
     "verify --trials 20 --seed 3": {
         "pretty": "ca48db784d68de7e50ce07d2c372d17f5a4700394192d1a9910af8102cc96fb6",
         "csv": "c75f14cf2a2a39dd8fba0febea229e0cf9a0e2f465957d3e1b697200c71dd3a0"},

@@ -392,6 +392,17 @@ def test_negated_cycle_is_still_a_cycle():
         FundamentalCycle((1, 0))
 
 
+@pytest.mark.parametrize("signs, named", [
+    ([1.5, True, -1], "coefficient 1.5 is not"),  # was read as (1, 1, -1)
+    ([1, True, -1], "coefficient True is not"),
+    ([1.0, -1], "coefficient 1.0 is not"),
+    ([1, "-1"], "coefficient '-1' is not"),
+], ids=["float-and-bool", "bool", "float", "str"])
+def test_fundamental_cycle_refuses_signs_that_are_not_ints(signs, named):
+    with pytest.raises(ValueError, match=named):
+        FundamentalCycle(signs)
+
+
 # ---------------------------------------------------------------------------
 # Orientation double cover
 
@@ -544,6 +555,33 @@ def test_cap_duality_matches_the_full_cocycle_basis():
     # the onto test fails on the pinched sphere and on the doubled complex only
     assert degree_1[-2:] == [False, False]
     assert all(degree_1[:-2])
+
+
+def test_duality_flags_match_the_homology_formula():
+    # duality_report reads both symmetry flags from the cap-duality records;
+    # the parent formula compares b_k with b_{n-k} and |tors H_k| with
+    # |tors H_{n-k-1}| straight from the homology.  On the pinched sphere the
+    # cap fails while both symmetries hold.
+    complexes = [make(name) for name in ("torus2", "sphere2", "circle", "surface2")]
+    complexes += [builtin("surface", genus=g) for g in (1, 3)]
+    complexes += [orientation_double_cover(builtin(name))[0] for name in ("klein_bottle", "rp2")]
+    complexes += [torus_cover(levels) for levels in (2, 3)]
+    complexes += [boundary_of_4_simplex(), sol(), pinched_sphere()]
+    flags = []
+    for complex in complexes:
+        profile, n = homology_profile(complex, ()), complex.dim
+        expected = {
+            "betti_symmetric": all(profile.betti(k) == profile.betti(n - k)
+                                   for k in range(n + 1)),
+            "torsion_symmetric": all(profile.torsion_order(k) == profile.torsion_order(n - k - 1)
+                                     for k in range(n)),
+            "cap_isomorphisms": cap_duality_check(complex, orient(complex)).all_isomorphisms,
+        }
+        flags.append(duality_report(complex))
+        assert flags[-1] == expected, complex
+    assert flags[-1] == {"betti_symmetric": True, "torsion_symmetric": True,
+                         "cap_isomorphisms": False}
+    assert all(all(f.values()) for f in flags[:-1])
 
 
 def test_cap_duality_cocycles_are_few_on_a_torus_cover(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from fractions import Fraction
@@ -29,8 +30,8 @@ def test_torus_tower_series():
         assert level.torsion_orders == (1, 1, 1)
     assert report.betti_series(1) == [Fraction(1, 2), Fraction(1, 8),
                                       Fraction(1, 32), Fraction(1, 128)]
-    assert report.fp_series(1, 2) == report.betti_series(1)
-    assert report.log_torsion_series(1) == [0.0, 0.0, 0.0, 0.0]
+    assert report.series["betti_p[p=2,k=1]"] == report.series["betti_q[k=1]"]
+    assert report.series["log_torsion[k=1]"] == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_circle_tower_series():
@@ -38,7 +39,7 @@ def test_circle_tower_series():
     report = run_tower(tower, primes=(2, 3))
     assert report.degrees == (3, 9, 27)
     assert report.betti_series(1) == [Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
-    assert report.log_torsion_series(0) == [0.0, 0.0, 0.0]
+    assert report.series["log_torsion[k=0]"] == [0.0, 0.0, 0.0]
 
 
 def test_surface_tower_first_level():
@@ -55,7 +56,8 @@ def test_normalized_fp_never_below_normalized_betti():
     report = torus_report(levels=3, primes=(2, 3))
     for k in range(report.dim + 1):
         for p in report.primes:
-            for a, b in zip(report.fp_series(k, p), report.betti_series(k)):
+            for a, b in zip(report.series[f"betti_p[p={p},k={k}]"],
+                            report.series[f"betti_q[k={k}]"]):
                 assert a >= b
 
 
@@ -65,11 +67,11 @@ def test_normalized_bound_is_level_independent():
     k_base = 2
     n = 2
     report = torus_report(levels=2, primes=(2,))
-    for level in report.levels:
+    for i in range(len(report.levels)):
         for j in range(n + 1):
-            assert level.normalized_log_torsion(j) <= \
+            assert report.series[f"log_torsion[k={j}]"][i] <= \
                 torsion_bound_value(n, j, k_base) + 1e-9
-            assert level.normalized_fp(j, 2) <= rank_bound_value(n, j, k_base)
+            assert report.series[f"betti_p[p=2,k={j}]"][i] <= rank_bound_value(n, j, k_base)
 
 
 def test_geometric_decay_on_torus_tower():
@@ -77,6 +79,18 @@ def test_geometric_decay_on_torus_tower():
     series = report.betti_series(1)
     for prev, nxt in zip(series, series[1:]):
         assert nxt == prev / 4
+
+
+def test_sol_tower_report_matches_its_recorded_digest():
+    # Sol's cyclic covers have torsion, so its log-torsion series are not 0
+    report = run_tower(mod_power_tower(sol(), 2, 6), (2, 3, 5))
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "167833111938ee6fa78ebcb319d0ba034a1dddcbb40f0310b10e045985dec578"
+    assert any(report.series["log_torsion[k=1]"])
+    for key, values in report.series.items():
+        kind = float if key.startswith("log_torsion") else Fraction
+        assert len(values) == 6 and all(type(x) is kind for x in values), key
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +286,11 @@ DAMAGE_WARNINGS = {
     "nest": "unreadable",
     "drop-key": "pair per degree",
     "betti-999": "Euler characteristic",
-    "counts-false": "pair per degree",
-    "degree-float": "pair per degree",
-    "rank-negative": "free rank must be nonnegative",
-    "torsion": "torsion coefficient 0 < 2",
-    "factor-1": "torsion coefficient 1 < 2",
+    "counts-false": "free rank False is not an int",
+    "degree-float": "free rank 2.0 is not an int",
+    "rank-negative": "free rank -1 is not an int >= 0",
+    "torsion": "torsion coefficient 0 is not an int >= 2",
+    "factor-1": "torsion coefficient 1 is not an int >= 2",
     "chain": "divisibility chain",
     "non-decimal": "pair per degree",
     "parent-layout": "pair per degree",

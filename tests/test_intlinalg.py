@@ -656,6 +656,18 @@ def test_fg_abelian_group_invariants():
         FgAbelianGroup(0, (1,))
 
 
+@pytest.mark.parametrize("rank, torsion, named", [
+    (1, (2.7,), "torsion coefficient 2.7 is not an int"),  # was read as Z + Z/2
+    (2.0, (), "free rank 2.0 is not an int"),  # was printed Z^2.0
+    (True, (), "free rank True is not an int"),  # was Z
+    (0, (2, True), "torsion coefficient True is not an int"),
+    (0, ("2",), "torsion coefficient '2' is not an int"),
+], ids=["float-factor", "float-rank", "bool-rank", "bool-factor", "str-factor"])
+def test_fg_abelian_group_refuses_values_that_are_not_ints(rank, torsion, named):
+    with pytest.raises(ValueError, match=named):
+        FgAbelianGroup(rank, torsion)
+
+
 def assert_kernel_lattice_basis(a, k):
     """k is a basis of the integer kernel lattice of a: a @ k = 0, k has
     cols - rank columns, and k is saturated (every Smith divisor is 1), so
