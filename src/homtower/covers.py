@@ -12,13 +12,15 @@ while face 0, whose anchor is vertex 1, lives on the sheet reached through
 the [v0, v1] edge of s.  The lifted face maps close up into a complex
 exactly when every triangle closes on every sheet (validate_action), which
 is checked when a cover is built from the action, and every constructed
-cover is certified by its face identities.  The orientation double cover is
-the cover of the orientation character.
+cover is certified by its face identities; a tower level's homology is the
+base's Morse complex lifted through the action in the same way
+(lifted_profile).  The orientation double cover is the cover of the
+orientation character.
 """
 
 import heapq
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 from .deltacomplex import (
     MAX_SIMPLICES,
@@ -27,7 +29,12 @@ from .deltacomplex import (
     ValidationReport,
     _face_identity_violation,
     _find,
+    _forest,
+    _morse,
     _orientation,
+    _profile,
+    _signed_forest,
+    _smith_forms,
     _spanning_forest,
     _subface,
     _valid,
@@ -294,6 +301,61 @@ def build_cover(complex, action):
     return cover, d
 
 
+def lifted_profile(complex, action, primes=(2, 3, 5)):
+    """homology_profile of the cover that a valid action describes, from the
+    base's Morse complex (deltacomplex._morse) lifted sheet by sheet, after
+    validate_action; no cover is built.  Critical cell c on sheet s is cell
+    c * degree + s, and a term (sign, q, word) of c's Morse boundary puts
+    sign at row q * degree + word(s) of column c * degree + s.  A lifted d_1
+    is a graph's incidence matrix, whose Smith form is its _forest; a top
+    boundary whose terms are +-1 and meet each row block at most twice has
+    rows of at most two +-1 entries, whose Smith form is their
+    _signed_forest; every other boundary is eliminated (_profile)."""
+    report = validate_action(complex, action)
+    if not report.ok:
+        raise ValueError(f"invalid action: {report.problems[0]}")
+    d, perms, made = action.degree, action.edge_perms, {(): range(action.degree)}
+
+    def sheets(word):  # word(s) for every sheet s, each word made once
+        if word not in made:
+            made[word] = range(d)
+            for e, x in word:
+                step = perms[e] if x > 0 else sorted(range(d), key=perms[e].__getitem__)
+                made[word] = [step[s] for s in made[word]]
+        return made[word]
+    _, critical, boundary = _morse(complex)
+    counts = [d * len(cells) for cells in critical]
+    blocks = [None] + [[[(v, q * d, sheets(word)) for v, q, word in terms] for terms in bk]
+                       for bk in boundary[1:]]
+
+    def off_rows(k, dropped):
+        dropped, entries = set(dropped), {}
+        for c, terms in enumerate(blocks[k]):
+            for v, first, perm in terms:
+                for col, t in enumerate(perm, c * d):
+                    if (row := first + t) not in dropped:
+                        entries[row, col] = entries.get((row, col), 0) + v
+        return IntegerMatrix._trusted(counts[k - 1], counts[k],
+                                      {pos: v for pos, v in entries.items() if v})
+
+    def forest():
+        return _forest(counts[0], chain.from_iterable(
+            zip([a + t for t in pa], [b + t for t in pb]) for (_, a, pa), (_, b, pb) in blocks[1]))
+
+    def top():  # slot (c * d + s) * width + 2i + (sign < 0) is term i of column c * d + s
+        n, hits = len(counts) - 1, [[] for _ in critical[-2]]
+        width = 2 * max(map(len, boundary[n]), default=0)
+        for c, terms in enumerate(boundary[n]):
+            for i, (v, q, word) in enumerate(terms):  # row q * d + t holds column c * d + s
+                hits[q].append([(c * d + s) * width + 2 * i + (v < 0) for s in sheets(_invert(word))]
+                               if v in (1, -1) else None)
+        if any(len(h) > 2 or None in h for h in hits):
+            return None
+        return _signed_forest(counts[n], [x for h in hits for group in zip(*h) for x in group],
+                              [len(h) for h in hits for _ in range(d)], width)[2]
+    return _profile(counts, _smith_forms(counts, off_rows, forest, top), off_rows, tuple(primes))
+
+
 def orientation_double_cover(complex):
     """The orientable connected double cover of a connected non-orientable
     closed pseudomanifold: (cover, 2) from build_cover of the orientation
@@ -426,8 +488,8 @@ def mod_power_tower(complex, modulus, levels):
     Levels with a stagnating quotient order truncate the tower with a
     warning; one whose cover would have more than MAX_SIMPLICES
     simplices is refused with ValueError, before any permutation is built.
-    Level actions are not validated here: build_cover validates an action
-    against the base's triangles when it builds the level's cover.  The
+    Level actions are not validated here: lifted_profile validates each
+    against the base's triangles when run_tower computes the level.  The
     residual flag is set only when the presentation provably gives an
     abelian group and every torsion coefficient of H_1 has all its prime
     factors dividing m; in that case the kernels of pi_1 -> H_1 tensor Z/m^i

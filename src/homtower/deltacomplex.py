@@ -15,6 +15,7 @@ signed incidences and Euclidean norm at most k+1.
 
 import reprlib
 from collections.abc import Mapping
+from functools import partial
 
 from .intlinalg import (
     FgAbelianGroup,
@@ -110,19 +111,25 @@ def _find_signed(parent, rel, x):
     return x, sign
 
 
+def _forest(count, ends):
+    """The links e, joining the nodes ends[e], that join two components as a
+    graph grows in link order, from one union-find.  On d_1's graph they are
+    S_0, its unit columns: if e joins components A and B, chi_B (1 on B) has
+    coboundary +-1 at e and 0 at each earlier forest link."""
+    parent, forest = list(range(count)), []
+    for e, (u, v) in enumerate(ends):
+        u, v = _find(parent, u), _find(parent, v)
+        if u != v:
+            parent[u] = v
+            forest.append(e)
+    return tuple(forest)
+
+
 def _spanning_forest(complex):
-    """The edges that join two components as the 1-skeleton grows in edge
-    order, in that order, from one cached union-find: S_0, the unit columns
-    of d_1.  If e joins components A and B, chi_B (1 on B) has coboundary
-    +-1 at e and 0 at each earlier forest edge, inside one component."""
+    """The _forest of the 1-skeleton, edges in edge order, cached."""
     if "forest" not in complex._cache:
-        parent, forest = list(range(complex.counts[0])), []
-        for e, (u, v) in enumerate(complex.faces[1] if complex.dim >= 1 else ()):
-            u, v = _find(parent, u), _find(parent, v)
-            if u != v:
-                parent[u] = v
-                forest.append(e)
-        complex._cache["forest"] = tuple(forest)
+        complex._cache["forest"] = _forest(complex.counts[0],
+                                           complex.faces[1] if complex.dim >= 1 else ())
     return complex._cache["forest"]
 
 
@@ -301,54 +308,63 @@ def _boundary_off_rows(complex, k, dropped):
                                   {pos: v for pos, v in entries.items() if v})
 
 
-def _boundary_smith(complex, k):
-    """The divisor-only Smith form of d_k, kept in the complex's cache so
-    each boundary is eliminated over Z at most once; d_k goes without the
-    rows that are unit_columns of the one of d_{k-1} (see
-    _boundary_off_rows).  Not eliminated are d_1, whose S_0 is
-    _spanning_forest (divisor 1 at each edge, never a loop), and the top
-    d_n, n >= 2, when _dual_forest gives the Smith form of the whole d_n,
-    which has the divisors of the restricted one by the same lemma."""
-    key = ("smith", k)
-    if key not in complex._cache:
+def _smith_forms(counts, off_rows, forest, top):
+    """The divisor-only Smith forms of d_1..d_n of a chain complex, bottom-up:
+    d_1's from its graph's spanning `forest()`, the top d_n's, n >= 2, from
+    `top()` unless that is None, and each other d_k's from an elimination of
+    off_rows(k, the unit_columns of d_{k-1}'s) (see _boundary_off_rows)."""
+    snfs, n = [], len(counts) - 1
+    for k in range(1, n + 1):
         if k == 1:
-            forest = _spanning_forest(complex)
-            complex._cache[key] = SmithDecomposition(
-                (1,) * len(forest), complex.counts[0], complex.counts[1], unit_columns=forest)
-        elif k < complex.dim or (found := _dual_forest(complex)[3]) is None:
-            complex._cache[key] = smith_normal_form(_boundary_off_rows(
-                complex, k, _boundary_smith(complex, k - 1).unit_columns))
-        else:
-            complex._cache[key] = found
-    return complex._cache[key]
+            units = forest()
+            snf = SmithDecomposition((1,) * len(units), counts[0], counts[1], unit_columns=units)
+        elif k < n or (snf := top()) is None:
+            snf = smith_normal_form(off_rows(k, snfs[-1].unit_columns))
+        snfs.append(snf)
+    return snfs
+
+
+def _boundary_smith(complex, k):
+    """The Smith form of d_k, from _smith_forms with _spanning_forest and
+    _dual_forest, cached so each boundary is eliminated over Z at most once."""
+    if "smith" not in complex._cache:
+        complex._cache["smith"] = _smith_forms(
+            complex.counts, partial(_boundary_off_rows, complex),
+            partial(_spanning_forest, complex), lambda: _dual_forest(complex)[3])
+    return complex._cache["smith"][k - 1]
 
 
 def _dual_forest(complex):
-    """The one walk of the dual graph, kept in the complex's cache for
-    _orientation and _boundary_smith: (incidences, parent, rel, smith) of
-    _top_face_incidences (slots and counts), a signed union-find over the
-    top simplices (_find_signed(parent, rel, t) is t's root and sign
-    relative to it) and the Smith form of the whole top boundary d_n; or
-    (incidences, None, None, None) when some (n-1)-simplex lies in three
-    top faces or more.  The walk reads the sorted slots once, one
-    (n-1)-simplex after another.  Row f of d_n is s_a e^a + s_b e^b for
-    its slots a*(n+1)+i and b*(n+1)+j, s_a = (-1)^i: within a tree the
-    rows span the vectors with sum_t sign_t v_t = 0, where
-    sign_b = -s_a s_b sign_a along each tree row.  A row that joins two
-    trees is a unit pivot at the root it absorbs; with the tree rows it
-    telescopes to +-e^ra +- e^rb, 0 at every earlier pivot (a non-root).
-    A row on one incidence (a half-edge) makes its final tree's root a
-    unit pivot, appended last, as its telescoped row +-e^root is 0 at every
-    other; a row within a tree whose sum is +-2 (a sign clash) leaves Z/2
-    on a tree with no half-edge."""
-    if "dual_forest" in complex._cache:
-        return complex._cache["dual_forest"]
-    n, width = complex.dim, complex.dim + 1
-    slots, counts = incidences = _top_face_incidences(complex)
-    if counts and max(counts) > 2:
-        return complex._cache.setdefault("dual_forest", (incidences, None, None, None))
-    parent, rel = list(range(complex.counts[n])), [1] * complex.counts[n]
-    flags, units = [0] * complex.counts[n], []  # flag 1: half-edge, 2: clash
+    """The one walk of the dual graph, cached for _orientation and
+    _boundary_smith: (incidences, parent, rel, smith), the slots and counts
+    of _top_face_incidences and their _signed_forest (slot t*(n+1)+i is top
+    simplex t, sign (-1)^i); parent, rel and smith are None when some
+    (n-1)-simplex lies in three top faces or more."""
+    if "dual_forest" not in complex._cache:
+        slots, counts = incidences = _top_face_incidences(complex)
+        found = ((None,) * 3 if counts and max(counts) > 2 else
+                 _signed_forest(complex.counts[complex.dim], slots, counts, complex.dim + 1))
+        complex._cache["dual_forest"] = (incidences, *found)
+    return complex._cache["dual_forest"]
+
+
+def _signed_forest(columns, slots, counts, width):
+    """(parent, rel, smith) for a matrix whose row f holds counts[f] entries
+    +-1, the next counts[f] of `slots` in order, slot x being column
+    x // width with sign (-1)^(x % width): a signed union-find over the
+    columns (_find_signed(parent, rel, t) is t's root and sign relative to
+    it) and the Smith form of the matrix.  The walk reads the slots once,
+    one row after another.  Row f is s_a e^a + s_b e^b for its slots of
+    columns a and b: within a tree the rows span the vectors with
+    sum_t sign_t v_t = 0, where sign_b = -s_a s_b sign_a along each tree
+    row.  A row that joins two trees is a unit pivot at the root it
+    absorbs; with the tree rows it telescopes to +-e^ra +- e^rb, 0 at every
+    earlier pivot (a non-root).  A row on one entry (a half-edge) makes its
+    final tree's root a unit pivot, appended last, as its telescoped row
+    +-e^root is 0 at every other; a row within a tree whose sum is +-2 (a
+    sign clash) leaves Z/2 on a tree with no half-edge."""
+    parent, rel = list(range(columns)), [1] * columns
+    flags, units = [0] * columns, []  # flag 1: half-edge, 2: clash
     side, k = [(-1) ** i for i in range(width)], 0
     for c in counts:
         if c == 2:  # _find_signed on both ends, written out
@@ -377,11 +393,11 @@ def _dual_forest(complex):
         elif c:
             flags[_find_signed(parent, rel, slots[k] // width)[0]] |= 1
         k += c
-    roots = [t for t in range(complex.counts[n]) if parent[t] == t]
+    roots = [t for t in range(columns) if parent[t] == t]
     units += [t for t in roots if flags[t] & 1]
-    return complex._cache.setdefault("dual_forest", (incidences, parent, rel, SmithDecomposition(
+    return parent, rel, SmithDecomposition(
         (1,) * len(units) + (2,) * sum(flags[t] == 2 for t in roots),
-        complex.counts[n - 1], complex.counts[n], unit_columns=units)))
+        len(counts), columns, unit_columns=units)
 
 
 class HomologyProfile:
@@ -426,50 +442,167 @@ def _uc_dims(groups, p):
 
 
 def homology_profile(complex, primes=(2, 3, 5)):
-    """Integral homology in every degree together with dim_{F_p} H_k.
-
-    Over Z each boundary has one cached Smith form (_boundary_smith): d_1's
-    is _spanning_forest, the top boundary's of a pseudomanifold (no
-    (n-1)-simplex in three top faces) is _dual_forest, and the others are
-    eliminated once.  Over Z/N each boundary is eliminated once for all the
-    primes together (ranks_mod_primes), skipped when there are none.  Both
-    go bottom-up without the rows of d_k that are unit-pivot columns of
-    their own pass over d_{k-1} (see _boundary_off_rows), so the two stay
-    independent: on a closed surface the cross-check compares two
-    union-finds against eliminations.  The universal coefficient identity
-    (_uc_dims) is asserted for every degree and prime; a violation would
-    mean the integral and mod-p eliminations disagree and aborts loudly.
-    """
+    """Integral homology in every degree together with dim_{F_p} H_k: the
+    _profile of the complex's cached Smith forms (_boundary_smith: d_1's is
+    _spanning_forest, and the top boundary's of a pseudomanifold, no
+    (n-1)-simplex in three top faces, is _dual_forest)."""
     primes = tuple(primes)
     key = ("profile", primes)
-    if key in complex._cache:
-        return complex._cache[key]
-    _valid(complex)
-    dim = complex.dim
-    # rank and divisors of every boundary map, shared across adjacent degrees
-    snfs = [_boundary_smith(complex, k) for k in range(1, dim + 1)]
+    if key not in complex._cache:
+        _valid(complex)
+        complex._cache[key] = _profile(
+            complex.counts, [_boundary_smith(complex, k) for k in range(1, complex.dim + 1)],
+            partial(_boundary_off_rows, complex), primes)
+    return complex._cache[key]
+
+
+def _profile(counts, snfs, off_rows, primes):
+    """The HomologyProfile of a chain complex with these counts, from the
+    Smith forms of d_1..d_n over Z.  Over Z/N each boundary is eliminated
+    once for all the primes together (ranks_mod_primes), skipped when there
+    are none, bottom-up as off_rows(k, S), d_k without the rows S that are
+    unit-pivot columns of its own pass over d_{k-1} (see
+    _boundary_off_rows), so the two engines stay independent: on a closed
+    surface the cross-check compares two union-finds against eliminations.
+    The universal coefficient identity (_uc_dims) is asserted for every
+    degree and prime; a violation means the two disagree, and aborts."""
+    dim = len(counts) - 1
     ranks = [0] + [snf.rank for snf in snfs] + [0]
-    groups = [FgAbelianGroup(complex.counts[k] - ranks[k] - ranks[k + 1],
+    groups = [FgAbelianGroup(counts[k] - ranks[k] - ranks[k + 1],
                              snfs[k].nontrivial_divisors() if k < dim else ())
               for k in range(dim + 1)]
     fp_ranks, dropped = [], ()
     for k in range(1, dim + 1) if primes else ():
-        fp, dropped = _ranks_and_unit_columns(_boundary_off_rows(complex, k, dropped), primes)
+        fp, dropped = _ranks_and_unit_columns(off_rows(k, dropped), primes)
         fp_ranks.append(fp)
     fp_dims = {}
     for p in primes:
         ranks_p = [0] + [r[p] for r in fp_ranks] + [0]
-        dims = tuple(complex.counts[k] - ranks_p[k] - ranks_p[k + 1]
-                     for k in range(dim + 1))
+        dims = tuple(counts[k] - ranks_p[k] - ranks_p[k + 1] for k in range(dim + 1))
         for k, (found, expected) in enumerate(zip(dims, _uc_dims(groups, p))):
             if found != expected:
                 raise AssertionError(
                     f"universal coefficient check failed at degree {k}, p={p}: "
                     f"dim_F{p} = {found}, integral data gives {expected}")
         fp_dims[p] = dims
-    profile = HomologyProfile(groups, fp_dims)
-    complex._cache[key] = profile
-    return profile
+    return HomologyProfile(groups, fp_dims)
+
+
+# ---------------------------------------------------------------------------
+# Discrete Morse complex
+
+def _tree_links(count, links):
+    """(node, link it was reached by) for each node a breadth-first walk from
+    the lowest node of its component reaches, over links (link, a, b); a
+    link from a node to itself (two slots of one simplex) is never taken."""
+    adjacent = [[] for _ in range(count)]
+    for link, a, b in links:
+        adjacent[a].append((link, b))
+        adjacent[b].append((link, a))
+    seen, reached = [False] * count, []
+    for root in range(count):
+        if not seen[root]:
+            seen[root], queue = True, [root]
+            for node in queue:
+                for link, other in adjacent[node]:
+                    if not seen[other]:
+                        seen[other] = True
+                        reached.append((other, link))
+                        queue.append(other)
+    return reached
+
+
+def _morse(complex):
+    """The discrete Morse complex of a validated complex (Forman 1998;
+    Skoldberg 2006), cached: (pairs, critical, boundary).  pairs[k] maps a
+    paired k-simplex to (its (k+1)-simplex, the slot it fills there),
+    critical[k] lists the others, and boundary[k][c] the terms (sign, q,
+    word) of critical[k][c]'s boundary: on sheet s of a cover, `sign` at
+    critical[k-1][q] on sheet word(s), reached along letters (e, +-1), with
+    or against edge e.  A face pairs only with a simplex it fills one slot
+    of, so each pair lifts to one per sheet and a closed gradient path of a
+    cover projects to one here: vertices along a breadth-first spanning
+    forest, top simplices along one of the dual graph over faces in no pair
+    (tree-cotree), and each middle simplex with its free face of highest
+    slot (one at face 0 adds a letter to every path through it) that closes
+    no path.  A paired face is -(-1)^(i+j) times each other face j of its
+    simplex, i its slot; a step into face 0 crosses the [v0, v1] edge e,
+    (e, 1), and one up from face 0 crosses back, (e, -1).  A face whose
+    paths lead back to it raises AssertionError: acyclicity is checked."""
+    if "morse" in complex._cache:
+        return complex._cache["morse"]
+    n, faces, pairs, paired = complex.dim, complex.faces, [{} for _ in complex.counts], set()
+
+    def pair(k, face, simplex):
+        pairs[k][face] = (simplex, faces[k + 1][simplex].index(face))
+        paired.update({(k, face), (k + 1, simplex)})
+
+    for v, e in _tree_links(complex.counts[0], [(e, *ends) for e, ends in enumerate(faces[1])]):
+        pair(0, v, e)
+    if n >= 2:
+        holders = {}
+        for t, row in enumerate(faces[n]):
+            for f in row:
+                holders.setdefault(f, []).append(t)
+        for t, f in _tree_links(complex.counts[n], [(f, *ts) for f, ts in holders.items()
+                                                     if len(ts) == 2 and (n - 1, f) not in paired]):
+            pair(n - 1, f, t)
+
+    def closes(k, simplex, face):  # whether a gradient path leads from simplex to face
+        stack, seen = [simplex], {simplex}
+        while stack:
+            for g in faces[k][stack.pop()]:
+                if g in pairs[k - 1] and (up := pairs[k - 1][g][0]) not in seen:
+                    if face in faces[k][up]:
+                        return True
+                    seen.add(up)
+                    stack.append(up)
+        return False
+
+    for k in range(2, n):
+        for s, row in enumerate(faces[k]):
+            for f in reversed(row) if (k, s) not in paired else ():
+                if (k - 1, f) not in paired and row.count(f) == 1 and not closes(k, s, f):
+                    pair(k - 1, f, s)
+                    break
+    critical = [[c for c in range(count) if (k, c) not in paired]
+                for k, count in enumerate(complex.counts)]
+    terms, boundary = [], [None]
+
+    def through(k, simplex, skip, sign):  # sign times the faces' terms but slot skip's
+        lead, total = _subface(complex, k, simplex, (0, 1)), {}
+        for j, f in enumerate(faces[k][simplex]):
+            if j == skip:
+                continue
+            letter = (lead, 1) if j == 0 else (lead, -1) if skip == 0 else None
+            for (q, word), v in terms[k - 1].get(f, {}).items():
+                if letter:
+                    word = word[1:] if word[:1] == ((lead, -letter[1]),) else (letter,) + word
+                total[q, word] = total.get((q, word), 0) + (v if j % 2 == 0 else -v) * sign
+        return {key: v for key, v in total.items() if v}
+
+    for k in range(n + 1):
+        if k:
+            boundary.append([[(v, q, w) for (q, w), v in through(k, c, None, 1).items()]
+                             for c in critical[k]])
+        done, opened = {c: {(q, ()): 1} for q, c in enumerate(critical[k])}, set()
+        terms.append(done)
+        stack = list(pairs[k])
+        while stack:
+            if (face := stack.pop()) in done:
+                continue
+            simplex, slot = pairs[k][face]
+            waiting = [g for g in faces[k + 1][simplex] if g != face and g in pairs[k] and g not in done]
+            if not waiting:
+                done[face] = through(k + 1, simplex, slot, (-1) ** (slot + 1))
+            elif face in opened:
+                raise AssertionError(f"Morse matching is not acyclic: a gradient path "
+                                     f"returns to {k}-simplex {face}")
+            else:
+                opened.add(face)
+                stack += [face, *waiting]
+    complex._cache["morse"] = pairs, critical, boundary
+    return complex._cache["morse"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ import os
 import warnings
 from fractions import Fraction
 
-from .covers import action_to_json, build_cover
-from .deltacomplex import (HomologyProfile, _uc_dims, builtin_facts, complex_to_json,
-                           homology_profile)
+from .covers import action_to_json, lifted_profile
+from .deltacomplex import HomologyProfile, _uc_dims, builtin_facts, complex_to_json
 from .intlinalg import FgAbelianGroup, from_decimal, to_decimal
 
 
@@ -191,18 +190,18 @@ def _load_cached_level(path, base, degree, primes):
 
 
 def _compute_level(base, level, primes):
-    cover, _ = build_cover(base, level.action)
-    return homology_profile(cover, primes)
+    return lifted_profile(base, level.action, primes)
 
 
 class TowerLevelError(RuntimeError):
-    """A tower level failed to build or to pass its self-checks; the
+    """A tower level failed its action's check or its self-checks; the
     message names the level and keeps the original error's."""
 
 
 def run_tower(tower, primes=(2, 3, 5), cache_dir=None):
-    """Build every level cover, compute its homology profile and assemble
-    the growth report.
+    """Compute every level's homology profile, from the base's Morse complex
+    lifted through the level's action (lifted_profile; no cover is built),
+    and assemble the growth report.
 
     With cache_dir set, each level's integral homology is stored under a
     content hash of (cache schema, base complex, action, primes), so

@@ -18,6 +18,7 @@ from homtower.covers import (
     action_to_json,
     build_cover,
     edge_path_presentation,
+    lifted_profile,
     mod_power_tower,
     orientation_double_cover,
     proves_abelian,
@@ -48,7 +49,7 @@ from oracles import (
     reduction_by_decoding,
     tracked_smith_transform,
 )
-from test_dimension3 import delta_product, sol
+from test_dimension3 import delta_product, sol, sol_congruence_action
 
 Z = FgAbelianGroup
 
@@ -670,6 +671,53 @@ def test_random_three_torus_covers_are_three_tori(drawn):
     assert orient(cover) is not None
     assert check_bounds(cover, primes).all_pass
     assert all(duality_report(cover).values())
+
+
+def torus_action(drawn):
+    """The action of commuting_torus_actions' (sigma, tau, c) on torus2."""
+    sigma, tau, _ = drawn
+    return builtin("torus2"), PermutationAction(len(sigma), [sigma, tau, [sigma[t] for t in tau]])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(
+    commuting_torus_actions().map(torus_action),
+    klein_bottle_or_genus2_actions(),
+    three_torus_actions().map(lambda drawn: drawn[:2]),
+    st.sampled_from([(2, 3), (2, 6), (3, 4), (4, 3), (3, 8), (5, 10)]).map(
+        lambda nr: (sol(), sol_congruence_action(*nr)))))
+def test_lifted_profile_is_the_homology_of_the_built_cover(drawn):
+    # Two different chain complexes of one cover: the base's Morse complex
+    # lifted sheet by sheet through the action, and the simplicial cover
+    # that build_cover makes (disconnected ones included); their integral
+    # groups and F_p dimensions must agree.
+    base, action = drawn
+    primes = (2, 3, 5)
+    lifted = lifted_profile(base, action, primes)
+    built = homology_profile(build_cover(base, action)[0], primes)
+    assert lifted.groups == built.groups and lifted.fp_dims == built.fp_dims
+
+
+def test_run_tower_builds_no_cover(monkeypatch):
+    # every level's homology comes from the base's Morse complex lifted
+    # through the level's action
+    calls = []
+    real = covers.build_cover
+    monkeypatch.setattr(covers, "build_cover", lambda *args: calls.append(args) or real(*args))
+    report = run_tower(mod_power_tower(builtin("torus2"), 2, 3), primes=(2, 3, 5))
+    assert calls == []
+    assert report.degrees == (4, 16, 64)
+    assert all(level.betti_q == (1, 2, 1) and level.torsion_orders == (1, 1, 1)
+               and all(dims == (1, 2, 1) for dims in level.fp_dims.values())
+               for level in report.levels)
+
+
+def test_lifted_profile_refuses_an_invalid_action():
+    torus = builtin("torus2")
+    with pytest.raises(ValueError, match="invalid action: action covers 2 edges, complex has 3"):
+        lifted_profile(torus, PermutationAction(2, [(1, 0), (0, 1)]))
+    with pytest.raises(ValueError, match=r"invalid action: 2-simplex 0, sheet 0: "):
+        lifted_profile(torus, PermutationAction(3, [(1, 2, 0), (1, 0, 2), (0, 1, 2)]))
 
 
 # ---------------------------------------------------------------------------

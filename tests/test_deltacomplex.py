@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from homtower.covers import (
     PermutationAction,
     build_cover,
     edge_path_presentation,
+    lifted_profile,
     mod_power_tower,
     orientation_double_cover,
 )
@@ -1337,3 +1339,131 @@ def test_surface_genus_must_be_an_int(genus, message):
     with pytest.raises(ValueError) as info:
         builtin("surface", genus=genus)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Discrete Morse complex
+
+def relabelled(complex, perms):
+    """A copy of complex in which k-simplex j is renamed perms[k][j]."""
+    faces = {}
+    for k in range(1, complex.dim + 1):
+        rows = [None] * complex.counts[k]
+        for j, row in enumerate(complex.faces[k]):
+            rows[perms[k][j]] = tuple(perms[k - 1][f] for f in row)
+        faces[k] = rows
+    return DeltaComplex(complex.counts, faces)
+
+
+def morse_bases():
+    """(name, complex, critical counts or None): every built-in, surfaces of
+    genus 2 and 3, the tests' Sol and torus3, and all 12 relabellings of
+    torus2 that the benchmark reads."""
+    torus = builtin("torus2")
+    bases = [(name, builtin(name), None) for name in BUILTIN_NAMES if name != "surface"]
+    bases += [(f"surface{g}", builtin("surface", genus=g), (1, 2 * g, 1)) for g in (1, 2, 3)]
+    bases += [("sol", sol(), (1, 2, 2, 1)),
+              ("torus3", delta_product(torus, builtin("circle")), (1, 3, 3, 1))]
+    bases += [(f"torus2 {edges} {triangles}", relabelled(torus, [(0,), edges, triangles]), (1, 2, 1))
+              for edges in itertools.permutations(range(3))
+              for triangles in itertools.permutations(range(2))]
+    return [(name, c, (1, 2, 1) if name == "torus2" else counts) for name, c, counts in bases]
+
+
+def lifted_boundaries(complex, action):
+    """The Morse boundaries lifted through an action, straight from the
+    terms of _morse: (sign, q, word) of critical c puts sign at row
+    q * d + word(s) of column c * d + s."""
+    _, critical, boundary = deltacomplex._morse(complex)
+    d, matrices = action.degree, {}
+    for k in range(1, complex.dim + 1):
+        entries = {}
+        for c, terms in enumerate(boundary[k]):
+            for sign, q, word in terms:
+                for s in range(d):
+                    t = s
+                    for e, x in word:
+                        t = action.edge_perms[e][t] if x > 0 else action.edge_perms[e].index(t)
+                    entries[q * d + t, c * d + s] = entries.get((q * d + t, c * d + s), 0) + sign
+        matrices[k] = IntegerMatrix(d * len(critical[k - 1]), d * len(critical[k]),
+                                    {pos: v for pos, v in entries.items() if v})
+    return matrices
+
+
+def is_acyclic(complex, pairs):
+    """Whether no gradient path closes, by Kahn's algorithm on each layer's
+    digraph: paired face f -> every other paired face g of f's partner."""
+    for k, layer in enumerate(pairs[:-1]):
+        after = {f: [g for g in complex.faces[k + 1][s] if g != f and g in layer]
+                 for f, (s, _) in layer.items()}
+        into = {f: 0 for f in layer}
+        for targets in after.values():
+            for g in targets:
+                into[g] += 1
+        ready = [f for f, n in into.items() if n == 0]
+        for f in ready:
+            for g in after[f]:
+                into[g] -= 1
+                if into[g] == 0:
+                    ready.append(g)
+        if len(ready) != len(layer):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name, complex, counts", [pytest.param(*base, id=base[0]) for base in morse_bases()])
+def test_morse_matching_and_boundaries(name, complex, counts):
+    pairs, critical, boundary = deltacomplex._morse(complex)
+    in_pairs = [list(layer) for layer in pairs]
+    for k, layer in enumerate(pairs[:-1]):
+        for f, (s, slot) in layer.items():
+            # a face fills exactly one slot of its partner: incidence +-1
+            assert complex.faces[k + 1][s][slot] == f and complex.faces[k + 1][s].count(f) == 1
+            in_pairs[k + 1].append(s)
+    assert all(len(cells) == len(set(cells)) for cells in in_pairs), "a simplex in two pairs"
+    assert [sorted(set(range(c)) - set(cells)) for c, cells in zip(complex.counts, in_pairs)] \
+        == critical
+    assert is_acyclic(complex, pairs)
+    if counts is not None:
+        assert tuple(map(len, critical)) == counts
+    trivial = PermutationAction(1, [(0,)] * (complex.counts[1] if complex.dim else 0))
+    actions = [trivial] + [level.action for level in (
+        mod_power_tower(complex, 2, 2).levels if complex.dim and complex.is_connected() else ())]
+    for action in actions:
+        lifted = lifted_boundaries(complex, action)
+        for k in range(1, complex.dim):
+            assert (lifted[k] @ lifted[k + 1]).is_zero(), (name, action.degree, k)
+    # the base's Morse homology is its simplicial homology
+    morse, simplicial = lifted_profile(complex, trivial, PRIMES), homology_profile(complex, PRIMES)
+    assert morse.groups == simplicial.groups and morse.fp_dims == simplicial.fp_dims
+
+
+def test_morse_never_pairs_a_face_that_fills_two_slots():
+    # rp2's loop edge 2 fills both slots of its edge, two triangles of the
+    # suspension of rp2 (a middle layer) repeat an edge, and so does the
+    # triangle (a, b, a), alone on top and as the middle layer of a
+    # 3-complex, where the greedy pass meets a in slot 2 first.  Such an
+    # incidence is 0 or +-2, not invertible on a cover, so no pair uses it.
+    triangle = {1: [(0, 0)] * 2, 2: [(0, 1, 0)]}
+    for complex in (builtin("rp2"), suspension_of_rp2(), DeltaComplex((1, 2, 1), triangle),
+                    DeltaComplex((1, 2, 1, 0), {**triangle, 3: []})):
+        repeated = {(k, j, f) for k in range(1, complex.dim + 1)
+                    for j, row in enumerate(complex.faces[k]) for f in row if row.count(f) > 1}
+        assert repeated
+        pairs = deltacomplex._morse(complex)[0]
+        assert not {(k + 1, s, f) for k, layer in enumerate(pairs) for f, (s, _) in layer.items()} \
+            & repeated
+        trivial = PermutationAction(1, [(0,)] * complex.counts[1])
+        assert lifted_profile(complex, trivial, PRIMES).groups == homology_profile(complex, ()).groups
+
+
+def test_morse_refuses_a_closed_gradient_path(monkeypatch):
+    # the matching is checked, not trusted: with edge 0 paired to triangle 0
+    # and edge 1 to triangle 1, torus2's gradient path from edge 0 runs
+    # through triangle 0 to edge 1, then through triangle 1 back to edge 0
+    real = deltacomplex._tree_links
+    monkeypatch.setattr(deltacomplex, "_tree_links",
+                        lambda count, links: [(0, 0), (1, 1)] if count == 2 else real(count, links))
+    with pytest.raises(AssertionError, match="Morse matching is not acyclic: a gradient path "
+                                             "returns to 1-simplex [01]"):
+        deltacomplex._morse(builtin("torus2"))

@@ -9,6 +9,7 @@ from homtower.bounds import check_bounds, check_index2_reduction, duality_report
 from homtower.covers import (
     PermutationAction,
     build_cover,
+    lifted_profile,
     mod_power_tower,
     orientation_double_cover,
     validate_action,
@@ -344,6 +345,9 @@ def test_sol_congruence_covers_match_the_monodromy(n, r):
     primes = (2, 3, 5)
     profile = homology_profile(cover, primes)
     assert profile.group(1) == Z(1, monodromy_torsion(r).nontrivial_divisors())
+    # the same homology from Sol's Morse complex lifted through the action
+    lifted = lifted_profile(bundle, action, primes)
+    assert (lifted.groups, lifted.fp_dims) == (profile.groups, profile.fp_dims)
     assert cover.euler_characteristic() == 0
     assert all(profile.fp_dim(k, p) >= profile.betti(k) for k in range(4) for p in primes)
     assert check_bounds(cover, primes).all_pass
