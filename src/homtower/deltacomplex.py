@@ -537,7 +537,8 @@ def _morse(complex):
         pairs[k][face] = (simplex, faces[k + 1][simplex].index(face))
         paired.update({(k, face), (k + 1, simplex)})
 
-    for v, e in _tree_links(complex.counts[0], [(e, *ends) for e, ends in enumerate(faces[1])]):
+    for v, e in _tree_links(complex.counts[0], [(e, *ends) for e, ends in
+                                                 enumerate(faces[1] if n else ())]):
         pair(0, v, e)
     if n >= 2:
         holders = {}

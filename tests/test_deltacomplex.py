@@ -1357,10 +1357,12 @@ def relabelled(complex, perms):
 
 def morse_bases():
     """(name, complex, critical counts or None): every built-in, surfaces of
-    genus 2 and 3, the tests' Sol and torus3, and all 12 relabellings of
-    torus2 that the benchmark reads."""
+    genus 2 and 3, the tests' Sol and torus3, all 12 relabellings of torus2
+    that the benchmark reads, three points and two circles."""
     torus = builtin("torus2")
     bases = [(name, builtin(name), None) for name in BUILTIN_NAMES if name != "surface"]
+    bases += [("points", DeltaComplex((3,), {}), (3,)),
+              ("two circles", DeltaComplex((2, 2), {1: [(0, 0), (1, 1)]}), (2, 2))]
     bases += [(f"surface{g}", builtin("surface", genus=g), (1, 2 * g, 1)) for g in (1, 2, 3)]
     bases += [("sol", sol(), (1, 2, 2, 1)),
               ("torus3", delta_product(torus, builtin("circle")), (1, 3, 3, 1))]
