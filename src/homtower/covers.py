@@ -302,15 +302,13 @@ def build_cover(complex, action):
 
 
 def lifted_profile(complex, action, primes=(2, 3, 5)):
-    """homology_profile of the cover that a valid action describes, from the
-    base's Morse complex (deltacomplex._morse) lifted sheet by sheet, after
-    validate_action; no cover is built.  Critical cell c on sheet s is cell
-    c * degree + s, and a term (sign, q, word) of c's Morse boundary puts
-    sign at row q * degree + word(s) of column c * degree + s.  A lifted d_1
-    is a graph's incidence matrix, whose Smith form is its _forest; a top
-    boundary whose terms are +-1 and meet each row block at most twice has
-    rows of at most two +-1 entries, whose Smith form is their
-    _signed_forest; every other boundary is eliminated (_profile)."""
+    """homology_profile of the cover of a valid action (validate_action),
+    from the base's _morse complex lifted sheet by sheet; no cover is built.
+    Critical cell c on sheet s is cell c * degree + s, and a term (sign, q,
+    word) of c's boundary puts sign at row q * degree + word(s) of column
+    c * degree + s.  A lifted d_1 is a graph's incidence matrix (Smith form:
+    _forest), and a top boundary whose +-1 terms meet each row block at most
+    twice has rows of at most two +-1 entries (_signed_forest)."""
     report = validate_action(complex, action)
     if not report.ok:
         raise ValueError(f"invalid action: {report.problems[0]}")

@@ -458,14 +458,11 @@ def homology_profile(complex, primes=(2, 3, 5)):
 
 def _profile(counts, snfs, off_rows, primes):
     """The HomologyProfile of a chain complex with these counts, from the
-    Smith forms of d_1..d_n over Z.  Over Z/N each boundary is eliminated
-    once for all the primes together (ranks_mod_primes), skipped when there
-    are none, bottom-up as off_rows(k, S), d_k without the rows S that are
-    unit-pivot columns of its own pass over d_{k-1} (see
-    _boundary_off_rows), so the two engines stay independent: on a closed
-    surface the cross-check compares two union-finds against eliminations.
-    The universal coefficient identity (_uc_dims) is asserted for every
-    degree and prime; a violation means the two disagree, and aborts."""
+    Smith forms of d_1..d_n over Z and one elimination over Z/N, N the
+    product of the primes, of each off_rows(k, S) bottom-up, S the unit
+    columns of its own pass over d_{k-1} (see _boundary_off_rows); so the
+    engines stay independent, and the universal coefficient identity
+    (_uc_dims), asserted in every degree for every prime, cross-checks them."""
     dim = len(counts) - 1
     ranks = [0] + [snf.rank for snf in snfs] + [0]
     groups = [FgAbelianGroup(counts[k] - ranks[k] - ranks[k + 1],
@@ -513,21 +510,19 @@ def _tree_links(count, links):
 
 
 def _morse(complex):
-    """The discrete Morse complex of a validated complex (Forman 1998;
-    Skoldberg 2006), cached: (pairs, critical, boundary).  pairs[k] maps a
-    paired k-simplex to (its (k+1)-simplex, the slot it fills there),
-    critical[k] lists the others, and boundary[k][c] the terms (sign, q,
-    word) of critical[k][c]'s boundary: on sheet s of a cover, `sign` at
-    critical[k-1][q] on sheet word(s), reached along letters (e, +-1), with
-    or against edge e.  A face pairs only with a simplex it fills one slot
-    of, so each pair lifts to one per sheet and a closed gradient path of a
-    cover projects to one here: vertices along a breadth-first spanning
-    forest, top simplices along one of the dual graph over faces in no pair
-    (tree-cotree), and each middle simplex with its free face of highest
-    slot (one at face 0 adds a letter to every path through it) that closes
-    no path.  A paired face is -(-1)^(i+j) times each other face j of its
-    simplex, i its slot; a step into face 0 crosses the [v0, v1] edge e,
-    (e, 1), and one up from face 0 crosses back, (e, -1).  A face whose
+    """The discrete Morse complex (Forman 1998; Skoldberg 2006), cached:
+    (pairs, critical, boundary).  pairs[k] maps a paired k-simplex to (its
+    (k+1)-simplex, its slot there), critical[k] lists the others, and the
+    terms (sign, q, word) of boundary[k][c] put, on sheet s of a cover,
+    `sign` at critical[k-1][q] on the sheet reached from s along word's
+    letters (e, +-1), with or against edge e.  A face pairs only with a
+    simplex it fills one slot of, so pairs lift sheet by sheet: vertices
+    along a breadth-first spanning forest, top simplices along one of the
+    dual graph over unpaired faces, and each middle simplex with its free
+    face of highest slot (a pair at face 0 adds a letter to its paths)
+    that closes no gradient path.  A paired face is -(-1)^(i+j) times each
+    other face j of its simplex, i its slot, and stepping into face 0 or up
+    from it crosses the [v0, v1] edge e, (e, 1) or (e, -1).  A face whose
     paths lead back to it raises AssertionError: acyclicity is checked."""
     if "morse" in complex._cache:
         return complex._cache["morse"]

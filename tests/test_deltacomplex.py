@@ -1355,12 +1355,18 @@ def relabelled(complex, perms):
     return DeltaComplex(complex.counts, faces)
 
 
+# critical cells of each built-in; each count is the F_2 Betti number, the least possible
+BUILTIN_CRITICAL = {"circle": (1, 1), "interval": (1, 0), "sphere2": (1, 0, 1), "torus2": (1, 2, 1),
+                    "klein_bottle": (1, 2, 1), "rp2": (1, 1, 1)}
+
+
 def morse_bases():
-    """(name, complex, critical counts or None): every built-in, surfaces of
-    genus 2 and 3, the tests' Sol and torus3, all 12 relabellings of torus2
-    that the benchmark reads, three points and two circles."""
+    """(name, complex, critical counts): every built-in, surfaces of genus 2
+    and 3, the tests' Sol and torus3, all 12 relabellings of torus2 that the
+    benchmark reads, three points and two circles."""
     torus = builtin("torus2")
-    bases = [(name, builtin(name), None) for name in BUILTIN_NAMES if name != "surface"]
+    assert set(BUILTIN_CRITICAL) | {"surface"} == set(BUILTIN_NAMES)
+    bases = [(name, builtin(name), counts) for name, counts in BUILTIN_CRITICAL.items()]
     bases += [("points", DeltaComplex((3,), {}), (3,)),
               ("two circles", DeltaComplex((2, 2), {1: [(0, 0), (1, 1)]}), (2, 2))]
     bases += [(f"surface{g}", builtin("surface", genus=g), (1, 2 * g, 1)) for g in (1, 2, 3)]
@@ -1369,7 +1375,7 @@ def morse_bases():
     bases += [(f"torus2 {edges} {triangles}", relabelled(torus, [(0,), edges, triangles]), (1, 2, 1))
               for edges in itertools.permutations(range(3))
               for triangles in itertools.permutations(range(2))]
-    return [(name, c, (1, 2, 1) if name == "torus2" else counts) for name, c, counts in bases]
+    return bases
 
 
 def lifted_boundaries(complex, action):
@@ -1426,8 +1432,7 @@ def test_morse_matching_and_boundaries(name, complex, counts):
     assert [sorted(set(range(c)) - set(cells)) for c, cells in zip(complex.counts, in_pairs)] \
         == critical
     assert is_acyclic(complex, pairs)
-    if counts is not None:
-        assert tuple(map(len, critical)) == counts
+    assert tuple(map(len, critical)) == counts
     trivial = PermutationAction(1, [(0,)] * (complex.counts[1] if complex.dim else 0))
     actions = [trivial] + [level.action for level in (
         mod_power_tower(complex, 2, 2).levels if complex.dim and complex.is_connected() else ())]
