@@ -1474,3 +1474,19 @@ def test_morse_refuses_a_closed_gradient_path(monkeypatch):
     with pytest.raises(AssertionError, match="Morse matching is not acyclic: a gradient path "
                                              "returns to 1-simplex [01]"):
         deltacomplex._morse(builtin("torus2"))
+
+
+def test_lifted_top_boundary_off_the_forest_shape_is_eliminated(monkeypatch):
+    # each edge of doubled_one_vertex lies in four triangles, so the lifted
+    # top boundary has rows of four entries: no signed union-find applies,
+    # the lift eliminates it, and it agrees with the built cover
+    complex, eliminated = doubled_one_vertex(), []
+    real = deltacomplex.smith_normal_form
+    monkeypatch.setattr(deltacomplex, "smith_normal_form",
+                        lambda matrix, *args: eliminated.append(matrix.rows) or real(matrix, *args))
+    for level in mod_power_tower(complex, 2, 2).levels:
+        eliminated.clear()
+        lifted = lifted_profile(complex, level.action, PRIMES)
+        assert eliminated == [3 * level.degree]
+        built = homology_profile(build_cover(complex, level.action)[0], PRIMES)
+        assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
