@@ -523,9 +523,22 @@ def _morse(complex):
     that closes no gradient path.  A paired face is -(-1)^(i+j) times each
     other face j of its simplex, i its slot, and stepping into face 0 or up
     from it crosses the [v0, v1] edge e, (e, 1) or (e, -1).  A face whose
-    paths lead back to it raises AssertionError: acyclicity is checked."""
-    if "morse" in complex._cache:
-        return complex._cache["morse"]
+    paths lead back to it raises AssertionError: acyclicity is checked.
+    Paths through middle pairs can branch at every step, so a matching
+    whose paths add up to more than four times the base's boundary
+    incidences is given up for the empty one, whose complex is the cover's
+    own."""
+    if "morse" not in complex._cache:
+        _valid(complex)
+        budget = 4 * sum((k + 1) * c for k, c in enumerate(complex.counts) if k)
+        complex._cache["morse"] = (_gradient(complex, _matching(complex), budget)
+                                   or _gradient(complex, [{} for _ in complex.counts], budget))
+    return complex._cache["morse"]
+
+
+def _matching(complex):
+    """_morse's pairs: pairs[k] maps a paired k-simplex to (its
+    (k+1)-simplex, the one slot it fills there)."""
     n, faces, pairs, paired = complex.dim, complex.faces, [{} for _ in complex.counts], set()
 
     def pair(k, face, simplex):
@@ -561,6 +574,15 @@ def _morse(complex):
                 if (k - 1, f) not in paired and row.count(f) == 1 and not closes(k, s, f):
                     pair(k - 1, f, s)
                     break
+    return pairs
+
+
+def _gradient(complex, pairs, budget):
+    """(pairs, critical, boundary) of _morse for these pairs, or None once
+    the terms of the paired faces and critical boundaries pass budget."""
+    faces, spent = complex.faces, 0
+    paired = {(k, f) for k, layer in enumerate(pairs) for f in layer}
+    paired |= {(k + 1, s) for k, layer in enumerate(pairs) for s, _ in layer.values()}
     critical = [[c for c in range(count) if (k, c) not in paired]
                 for k, count in enumerate(complex.counts)]
     terms, boundary = [], [None]
@@ -577,10 +599,12 @@ def _morse(complex):
                 total[q, word] = total.get((q, word), 0) + (v if j % 2 == 0 else -v) * sign
         return {key: v for key, v in total.items() if v}
 
-    for k in range(n + 1):
+    for k in range(len(complex.counts)):
         if k:
             boundary.append([[(v, q, w) for (q, w), v in through(k, c, None, 1).items()]
                              for c in critical[k]])
+            if (spent := spent + sum(map(len, boundary[k]))) > budget:
+                return None
         done, opened = {c: {(q, ()): 1} for q, c in enumerate(critical[k])}, set()
         terms.append(done)
         stack = list(pairs[k])
@@ -591,14 +615,15 @@ def _morse(complex):
             waiting = [g for g in faces[k + 1][simplex] if g != face and g in pairs[k] and g not in done]
             if not waiting:
                 done[face] = through(k + 1, simplex, slot, (-1) ** (slot + 1))
+                if (spent := spent + len(done[face])) > budget:
+                    return None
             elif face in opened:
                 raise AssertionError(f"Morse matching is not acyclic: a gradient path "
                                      f"returns to {k}-simplex {face}")
             else:
                 opened.add(face)
                 stack += [face, *waiting]
-    complex._cache["morse"] = pairs, critical, boundary
-    return complex._cache["morse"]
+    return pairs, critical, boundary
 
 
 # ---------------------------------------------------------------------------

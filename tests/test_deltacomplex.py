@@ -1490,3 +1490,23 @@ def test_lifted_top_boundary_off_the_forest_shape_is_eliminated(monkeypatch):
         assert eliminated == [3 * level.degree]
         built = homology_profile(build_cover(complex, level.action)[0], PRIMES)
         assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
+
+
+def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base():
+    # Gradient paths through middle pairs branch: on the degree-16 cover of
+    # Sol as a base, one critical triangle's boundary reached 22880 terms.
+    # Past four times the base's incidences the matching is given up for
+    # the empty one, whose lifted complex is the cover's own; surfaces keep
+    # theirs (a torus cover of degree 64 still has (1, 2, 1) critical cells).
+    s = sol()
+    base = build_cover(s, mod_power_tower(s, 2, 4).levels[-1].action)[0]
+    assert any(deltacomplex._matching(base))
+    pairs, critical, _ = deltacomplex._morse(base)
+    assert not any(pairs) and tuple(map(len, critical)) == base.counts
+    level = mod_power_tower(base, 2, 1).levels[0]
+    lifted = lifted_profile(base, level.action, PRIMES)
+    built = homology_profile(build_cover(base, level.action)[0], PRIMES)
+    assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
+    torus = builtin("torus2")
+    surface = build_cover(torus, mod_power_tower(torus, 2, 3).levels[-1].action)[0]
+    assert tuple(map(len, deltacomplex._morse(surface)[1])) == (1, 2, 1)
