@@ -344,13 +344,14 @@ def lifted_profile(complex, action, primes=(2, 3, 5)):
         n, hits = len(counts) - 1, [[] for _ in critical[-2]]
         width = 2 * max(map(len, boundary[n]), default=0)
         for c, terms in enumerate(boundary[n]):
-            for i, (v, q, word) in enumerate(terms):  # row q * d + t holds column c * d + s
-                hits[q].append([(c * d + s) * width + 2 * i + (v < 0) for s in sheets(_invert(word))]
-                               if v in (1, -1) else None)
-        if any(len(h) > 2 or None in h for h in hits):
+            for i, (v, q, word) in enumerate(terms):
+                hits[q].append((c, 2 * i + (v < 0), v, word))
+        if any(len(h) > 2 or any(v not in (1, -1) for *_, v, _ in h) for h in hits):
             return None
-        return _signed_forest(counts[n], [x for h in hits for group in zip(*h) for x in group],
-                              [len(h) for h in hits for _ in range(d)], width)[2]
+        slots = [x for h in hits for group in zip(*(  # row q * d + t holds column c * d + s
+            [(c * d + s) * width + i for s in sheets(_invert(word))] for c, i, _, word in h))
+            for x in group]
+        return _signed_forest(counts[n], slots, [len(h) for h in hits for _ in range(d)], width)[2]
     return _profile(counts, _smith_forms(counts, off_rows, forest, top), off_rows, tuple(primes))
 
 
