@@ -1,6 +1,6 @@
-"""Paired before/after runs of the fixed workloads, written as BENCH_<pr>.json.
+"""Paired before/after runs of the fixed workloads, written as one JSON file.
 
-    python bench/pairs.py --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_33.json
+    python bench/pairs.py --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_<n>.json
 
 Each pair extracts the two revisions (`git archive`) in turn into one fixed
 directory, so an offset that follows the checkout's path cancels, and runs
