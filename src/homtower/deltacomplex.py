@@ -520,20 +520,24 @@ def _morse(complex):
     along a breadth-first spanning forest, top simplices along one of the
     dual graph over unpaired faces, and each middle simplex with its free
     face of highest slot (a pair at face 0 adds a letter to its paths)
-    that closes no gradient path.  A paired face is -(-1)^(i+j) times each
-    other face j of its simplex, i its slot, and stepping into face 0 or up
-    from it crosses the [v0, v1] edge e, (e, 1) or (e, -1).  A face whose
-    paths lead back to it raises AssertionError: acyclicity is checked.
-    Paths through middle pairs can branch at every step, so a matching
-    whose paths add up to more than four times the base's boundary
-    incidences is given up for the empty one, whose complex is the cover's
-    own."""
+    whose search for a closed gradient path ends before _REACH simplices.
+    A paired face is -(-1)^(i+j) times each other face j of its simplex, i
+    its slot, and stepping into face 0 or up from it crosses the [v0, v1]
+    edge e, (e, 1) or (e, -1).  A face whose paths lead back to it raises
+    AssertionError: acyclicity is checked.  Paths through middle pairs can
+    branch at every step, and as words they never merge, so a matching
+    whose paths, counted before any word is made, add up to more than four
+    times the base's boundary incidences is given up for the empty one,
+    whose complex is the cover's own."""
     if "morse" not in complex._cache:
         _valid(complex)
         budget = 4 * sum((k + 1) * c for k, c in enumerate(complex.counts) if k)
         complex._cache["morse"] = (_gradient(complex, _matching(complex), budget)
                                    or _gradient(complex, [{} for _ in complex.counts], budget))
     return complex._cache["morse"]
+
+
+_REACH = 12  # short searches keep middle paths short: the degree-64 Sol cover keeps (1, 64, 64, 1)
 
 
 def _matching(complex):
@@ -557,16 +561,16 @@ def _matching(complex):
                                                      if len(ts) == 2 and (n - 1, f) not in paired]):
             pair(n - 1, f, t)
 
-    def closes(k, simplex, face):  # whether a gradient path leads from simplex to face
+    def closes(k, simplex, face):  # whether a path from simplex reaches face or meets _REACH
         stack, seen = [simplex], {simplex}
-        while stack:
+        while stack and len(seen) < _REACH:
             for g in faces[k][stack.pop()]:
                 if g in pairs[k - 1] and (up := pairs[k - 1][g][0]) not in seen:
                     if face in faces[k][up]:
                         return True
                     seen.add(up)
                     stack.append(up)
-        return False
+        return len(seen) >= _REACH
 
     for k in range(2, n):
         for s, row in enumerate(faces[k]):
@@ -578,9 +582,11 @@ def _matching(complex):
 
 
 def _gradient(complex, pairs, budget):
-    """(pairs, critical, boundary) of _morse for these pairs, or None once
-    the terms of the paired faces and critical boundaries pass budget."""
-    faces, spent = complex.faces, 0
+    """(pairs, critical, boundary) of _morse for these pairs, or None when
+    the gradient paths of the paired faces and critical boundaries, counted
+    layer by layer before any word is made, pass budget (each path gives at
+    most one term)."""
+    faces, spent, paths = complex.faces, 0, {}
     paired = {(k, f) for k, layer in enumerate(pairs) for f in layer}
     paired |= {(k + 1, s) for k, layer in enumerate(pairs) for s, _ in layer.values()}
     critical = [[c for c in range(count) if (k, c) not in paired]
@@ -600,29 +606,35 @@ def _gradient(complex, pairs, budget):
         return {key: v for key, v in total.items() if v}
 
     for k in range(len(complex.counts)):
-        if k:
-            boundary.append([[(v, q, w) for (q, w), v in through(k, c, None, 1).items()]
-                             for c in critical[k]])
-            if (spent := spent + sum(map(len, boundary[k]))) > budget:
-                return None
-        done, opened = {c: {(q, ()): 1} for q, c in enumerate(critical[k])}, set()
-        terms.append(done)
+        spent += sum(paths.get(g, 0) for c in critical[k] for g in faces[k][c]) if k else 0
+        paths, order, opened = dict.fromkeys(critical[k], 1), [], set()
         stack = list(pairs[k])
-        while stack:
-            if (face := stack.pop()) in done:
+        while stack:  # each paired face after those its paths reach
+            if (face := stack.pop()) in paths:
                 continue
             simplex, slot = pairs[k][face]
-            waiting = [g for g in faces[k + 1][simplex] if g != face and g in pairs[k] and g not in done]
+            row = faces[k + 1][simplex]
+            waiting = [g for g in row if g != face and g in pairs[k] and g not in paths]
             if not waiting:
-                done[face] = through(k + 1, simplex, slot, (-1) ** (slot + 1))
-                if (spent := spent + len(done[face])) > budget:
+                paths[face] = sum(paths.get(g, 0) for j, g in enumerate(row) if j != slot)
+                if (spent := spent + paths[face]) > budget:
                     return None
+                order.append(face)
             elif face in opened:
                 raise AssertionError(f"Morse matching is not acyclic: a gradient path "
                                      f"returns to {k}-simplex {face}")
             else:
                 opened.add(face)
                 stack += [face, *waiting]
+        if spent > budget:
+            return None
+        if k:
+            boundary.append([[(v, q, w) for (q, w), v in through(k, c, None, 1).items()]
+                             for c in critical[k]])
+        terms.append({c: {(q, ()): 1} for q, c in enumerate(critical[k])})
+        for face in order:
+            simplex, slot = pairs[k][face]
+            terms[k][face] = through(k + 1, simplex, slot, (-1) ** (slot + 1))
     return pairs, critical, boundary
 
 

@@ -1492,21 +1492,34 @@ def test_lifted_top_boundary_off_the_forest_shape_is_eliminated(monkeypatch):
         assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
 
 
-def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base():
-    # Gradient paths through middle pairs branch: on the degree-16 cover of
-    # Sol as a base, one critical triangle's boundary reached 22880 terms.
-    # Past four times the base's incidences the matching is given up for
-    # the empty one, whose lifted complex is the cover's own; surfaces keep
-    # theirs (a torus cover of degree 64 still has (1, 2, 1) critical cells).
+def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base(monkeypatch):
+    # Gradient paths through middle pairs branch, and as words they never
+    # merge: with no limit on the search for a closed path, one critical
+    # triangle's boundary on the degree-16 cover of Sol as a base reached
+    # 22880 terms.  Counted before any word is made, such paths pass four
+    # times the base's incidences, and the matching is given up for the
+    # empty one, whose lifted complex is the cover's own.  A middle pair
+    # whose search meets _REACH simplices is refused, so the degree-16 cover
+    # keeps a matching; the degree-128 cover still gives its up.  Surfaces
+    # keep theirs (a torus cover of degree 64 still has (1, 2, 1) critical cells).
     s = sol()
-    base = build_cover(s, mod_power_tower(s, 2, 4).levels[-1].action)[0]
-    assert any(deltacomplex._matching(base))
+    covers = {degree: level.action for level in mod_power_tower(s, 2, 7).levels
+              if (degree := level.degree) in (16, 128)}
+    kept, given_up = build_cover(s, covers[16])[0], build_cover(s, covers[128])[0]
+    assert tuple(map(len, deltacomplex._morse(kept)[1])) == (1, 16, 16, 1)
+    pairs, critical, _ = deltacomplex._morse(given_up)
+    assert any(deltacomplex._matching(given_up))
+    assert not any(pairs) and tuple(map(len, critical)) == given_up.counts
+    for base in (kept, given_up):
+        level = mod_power_tower(base, 2, 1).levels[0]
+        lifted = lifted_profile(base, level.action, PRIMES)
+        built = homology_profile(build_cover(base, level.action)[0], PRIMES)
+        assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
+    monkeypatch.setattr(deltacomplex, "_REACH", 10 ** 9)
+    base = build_cover(s, covers[16])[0]
     pairs, critical, _ = deltacomplex._morse(base)
+    assert any(deltacomplex._matching(base))
     assert not any(pairs) and tuple(map(len, critical)) == base.counts
-    level = mod_power_tower(base, 2, 1).levels[0]
-    lifted = lifted_profile(base, level.action, PRIMES)
-    built = homology_profile(build_cover(base, level.action)[0], PRIMES)
-    assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
     torus = builtin("torus2")
     surface = build_cover(torus, mod_power_tower(torus, 2, 3).levels[-1].action)[0]
     assert tuple(map(len, deltacomplex._morse(surface)[1])) == (1, 2, 1)
