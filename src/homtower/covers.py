@@ -323,22 +323,21 @@ def lifted_profile(complex, action, primes=(2, 3, 5)):
         return made[word]
     _, critical, boundary = _morse(complex)
     counts = [d * len(cells) for cells in critical]
-    blocks = [None] + [[[(v, q * d, sheets(word)) for v, q, word in terms] for terms in bk]
-                       for bk in boundary[1:]]
 
     def off_rows(k, dropped):
         dropped, entries = set(dropped), {}
-        for c, terms in enumerate(blocks[k]):
-            for v, first, perm in terms:
-                for col, t in enumerate(perm, c * d):
-                    if (row := first + t) not in dropped:
+        for c, terms in enumerate(boundary[k]):
+            for v, q, word in terms:
+                for col, t in enumerate(sheets(word), c * d):
+                    if (row := q * d + t) not in dropped:
                         entries[row, col] = entries.get((row, col), 0) + v
         return IntegerMatrix._trusted(counts[k - 1], counts[k],
                                       {pos: v for pos, v in entries.items() if v})
 
     def forest():
         return _forest(counts[0], chain.from_iterable(
-            zip([a + t for t in pa], [b + t for t in pb]) for (_, a, pa), (_, b, pb) in blocks[1]))
+            zip([a * d + t for t in sheets(wa)], [b * d + t for t in sheets(wb)])
+            for (_, a, wa), (_, b, wb) in boundary[1]))
 
     def top():  # slot (c * d + s) * width + 2i + (sign < 0) is term i of column c * d + s
         n, hits = len(counts) - 1, [[] for _ in critical[-2]]
