@@ -700,12 +700,14 @@ def test_lifted_profile_is_the_homology_of_the_built_cover(drawn):
 
 def test_run_tower_builds_no_cover(monkeypatch):
     # every level's homology comes from the base's Morse complex lifted
-    # through the level's action
-    calls = []
-    real = covers.build_cover
-    monkeypatch.setattr(covers, "build_cover", lambda *args: calls.append(args) or real(*args))
-    report = run_tower(mod_power_tower(builtin("torus2"), 2, 3), primes=(2, 3, 5))
-    assert calls == []
+    # through the level's action, so no complex is made: a cover is a
+    # DeltaComplex whichever name reaches build_cover
+    tower, made = mod_power_tower(builtin("torus2"), 2, 3), []
+    real = DeltaComplex.__init__
+    monkeypatch.setattr(DeltaComplex, "__init__",
+                        lambda self, *args, **kwargs: made.append(args[0]) or real(self, *args, **kwargs))
+    report = run_tower(tower, primes=(2, 3, 5))
+    assert made == []
     assert report.degrees == (4, 16, 64)
     assert all(level.betti_q == (1, 2, 1) and level.torsion_orders == (1, 1, 1)
                and all(dims == (1, 2, 1) for dims in level.fp_dims.values())
