@@ -29,6 +29,7 @@ import time
 WORK = os.path.join(tempfile.gettempdir(), "homtower-bench-pairs")
 TREE = os.path.join(WORK, "tree")
 COVER = os.path.join(WORK, "torus_cover_256.json")
+SOL_COVERS = {degree: os.path.join(WORK, f"sol_cover_{degree}.json") for degree in (64, 1024)}
 PRIMES = ["-p", "2", "3", "5", "--format", "json"]
 SOL_SCRIPT = os.path.join(WORK, "sol_tower.py")
 SOL_TOWER = ("import json\nfrom homtower import mod_power_tower, run_tower\n"
@@ -45,11 +46,21 @@ WORKLOADS = {
     "tower torus2 m3 L3": ["-m", "homtower.cli", "tower", "--builtin", "torus2", "-m", "3", "-L", "3"]
     + PRIMES,
     "bounds torus2 cover degree 256": ["-m", "homtower.cli", "bounds", COVER] + PRIMES,
+    # a 3-dimensional base on each side of the Morse term budget: the
+    # degree-64 cover of Sol keeps its matching, the degree-1024 one gives it up
+    "tower sol cover degree 64 m2 L3": ["-m", "homtower.cli", "tower", SOL_COVERS[64],
+                                        "-m", "2", "-L", "3"] + PRIMES,
+    "tower sol cover degree 1024 m2 L1": ["-m", "homtower.cli", "tower", SOL_COVERS[1024],
+                                          "-m", "2", "-L", "1"] + PRIMES,
     "sol m2 L12 in-process": [SOL_SCRIPT],
 }
-MAKE_COVER = ("import json, sys; from homtower import build_cover, builtin, complex_to_json, "
-              "mod_power_tower; t = builtin('torus2'); level = mod_power_tower(t, 2, 4).levels[-1]; "
-              "json.dump(complex_to_json(build_cover(t, level.action)[0]), open(sys.argv[1], 'w'))")
+MAKE_INPUTS = ("import json, sys; from homtower import build_cover, builtin, complex_to_json, "
+               "mod_power_tower; from test_dimension3 import sol\n"
+               "def write(base, levels, path):\n"
+               "    action = mod_power_tower(base, 2, levels).levels[-1].action\n"
+               "    json.dump(complex_to_json(build_cover(base, action)[0]), open(path, 'w'))\n"
+               "write(builtin('torus2'), 4, sys.argv[1]); write(sol(), 6, sys.argv[2]); "
+               "write(sol(), 10, sys.argv[3])\n")
 STAGES = ("run_tower", "mod_power_tower", "validate_action", "build_cover", "lifted_profile",
           "_morse", "homology_profile", "_boundary_off_rows", "smith_normal_form",
           "_ranks_and_unit_columns", "_dual_forest", "orient", "cap_duality_check", "check_bounds")
@@ -107,27 +118,26 @@ def main(argv=None):
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--only", nargs="*", choices=list(WORKLOADS), help="a subset of the workloads")
     parser.add_argument("--stages", action="store_true", help="also record cProfile stage totals")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     revs = {side: subprocess.run(["git", "rev-parse", rev], check=True, capture_output=True,
                                  text=True).stdout.strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
-    names = args.only or list(WORKLOADS)
     os.makedirs(WORK, exist_ok=True)
     with open(SOL_SCRIPT, "w", encoding="utf-8") as fh:
         fh.write(SOL_TOWER)
     extract(revs["change"])
-    subprocess.run([sys.executable, "-c", MAKE_COVER, COVER], cwd=TREE, env=child_env(), check=True)
+    subprocess.run([sys.executable, "-c", MAKE_INPUTS, COVER, SOL_COVERS[64], SOL_COVERS[1024]],
+                   cwd=TREE, env=child_env(), check=True)
     runs = {name: {order: {"parent": [], "change": []} for order in ("parent_first", "change_first")}
-            for name in names}
-    digests = {name: {"parent": set(), "change": set()} for name in names}
+            for name in WORKLOADS}
+    digests = {name: {"parent": set(), "change": set()} for name in WORKLOADS}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             extract(revs[side])
-            for name in names:
+            for name in WORKLOADS:
                 wall, peak, digest = run(WORKLOADS[name])
                 runs[name][f"{order[0]}_first"][side].append((wall, peak))
                 digests[name][side].add(digest)
@@ -135,7 +145,7 @@ def main(argv=None):
     result = {"script": "bench/pairs.py", "parent": revs["parent"], "change": revs["change"],
               "pairs": args.pairs, "python": platform.python_version(),
               "machine": f"{platform.machine()}, {os.cpu_count()} CPUs", "workloads": {}}
-    for name in names:
+    for name in WORKLOADS:
         both = {side: [r for order in runs[name].values() for r in order[side]]
                 for side in ("parent", "change")}
         medians = {side: summary(rs) for side, rs in both.items()}
@@ -156,7 +166,7 @@ def main(argv=None):
     if args.stages:
         for side in ("parent", "change"):
             extract(revs[side])
-            for name in names:
+            for name in WORKLOADS:
                 result["workloads"][name].setdefault("stages_s", {})[side] = stages(WORKLOADS[name])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
