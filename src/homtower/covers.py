@@ -20,7 +20,7 @@ orientation character.
 
 import heapq
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 
 from .deltacomplex import (
     MAX_SIMPLICES,
@@ -308,7 +308,9 @@ def lifted_profile(complex, action, primes=(2, 3, 5)):
     word) of c's boundary puts sign at row q * degree + word(s) of column
     c * degree + s.  A lifted d_1 is a graph's incidence matrix (Smith form:
     _forest), and a top boundary whose +-1 terms meet each row block at most
-    twice has rows of at most two +-1 entries (_signed_forest)."""
+    twice has rows of at most two +-1 entries: _signed_forest reads a
+    block's d joins (two terms) or half-edges (one) as they are made from
+    the inverse sheets of the terms' words, each made once per level."""
     report = validate_action(complex, action)
     if not report.ok:
         raise ValueError(f"invalid action: {report.problems[0]}")
@@ -339,18 +341,18 @@ def lifted_profile(complex, action, primes=(2, 3, 5)):
             zip([a * d + t for t in sheets(wa)], [b * d + t for t in sheets(wb)])
             for (_, a, wa), (_, b, wb) in boundary[1]))
 
-    def top():  # slot (c * d + s) * width + 2i + (sign < 0) is term i of column c * d + s
+    def top():  # row q * d + t holds column c * d + s, word(s) = t, for each term (v, q, word) of c
         n, hits = len(counts) - 1, [[] for _ in critical[-2]]
-        width = 2 * max(map(len, boundary[n]), default=0)
         for c, terms in enumerate(boundary[n]):
-            for i, (v, q, word) in enumerate(terms):
-                hits[q].append((c, 2 * i + (v < 0), v, word))
-        if any(len(h) > 2 or any(v not in (1, -1) for *_, v, _ in h) for h in hits):
+            for v, q, word in terms:
+                hits[q].append((c * d, v, word))
+        if any(len(h) > 2 or any(v not in (1, -1) for _, v, _ in h) for h in hits):
             return None
-        slots = [x for h in hits for group in zip(*(  # row q * d + t holds column c * d + s
-            [(c * d + s) * width + i for s in sheets(_invert(word))] for c, i, _, word in h))
-            for x in group]
-        return _signed_forest(counts[n], slots, [len(h) for h in hits for _ in range(d)], width)[2]
+        inverse = {w: sheets(_invert(w)) for w in {w for h in hits for _, _, w in h}}
+        joins = chain.from_iterable(zip(*[[c + s for s in inverse[w]] for c, _, w in h],
+                                        repeat(-h[0][1] * h[1][1], d)) for h in hits if len(h) == 2)
+        halves = [c + s for h in hits if len(h) == 1 for c, _, w in h for s in inverse[w]]
+        return _signed_forest(counts[n - 1], counts[n], joins, halves)[2]
     return _profile(counts, _smith_forms(counts, off_rows, forest, top), off_rows, tuple(primes))
 
 

@@ -118,7 +118,10 @@ def _forest(count, ends):
     coboundary +-1 at e and 0 at each earlier forest link."""
     parent, forest = list(range(count)), []
     for e, (u, v) in enumerate(ends):
-        u, v = _find(parent, u), _find(parent, v)
+        while parent[u] != u:  # _find on both ends, written out
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
         if u != v:
             parent[u] = v
             forest.append(e)
@@ -337,67 +340,70 @@ def _boundary_smith(complex, k):
 def _dual_forest(complex):
     """The one walk of the dual graph, cached for _orientation and
     _boundary_smith: (incidences, parent, rel, smith), the slots and counts
-    of _top_face_incidences and their _signed_forest (slot t*(n+1)+i is top
-    simplex t, sign (-1)^i); parent, rel and smith are None when some
-    (n-1)-simplex lies in three top faces or more."""
+    of _top_face_incidences and the _signed_forest of their rows, decoded
+    once into joins and half-edges (slot t*(n+1)+i is top simplex t, sign
+    (-1)^i); parent, rel and smith are None when some (n-1)-simplex lies in
+    three top faces or more."""
     if "dual_forest" not in complex._cache:
         slots, counts = incidences = _top_face_incidences(complex)
-        found = ((None,) * 3 if counts and max(counts) > 2 else
-                 _signed_forest(complex.counts[complex.dim], slots, counts, complex.dim + 1))
+        found = (None,) * 3
+        if not counts or max(counts) <= 2:
+            width, joins, halves, k = complex.dim + 1, [], [], 0
+            for c in counts:
+                if c == 2:
+                    (a, i), (b, j) = divmod(slots[k], width), divmod(slots[k + 1], width)
+                    joins.append((a, b, (-1) ** (i + j + 1)))
+                elif c:
+                    halves.append(slots[k] // width)
+                k += c
+            found = _signed_forest(len(counts), complex.counts[complex.dim], joins, halves)
         complex._cache["dual_forest"] = (incidences, *found)
     return complex._cache["dual_forest"]
 
 
-def _signed_forest(columns, slots, counts, width):
-    """(parent, rel, smith) for a matrix whose row f holds counts[f] entries
-    +-1, the next counts[f] of `slots` in order, slot x being column
-    x // width with sign (-1)^(x % width): a signed union-find over the
-    columns (_find_signed(parent, rel, t) is t's root and sign relative to
-    it) and the Smith form of the matrix.  The walk reads the slots once,
-    one row after another.  Row f is s_a e^a + s_b e^b for its slots of
-    columns a and b: within a tree the rows span the vectors with
-    sum_t sign_t v_t = 0, where sign_b = -s_a s_b sign_a along each tree
-    row.  A row that joins two trees is a unit pivot at the root it
-    absorbs; with the tree rows it telescopes to +-e^ra +- e^rb, 0 at every
-    earlier pivot (a non-root).  A row on one entry (a half-edge) makes its
-    final tree's root a unit pivot, appended last, as its telescoped row
-    +-e^root is 0 at every other; a row within a tree whose sum is +-2 (a
-    sign clash) leaves Z/2 on a tree with no half-edge."""
+def _signed_forest(rows, columns, joins, halves):
+    """(parent, rel, smith) for a matrix of `rows` rows of at most two
+    entries +-1: a signed union-find over the columns (_find_signed(parent,
+    rel, t) is t's root and sign relative to it) and the Smith form.  joins
+    gives (a, b, s) for each row s_a e^a + s_b e^b, in row order, with
+    s = -s_a s_b, and halves the column of each row on one entry (a
+    half-edge).  Within a tree the rows span the vectors with
+    sum_t sign_t v_t = 0, where sign_b = s sign_a along each tree row.  A
+    row that joins two trees is a unit pivot at the root it absorbs; with
+    the tree rows it telescopes to +-e^ra +- e^rb, 0 at every earlier pivot
+    (a non-root).  A half-edge makes its final tree's root a unit pivot,
+    appended last, as its telescoped row +-e^root is 0 at every other; a
+    row within a tree whose sum is +-2 (a sign clash) leaves Z/2 on a tree
+    with no half-edge.  A root's flags end as the OR of its tree's in any
+    order of the rows, so the half-edges are applied after the joins."""
     parent, rel = list(range(columns)), [1] * columns
     flags, units = [0] * columns, []  # flag 1: half-edge, 2: clash
-    side, k = [(-1) ** i for i in range(width)], 0
-    for c in counts:
-        if c == 2:  # _find_signed on both ends, written out
-            x, y = slots[k], slots[k + 1]
-            a, b = x // width, y // width
-            # sign_b / sign_a, then times the signs of a and b to their roots
-            s = -side[x - a * width] * side[y - b * width]
-            while parent[a] != a:
-                p = parent[a]
-                rel[a] *= rel[p]
-                parent[a] = parent[p]
-                s *= rel[a]
-                a = parent[a]
-            while parent[b] != b:
-                p = parent[b]
-                rel[b] *= rel[p]
-                parent[b] = parent[p]
-                s *= rel[b]
-                b = parent[b]
-            if a != b:
-                parent[a], rel[a] = b, s
-                flags[b] |= flags[a]
-                units.append(a)
-            elif s != 1:
-                flags[a] |= 2
-        elif c:
-            flags[_find_signed(parent, rel, slots[k] // width)[0]] |= 1
-        k += c
+    for a, b, s in joins:  # _find_signed on both ends, written out
+        while parent[a] != a:  # s times the signs of a and b to their roots
+            p = parent[a]
+            rel[a] *= rel[p]
+            parent[a] = parent[p]
+            s *= rel[a]
+            a = parent[a]
+        while parent[b] != b:
+            p = parent[b]
+            rel[b] *= rel[p]
+            parent[b] = parent[p]
+            s *= rel[b]
+            b = parent[b]
+        if a != b:
+            parent[a], rel[a] = b, s
+            flags[b] |= flags[a]
+            units.append(a)
+        elif s != 1:
+            flags[a] |= 2
+    for t in halves:
+        flags[_find_signed(parent, rel, t)[0]] |= 1
     roots = [t for t in range(columns) if parent[t] == t]
     units += [t for t in roots if flags[t] & 1]
     return parent, rel, SmithDecomposition(
         (1,) * len(units) + (2,) * sum(flags[t] == 2 for t in roots),
-        len(counts), columns, unit_columns=units)
+        rows, columns, unit_columns=units)
 
 
 class HomologyProfile:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from homtower import deltacomplex, intlinalg
+from homtower import covers, deltacomplex, intlinalg
 from homtower.bounds import check_bounds, check_index2_reduction, duality_report
 from homtower.covers import (
     PermutationAction,
@@ -1492,6 +1492,32 @@ def test_lifted_top_boundary_off_the_forest_shape_is_eliminated(monkeypatch):
         assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
 
 
+def test_lifted_half_edges_on_covers_of_punctured_surfaces(monkeypatch):
+    # A surface with a top simplex taken out keeps its top simplex critical
+    # next to its free edges, so its lifted top has rows of one entry: the
+    # half-edges of _signed_forest, one per sheet.  Through every level of
+    # the mod-2 tower (degrees 4 to 256) the lift is the built cover's
+    # homology, over Z and over F_p.
+    halves, real = [], covers._signed_forest
+    monkeypatch.setattr(covers, "_signed_forest",
+                        lambda rows, columns, joins, half: halves.append(len(half))
+                        or real(rows, columns, joins, half))
+    degrees = {}
+    for name, complex, levels in (("torus2", builtin("torus2"), 4),
+                                  ("klein_bottle", builtin("klein_bottle"), 4),
+                                  ("surface2", builtin("surface", genus=2), 2)):
+        punctured = without_top_simplex(complex, complex.counts[2] // 2)
+        for level in mod_power_tower(punctured, 2, levels).levels:
+            halves.clear()
+            lifted = lifted_profile(punctured, level.action, PRIMES)
+            built = homology_profile(build_cover(punctured, level.action)[0], PRIMES)
+            assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims), name
+            assert halves and halves[0] > 0 and halves[0] % level.degree == 0, (name, level.degree)
+            degrees[name, level.degree] = list(lifted.groups)
+    assert {degree for _, degree in degrees} == {4, 16, 64, 256}
+    assert degrees["torus2", 16] == [Z(1), Z(17), Z(0)]
+
+
 def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base(monkeypatch):
     # Gradient paths through middle pairs branch, and as words they never
     # merge: with no limit on the search for a closed path, one critical
@@ -1503,9 +1529,9 @@ def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base(monkeypatch):
     # keeps a matching; the degree-128 cover still gives its up.  Surfaces
     # keep theirs (a torus cover of degree 64 still has (1, 2, 1) critical cells).
     s = sol()
-    covers = {degree: level.action for level in mod_power_tower(s, 2, 7).levels
+    actions = {degree: level.action for level in mod_power_tower(s, 2, 7).levels
               if (degree := level.degree) in (16, 128)}
-    kept, given_up = build_cover(s, covers[16])[0], build_cover(s, covers[128])[0]
+    kept, given_up = build_cover(s, actions[16])[0], build_cover(s, actions[128])[0]
     assert tuple(map(len, deltacomplex._morse(kept)[1])) == (1, 16, 16, 1)
     pairs, critical, _ = deltacomplex._morse(given_up)
     assert any(deltacomplex._matching(given_up))
@@ -1515,8 +1541,22 @@ def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base(monkeypatch):
         lifted = lifted_profile(base, level.action, PRIMES)
         built = homology_profile(build_cover(base, level.action)[0], PRIMES)
         assert (lifted.groups, lifted.fp_dims) == (built.groups, built.fp_dims)
+    # With the empty matching, critical cell c on sheet s is the cover's
+    # simplex c * degree + s, so the lifted top hands _signed_forest the
+    # joins of the built cover's _dual_forest in the same order, and the two
+    # Smith forms agree in their divisors and in their unit columns, order
+    # included.
+    tops, real = [], covers._smith_forms
+    monkeypatch.setattr(covers, "_smith_forms", lambda *args: tops.append(real(*args)) or tops[-1])
+    for level in mod_power_tower(given_up, 2, 2).levels:
+        tops.clear()
+        lifted_profile(given_up, level.action, ())
+        simplicial = deltacomplex._dual_forest(build_cover(given_up, level.action)[0])[3]
+        assert [(top.divisors, top.rows, top.cols, top.unit_columns) for *_, top in tops] == [
+            (simplicial.divisors, simplicial.rows, simplicial.cols, simplicial.unit_columns)]
+        assert simplicial.unit_columns and level.degree > 1
     monkeypatch.setattr(deltacomplex, "_REACH", 10 ** 9)
-    base = build_cover(s, covers[16])[0]
+    base = build_cover(s, actions[16])[0]
     pairs, critical, _ = deltacomplex._morse(base)
     assert any(deltacomplex._matching(base))
     assert not any(pairs) and tuple(map(len, critical)) == base.counts
