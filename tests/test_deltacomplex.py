@@ -1493,9 +1493,10 @@ def test_lifted_top_boundary_off_the_forest_shape_is_eliminated(monkeypatch):
 
 
 def test_lifted_half_edges_on_covers_of_punctured_surfaces(monkeypatch):
-    # A surface with a top simplex taken out keeps its top simplex critical
-    # next to its free edges, so its lifted top has rows of one entry: the
-    # half-edges of _signed_forest, one per sheet.  Through every level of
+    # A surface with a top simplex taken out has free edges, each in one
+    # triangle, which stay critical, and the Morse boundaries of its
+    # critical triangles meet each once: the lifted top has rows of one
+    # entry, the half-edges of _signed_forest, one per sheet.  Through every level of
     # the mod-2 tower (degrees 4 to 256) the lift is the built cover's
     # homology, over Z and over F_p.
     halves, real = [], covers._signed_forest
@@ -1530,7 +1531,7 @@ def test_morse_gives_up_a_matching_whose_paths_outgrow_the_base(monkeypatch):
     # keep theirs (a torus cover of degree 64 still has (1, 2, 1) critical cells).
     s = sol()
     actions = {degree: level.action for level in mod_power_tower(s, 2, 7).levels
-              if (degree := level.degree) in (16, 128)}
+               if (degree := level.degree) in (16, 128)}
     kept, given_up = build_cover(s, actions[16])[0], build_cover(s, actions[128])[0]
     assert tuple(map(len, deltacomplex._morse(kept)[1])) == (1, 16, 16, 1)
     pairs, critical, _ = deltacomplex._morse(given_up)
